@@ -2,13 +2,16 @@
 
 The stiffness matrix is
 
-    A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = det(J) J^{-T} K J^{-1},
+    A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = |det J| J^{-T} K J^{-1},
 
-assembled by tensor-product Gauss quadrature.  The element loop is blocked:
-one slab (a row of elements in the leading directions) is contracted with
-einsum at a time and accumulated into a dense block-banded array, which is
-converted to CSR once at the end.  Quadrature points with a singular geometry
-Jacobian contribute zero (see the geometry module).
+assembled by tensor-product Gauss quadrature, with Q from the closed-form
+pull-back of the geometry module.  The element loop is blocked: Q is
+evaluated once per plane of elements in the leading direction, each slab (a
+row of elements in the leading directions) is contracted with batched matmuls,
+and the result is accumulated into a dense block-banded array.  CSR over the
+interior (Dirichlet) or full index range is emitted straight from that array.
+Quadrature points with a singular geometry Jacobian contribute zero (see the
+geometry module).
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
@@ -20,7 +23,7 @@ import scipy.sparse
 
 from .banded import BandedSymMatrix
 from .bspline import basis_tables
-from .geometry import eval_Q_masked, identity_coefficient
+from .geometry import abs_det_masked, eval_Q_masked
 
 __all__ = [
     "QuadratureRule1D",
@@ -157,38 +160,57 @@ def quadrature_grid(spaces, points_per_span=None):
     return rules, zeta, np.asarray(w).ravel()
 
 
-def _full_to_interior(A_full, ms):
-    inside = [np.arange(1, m - 1) for m in ms]
-    grid = np.meshgrid(*inside, indexing="ij")
-    idx = np.ravel_multi_index([g.ravel() for g in grid], ms)
-    return A_full[idx][:, idx].tocsr()
+def _band_to_csr(BB, ranges, p):
+    """CSR straight from the block-banded accumulator, over an index box.
 
-
-def _band_to_csr(BB, ms, p):
-    """Convert the block-banded accumulator to CSR over the full space."""
-    d = len(ms)
-    rows, cols, vals = [], [], []
-    offsets = [np.arange(-p, p + 1)] * d
-    grids = np.meshgrid(*offsets, indexing="ij")
-    for off in zip(*(g.ravel() for g in grids)):
-        ranges = [np.arange(max(0, -o), m - max(0, o)) for o, m in zip(off, ms)]
-        if any(r.size == 0 for r in ranges):
-            continue
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        I = [g.ravel() for g in mesh]
-        J = [i + o for i, o in zip(I, off)]
-        sel = []
-        for k in range(d):
-            sel.append(I[k])
-            sel.append(np.full(I[k].shape, off[k] + p))
-        vals.append(BB[tuple(sel)])
-        rows.append(np.ravel_multi_index(I, ms).astype(np.int64))
-        cols.append(np.ravel_multi_index(J, ms).astype(np.int64))
-    N = int(np.prod(ms))
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    )
-    return A.tocsr()
+    ``BB[i_1, o_1 + p, ..., i_d, o_d + p]`` holds A[i, i + o].  ``ranges``
+    gives a (lo, hi) index range per direction: (1, m - 1) keeps the interior
+    basis functions, (0, m) the full space.  Rows and columns are numbered in
+    C order over the box; within a row the columns come in offset order,
+    which is ascending.  Every in-box pair within the band is stored, so the
+    pattern is that of the Kronecker sum of the univariate pencils.
+    """
+    d = len(ranges)
+    ns = [hi - lo for lo, hi in ranges]
+    # local column index i + o of each (row, offset) per direction, -1 outside
+    cols = []
+    for n in ns:
+        j = np.arange(n)[:, None] + np.arange(-p, p + 1)
+        j[(j < 0) | (j >= n)] = -1
+        cols.append(j)
+    # the trailing directions' rows and offsets, shaped (n_2..n_d, w..w)
+    tail = 2 * (d - 1)
+    tail_col = np.zeros([1] * tail, dtype=np.int64)
+    tail_ok = np.ones([1] * tail, dtype=bool)
+    for k in range(1, d):
+        shape = [1] * tail
+        shape[k - 1], shape[d - 2 + k] = ns[k], 2 * p + 1
+        jk = cols[k].reshape(shape)
+        tail_col = tail_col * ns[k] + jk
+        tail_ok = tail_ok & (jk >= 0)
+    n_tail = tail_col.size // (2 * p + 1) ** (d - 1)
+    counts = np.outer((cols[0] >= 0).sum(1), tail_ok.reshape(n_tail, -1).sum(1)).ravel()
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    N, nnz = counts.size, int(indptr[-1])
+    itype = np.int32 if max(N, nnz) < 2**31 else np.int64
+    indices = np.empty(nnz, dtype=itype)
+    data = np.empty(nnz)
+    # one leading row at a time: axes (rows of the tail, o_1, offsets of the tail)
+    tail_col = np.expand_dims(tail_col, d - 1)
+    tail_ok = np.expand_dims(tail_ok, d - 1)
+    o1 = [1] * (d - 1) + [2 * p + 1] + [1] * (d - 1)
+    box = tuple(slice(lo, hi) for lo, hi in ranges[1:])
+    perm = [2 * k + 1 for k in range(d - 1)] + [2 * k for k in range(d)]
+    lo1 = ranges[0][0]
+    for i1 in range(ns[0]):
+        j1 = cols[0][i1].reshape(o1)
+        ok = tail_ok & (j1 >= 0)
+        block = BB[(lo1 + i1,) + tuple(s for sl in box for s in (slice(None), sl))]
+        a, b = indptr[i1 * n_tail], indptr[(i1 + 1) * n_tail]
+        data[a:b] = block.transpose(perm)[ok]
+        indices[a:b] = (j1 * n_tail + tail_col)[ok]
+    return scipy.sparse.csr_matrix((data, indices, indptr.astype(itype)), shape=(N, N))
 
 
 def _pair_tables(vals, ders):
@@ -263,7 +285,7 @@ def _assemble_stiffness_2d(spaces, geo, coeff, q):
         base = f1[e1]
         for i1 in range(a1):
             BB[base + i1, p - i1 : p - i1 + a1] += local[i1]
-    return _band_to_csr(BB, (m1, m2), p)
+    return BB
 
 
 def _assemble_stiffness_3d(spaces, geo, coeff, q):
@@ -295,23 +317,24 @@ def _assemble_stiffness_3d(spaces, geo, coeff, q):
         for e in range(E2)
     ]
 
+    pts2 = rules[1].points.ravel()
+    w2 = rules[1].weights.ravel()
+    Nq2 = pts2.size
     BB = np.zeros((m1, wband, m2, wband, m3, wband))
-    z = np.empty((q1 * q2 * Nq3, 3))
+    z = np.empty((q1 * Nq2 * Nq3, 3))
+    z[:, 1] = np.tile(np.repeat(pts2, Nq3), q1)
+    z[:, 2] = np.tile(pts3, q1 * Nq2)
     for e1 in range(E1):
-        z1 = rules[0].points[e1]
-        w1 = rules[0].weights[e1]
         T1t = T1t_all[e1]
+        # Q once per plane of elements, contracted below one slab at a time
+        z[:, 0] = np.repeat(rules[0].points[e1], Nq2 * Nq3)
+        Q, _ = eval_Q_masked(geo, coeff, z)
+        wq = rules[0].weights[e1][:, None, None] * w2[None, :, None] * w3[None, None, :]
+        Qw = Q.reshape(q1, Nq2, Nq3, 3, 3) * wq[..., None, None]
+        Qp = Qw.transpose(3, 4, 0, 1, 2).reshape(9, q1, E2, q2 * Nq3)
         for e2 in range(E2):
-            z2 = rules[1].points[e2]
-            w2 = rules[1].weights[e2]
             T2 = T2_all[e2]  # (9, 1, q2, a2^2)
-            z[:, 0] = np.repeat(z1, q2 * Nq3)
-            z[:, 1] = np.tile(np.repeat(z2, Nq3), q1)
-            z[:, 2] = np.tile(pts3, q1 * q2)
-            Q, _ = eval_Q_masked(geo, coeff, z)
-            wq = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-            Qw = Q.reshape(q1, q2, Nq3, 3, 3) * wq[..., None, None]
-            Qx = np.ascontiguousarray(Qw.transpose(3, 4, 0, 1, 2).reshape(9, q1, q2 * Nq3))
+            Qx = np.ascontiguousarray(Qp[:, :, e2])
 
             Y1 = (T1t @ Qx).reshape(9, a1 * a1, q2, Nq3)  # contract q1
             Y2 = np.swapaxes(T2, 2, 3) @ Y1  # (9, a1^2, a2^2, Nq3), contract q2
@@ -328,7 +351,7 @@ def _assemble_stiffness_3d(spaces, geo, coeff, q):
             for i1 in range(a1):
                 for i2 in range(a2):
                     BB[b1 + i1, p - i1 : p - i1 + a1, b2 + i2, p - i2 : p - i2 + a2] += local[i1, :, i2]
-    return _band_to_csr(BB, (m1, m2, m3), p)
+    return BB
 
 
 def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=True):
@@ -349,21 +372,19 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
         raise ValueError("geometry dimension %d does not match %d spaces" % (geo.dim, d))
     if len({s.p for s in spaces}) != 1:
         raise ValueError("all directions must use the same spline degree")
-    coeff = coeff or identity_coefficient(d)
     q = points_per_span or _default_q(spaces[0])
     if d == 2:
-        A = _assemble_stiffness_2d(spaces, geo, coeff, q)
+        BB = _assemble_stiffness_2d(spaces, geo, coeff, q)
     elif d == 3:
-        A = _assemble_stiffness_3d(spaces, geo, coeff, q)
+        BB = _assemble_stiffness_3d(spaces, geo, coeff, q)
     else:
         raise ValueError("only 2D and 3D assembly is supported")
-    if dirichlet:
-        A = _full_to_interior(A, tuple(s.m for s in spaces))
-    return A
+    ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
+    return _band_to_csr(BB, ranges, spaces[0].p)
 
 
 def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
-    """Load vector b_i = int f(F(z)) B_i(z) det(J) dz by the same quadrature.
+    """Load vector b_i = int f(F(z)) B_i(z) |det J| dz by the same quadrature.
 
     ``f`` maps an (N, d) array of physical points to N values.
     """
@@ -375,10 +396,8 @@ def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
     b = np.zeros(ms)
 
     def f_weighted(z):
-        J = geo.jacobian(z)
-        det = np.linalg.det(J)
-        det[np.abs(det) < 1e-14] = 0.0
-        return np.asarray(f(geo.evaluate(z)), dtype=float) * det
+        absdet, _ = abs_det_masked(geo, z)
+        return np.asarray(f(geo.evaluate(z)), dtype=float) * absdet
 
     if d == 2:
         (fa1, v1, _), (fa2, v2, _) = tabs
@@ -403,29 +422,27 @@ def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
         E1, q1, a1 = v1.shape
         E2, q2, a2 = v2.shape
         E3, q3, a3 = v3.shape
-        pts3 = rules[2].points.ravel()
-        w3 = rules[2].weights.ravel()
-        Nq3 = pts3.size
-        z = np.empty((q1 * q2 * Nq3, 3))
+        pts2, pts3 = rules[1].points.ravel(), rules[2].points.ravel()
+        w2, w3 = rules[1].weights.ravel(), rules[2].weights.ravel()
+        Nq2, Nq3 = pts2.size, pts3.size
+        z = np.empty((q1 * Nq2 * Nq3, 3))
+        z[:, 1] = np.tile(np.repeat(pts2, Nq3), q1)
+        z[:, 2] = np.tile(pts3, q1 * Nq2)
         for e1 in range(E1):
-            for e2 in range(E2):
-                z[:, 0] = np.repeat(rules[0].points[e1], q2 * Nq3)
-                z[:, 1] = np.tile(np.repeat(rules[1].points[e2], Nq3), q1)
-                z[:, 2] = np.tile(pts3, q1 * q2)
-                wq = (
-                    rules[0].weights[e1][:, None, None]
-                    * rules[1].weights[e2][None, :, None]
-                    * w3[None, None, :]
-                )
-                F = f_weighted(z).reshape(q1, q2, Nq3) * wq
-                G1 = np.einsum("qi,qrs->irs", v1[e1], F)
-                G2 = np.einsum("rj,irs->ijs", v2[e2], G1)
-                C = np.einsum("ijeq,eqk->eijk", G2.reshape(a1, a2, E3, q3), v3)
-                for i1 in range(a1):
-                    for i2 in range(a2):
-                        plane = b[fa1[e1] + i1, fa2[e2] + i2]
-                        for i3 in range(a3):
-                            plane[fa3 + i3] += C[:, i1, i2, i3]
+            # f and |det J| once per plane of elements, as in the stiffness
+            z[:, 0] = np.repeat(rules[0].points[e1], Nq2 * Nq3)
+            wq = rules[0].weights[e1][:, None, None] * w2[None, :, None] * w3[None, None, :]
+            F = f_weighted(z).reshape(q1, Nq2, Nq3) * wq
+            G1 = np.einsum("qi,qrs->irs", v1[e1], F).reshape(a1, E2, q2, Nq3)
+            G2 = np.einsum("eqj,ieqs->iejs", v2, G1).reshape(a1, E2, a2, E3, q3)
+            C = np.einsum("fsk,iejfs->iejfk", v3, G2)  # (a1, E2, a2, E3, a3)
+            for i1 in range(a1):
+                plane = b[fa1[e1] + i1]
+                for i2 in range(a2):
+                    for i3 in range(a3):
+                        # fa2 + i2 and fa3 + i3 are strictly increasing, so
+                        # no index repeats within one accumulation
+                        plane[np.ix_(fa2 + i2, fa3 + i3)] += C[i1, :, i2, :, i3]
     else:
         raise ValueError("only 2D and 3D assembly is supported")
 
@@ -437,24 +454,31 @@ def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
 
 ConditionBound = namedtuple("ConditionBound", ["bound", "singular"])
 
+# sample points per Q/eigenvalue evaluation in condition_bound
+_BOUND_CHUNK = 2**16
+
 
 def condition_bound(geo, coeff, zeta):
     """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
 
     This bounds the spectral condition number of the preconditioned system.
     If any sample point has a singular Jacobian the bound is +inf and the
-    ``singular`` flag is set.
+    ``singular`` flag is set.  ``coeff=None`` is the identity coefficient.
+    Q and its eigenvalues are evaluated _BOUND_CHUNK points at a time,
+    keeping a running minimum and maximum, so memory does not grow with the
+    number of points.
 
     Returns:
         ConditionBound(bound, singular)
     """
-    coeff = coeff or identity_coefficient(geo.dim)
-    Q, sing = eval_Q_masked(geo, coeff, zeta)
-    if sing.any():
-        return ConditionBound(np.inf, True)
-    ev = np.linalg.eigvalsh(Q)
-    lo = ev[:, 0].min()
-    hi = ev[:, -1].max()
+    lo, hi = np.inf, -np.inf
+    for start in range(0, len(zeta), _BOUND_CHUNK):
+        Q, sing = eval_Q_masked(geo, coeff, zeta[start : start + _BOUND_CHUNK])
+        if sing.any():
+            return ConditionBound(np.inf, True)
+        ev = np.linalg.eigvalsh(Q)
+        lo = min(lo, ev[:, 0].min())
+        hi = max(hi, ev[:, -1].max())
     if lo <= 0.0:
         return ConditionBound(np.inf, True)
     return ConditionBound(float(hi / lo), False)
@@ -490,10 +514,9 @@ def l2_error(spaces, geo, coefs, u_exact, points_per_span=None):
     U = C
     for axis, V in enumerate(Vs):
         U = np.moveaxis(np.tensordot(V, U, axes=(1, axis)), 0, axis)
-    J = geo.jacobian(zeta)
-    det = np.linalg.det(J)
+    absdet, _ = abs_det_masked(geo, zeta)
     diff2 = (U.ravel() - u_exact(geo.evaluate(zeta))) ** 2
-    return float(np.sqrt(np.sum(diff2 * det * w)))
+    return float(np.sqrt(np.sum(diff2 * absdet * w)))
 
 
 def write_matrix_market(obj, path):

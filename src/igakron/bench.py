@@ -24,7 +24,7 @@ from .assembly import (
 from .bspline import SplineSpace1D
 from .eigen import extreme_eigs, generalized_eig
 from .fd import fd_setup
-from .geometry import BuiltinDomain, builtin, identity_coefficient
+from .geometry import BuiltinDomain, builtin
 from .ic import ic0_setup
 from .kron import KroneckerSum
 from .multipatch import (
@@ -236,7 +236,7 @@ def _cond_bound_value(spaces, geo):
     # the bound is a supremum over the closed domain: include the corners so
     # boundary-singular parametrizations report the +inf sentinel
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    cb = condition_bound(geo, identity_coefficient(geo.dim), np.vstack([zeta, corners]))
+    cb = condition_bound(geo, None, np.vstack([zeta, corners]))
     return cb.bound
 
 

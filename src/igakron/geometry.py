@@ -21,6 +21,7 @@ __all__ = [
     "identity_coefficient",
     "eval_Q",
     "eval_Q_masked",
+    "abs_det_masked",
 ]
 
 SINGULAR_TOL = 1e-14
@@ -257,8 +258,49 @@ def builtin(domain):
     return _BUILDERS[domain]()
 
 
+def _cofactor(J, r, c):
+    """Cofactor of entry (r, c) of a batch of 2x2 or 3x3 matrices, shape (N,)."""
+    if J.shape[-1] == 2:
+        return J[:, 1 - r, 1 - c] if r == c else -J[:, 1 - r, 1 - c]
+    r1, r2, c1, c2 = (r + 1) % 3, (r + 2) % 3, (c + 1) % 3, (c + 2) % 3
+    return J[:, r1, c1] * J[:, r2, c2] - J[:, r1, c2] * J[:, r2, c1]
+
+
+def _abs_det(J, row0_cofactors):
+    """|det J| with singular points zeroed, and the singular mask."""
+    det = sum(J[:, 0, c] * row0_cofactors[c] for c in range(J.shape[-1]))
+    absdet = np.abs(det)
+    singular = absdet < SINGULAR_TOL
+    absdet[singular] = 0.0
+    return absdet, singular
+
+
+def abs_det_masked(geo, zeta):
+    """|det J| at many points, by cofactor expansion.
+
+    Points where |det J| < SINGULAR_TOL are flagged in the returned mask and
+    their value is set to zero, as in eval_Q_masked.
+
+    Returns:
+        (absdet, singular_mask), both of shape (N,).
+    """
+    J = geo.jacobian(np.asarray(zeta, dtype=float))
+    return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
+
+
 def eval_Q_masked(geo, coeff, zeta):
-    """The pulled-back diffusion tensor det(J) J^{-T} K J^{-1} at many points.
+    """The pulled-back diffusion tensor |det J| J^{-T} K J^{-1} at many points.
+
+    Computed in closed form from the adjugate, adj(J) = det(J) J^{-1}:
+
+        Q = adj(J)^T K adj(J) / |det J|,
+
+    with det J and adj(J) taken once from the components of J (2D and 3D).
+    The absolute value keeps Q positive definite on orientation-reversing
+    maps; assemble_load, l2_error and condition_bound use the same |det J|
+    (see abs_det_masked).  ``coeff=None`` stands for the identity
+    coefficient: Q = adj(J)^T adj(J) / |det J| is then formed without
+    evaluating the map or K.
 
     Points where |det J| < SINGULAR_TOL are flagged in the returned mask and
     their Q is set to zero (the assembly policy is that such quadrature points
@@ -268,17 +310,23 @@ def eval_Q_masked(geo, coeff, zeta):
         (Q, singular_mask) with shapes (N, d, d) and (N,).
     """
     zeta = np.asarray(zeta, dtype=float)
+    d = geo.dim
     J = geo.jacobian(zeta)
-    det = np.linalg.det(J)
-    singular = np.abs(det) < SINGULAR_TOL
-    Jsafe = J.copy()
-    if singular.any():
-        Jsafe[singular] = np.eye(geo.dim)
-    Jinv = np.linalg.inv(Jsafe)
-    K = coeff.evaluate(geo.evaluate(zeta))
-    Q = det[:, None, None] * np.einsum("nji,njk,nkl->nil", Jinv, K, Jinv)
-    if singular.any():
-        Q[singular] = 0.0
+    # adj[i][j] = cofactor (j, i); its first column holds the row-0 cofactors
+    adj = [[_cofactor(J, j, i) for j in range(d)] for i in range(d)]
+    absdet, singular = _abs_det(J, [adj[c][0] for c in range(d)])
+    inv = np.divide(1.0, absdet, out=np.zeros_like(absdet), where=~singular)
+    Q = np.empty((zeta.shape[0], d, d))
+    if coeff is None:
+        for i in range(d):
+            for l in range(i, d):
+                Q[:, i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
+                Q[:, l, i] = Q[:, i, l]
+    else:
+        A = np.stack([np.stack(row, axis=-1) for row in adj], axis=1)
+        K = coeff.evaluate(geo.evaluate(zeta))
+        np.matmul(np.swapaxes(A, 1, 2), K @ A, out=Q)
+        Q *= inv[:, None, None]
     return Q, singular
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from igakron import assembly
 from igakron.assembly import (
+    _band_to_csr,
     assemble_load,
     assemble_pencil_1d,
     assemble_stiffness,
@@ -14,8 +16,10 @@ from igakron.assembly import (
     write_matrix_market,
 )
 from igakron.bspline import SplineSpace1D
-from igakron.geometry import builtin, identity_coefficient, identity_map
+from igakron.fd import fd_setup
+from igakron.geometry import affine_map, builtin, identity_coefficient, identity_map
 from igakron.kron import KroneckerSum
+from igakron.pcg import pcg
 
 
 def spaces_2d(p, q):
@@ -173,19 +177,76 @@ def test_manufactured_solution_exact_for_p2():
     assert l2_error(sp, geo, u, manufactured_u) < 1e-12
 
 
-def test_condition_bound_identity_and_annulus():
+def test_condition_bound_identity_and_annulus(monkeypatch):
     _, z, _ = quadrature_grid(spaces_2d(2, 8))
     cb = condition_bound(identity_map(2), identity_coefficient(2), z)
     assert not cb.singular and abs(cb.bound - 1.0) < 1e-10
     cb2 = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), z)
     assert abs(cb2.bound - np.pi**2) < 0.05 * np.pi**2
+    # chunked evaluation gives the single-shot value
+    for chunk in (7, 24, 100):
+        monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
+        cb = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), z)
+        assert not cb.singular and cb.bound == cb2.bound
 
 
-def test_condition_bound_singular_domain():
+def test_condition_bound_singular_domain(monkeypatch):
     _, z, _ = quadrature_grid(spaces_2d(2, 6))
     z = np.vstack([z, [[0.5, 1.0]]])  # force a point on the collapsed edge
     cb = condition_bound(builtin("collapsed_triangle"), identity_coefficient(2), z)
     assert cb.singular and np.isinf(cb.bound)
+    # the only singular point alone in the last chunk still gives the sentinel
+    for chunk in (18, len(z) - 1):
+        monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
+        cb = condition_bound(builtin("collapsed_triangle"), None, z)
+        assert cb.singular and np.isinf(cb.bound)
+
+
+def _dense_from_band(BB, ms, p):
+    """Full-space dense matrix with A[i, i + o] = BB[i_1, o_1 + p, ..., i_d, o_d + p]."""
+    d = len(ms)
+    A = np.zeros((int(np.prod(ms)),) * 2)
+    for i in np.ndindex(*ms):
+        for o in np.ndindex(*([2 * p + 1] * d)):
+            j = tuple(ik + ok - p for ik, ok in zip(i, o))
+            if all(0 <= jk < m for jk, m in zip(j, ms)):
+                idx = tuple(x for pair in zip(i, o) for x in pair)
+                A[np.ravel_multi_index(i, ms), np.ravel_multi_index(j, ms)] = BB[idx]
+    return A
+
+
+@pytest.mark.parametrize("ms,p", [((7, 6), 2), ((5, 6, 4), 1), ((6, 5, 7), 2)])
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_band_to_csr_matches_dense_reference(ms, p, dirichlet):
+    rng = np.random.default_rng(5)
+    BB = rng.uniform(0.5, 1.5, size=[x for m in ms for x in (m, 2 * p + 1)])
+    ranges = [(1, m - 1) if dirichlet else (0, m) for m in ms]
+    A = _band_to_csr(BB, ranges, p)
+    inside = [np.arange(lo, hi) for lo, hi in ranges]
+    idx = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inside, indexing="ij")], ms)
+    ref = scipy.sparse.csr_matrix(_dense_from_band(BB, ms, p)[np.ix_(idx, idx)])
+    assert A.shape == ref.shape
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    np.testing.assert_allclose(A.data, ref.data, rtol=1e-13)
+
+
+def test_orientation_reversing_map_matches_identity():
+    # x = (1 - z_1, z_2) maps the unit square onto itself with det J = -1
+    sp = spaces_2d(2, 8)
+    flip = affine_map(np.diag([-1.0, 1.0]), [1.0, 0.0])
+    A = assemble_stiffness(sp, flip)
+    A0 = assemble_stiffness(sp, identity_map(2))
+    assert np.array_equal(A.indptr, A0.indptr) and np.array_equal(A.indices, A0.indices)
+    np.testing.assert_allclose(A.data, A0.data, rtol=1e-13, atol=1e-13 * np.abs(A0.data).max())
+    # manufactured_f is symmetric under x_1 -> 1 - x_1
+    b = assemble_load(sp, flip, manufactured_f)
+    b0 = assemble_load(sp, identity_map(2), manufactured_f)
+    np.testing.assert_allclose(b, b0, rtol=1e-13, atol=1e-13 * np.abs(b0).max())
+    res = pcg(A, fd_setup(KroneckerSum([assemble_pencil_1d(s) for s in sp])), b, tol=1e-10)
+    assert res.converged
+    err = l2_error(sp, flip, res.x, manufactured_u)
+    assert np.isfinite(err) and err < 1e-9
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from igakron.geometry import (
+    SINGULAR_TOL,
     BuiltinDomain,
+    CoefficientField,
     SingularJacobianError,
+    abs_det_masked,
     builtin,
     eval_Q,
     eval_Q_masked,
@@ -138,3 +141,48 @@ def test_revolved_ring_start_section():
     xy = ann.evaluate(z2)[0]
     x = geo.evaluate(z3)[0]
     np.testing.assert_allclose(x, [xy[0], xy[1], 0.0], atol=1e-13)
+
+
+def _spd_coefficient(dim):
+    # K(x) = (1 + x_0^2) I + v v^T with v = (cos x_k + sin x_{k+1})_k: SPD, not diagonal
+    def evaluate(x):
+        x = np.asarray(x)
+        v = np.cos(x) + np.sin(np.roll(x, -1, axis=1))
+        return (1.0 + x[:, :1, None] ** 2) * np.eye(dim) + v[:, :, None] * v[:, None, :]
+
+    return CoefficientField(evaluate)
+
+
+def _Q_reference(geo, K, z):
+    """|det J| J^{-T} K J^{-1} by batched inverse, zero where |det J| < SINGULAR_TOL."""
+    J = geo.jacobian(z)
+    det = np.linalg.det(J)
+    singular = np.abs(det) < SINGULAR_TOL
+    J[singular] = np.eye(geo.dim)
+    Jinv = np.linalg.inv(J)
+    Kx = K.evaluate(geo.evaluate(z))
+    Q = np.abs(det)[:, None, None] * np.einsum("nji,njk,nkl->nil", Jinv, Kx, Jinv)
+    Q[singular] = 0.0
+    return Q, singular
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS + ["shear"])
+def test_closed_form_Q_matches_inverse_reference(domain):
+    geo = affine_map([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0]) if domain == "shear" else builtin(domain)
+    rng = np.random.default_rng(11)
+    z = random_points(rng, 400, geo.dim)
+    # whole faces z_k in {0, 1}, the collapsed-triangle edge z_2 = 1 among them
+    for k in range(geo.dim):
+        z[20 * k : 20 * k + 10, k] = 0.0
+        z[20 * k + 10 : 20 * k + 20, k] = 1.0
+    for K in (None, _spd_coefficient(geo.dim)):
+        Q, sing = eval_Q_masked(geo, K, z)
+        Qref, sing_ref = _Q_reference(geo, K or identity_coefficient(geo.dim), z)
+        assert np.array_equal(sing, sing_ref)
+        scale = np.abs(Qref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(Q - Qref) <= 1e-13 * np.maximum(scale, 1e-300))
+        absdet, sing_det = abs_det_masked(geo, z)
+        assert np.array_equal(sing_det, sing_ref)
+        np.testing.assert_allclose(absdet, np.where(sing_ref, 0.0, np.abs(np.linalg.det(geo.jacobian(z)))), rtol=1e-13)
+    if domain == BuiltinDomain.COLLAPSED_TRIANGLE:
+        assert sing.sum() == 10 and np.all(z[sing, 1] == 1.0)
