@@ -45,7 +45,7 @@ from .adi import (
     wachspress_shifts,
 )
 from .pcg import IndefiniteOperatorError, LinearOperator, PCGResult, lanczos_condition_estimate, pcg
-from .ic import ICFactor, ic0_setup, ic_apply
+from .ic import ICFactor, ic0_setup
 from .multipatch import (
     ConformityError,
     MultiPatchDomain,

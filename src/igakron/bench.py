@@ -211,10 +211,19 @@ def _estimate_bytes(cfg, n, d, assembled):
     vec = 12 * N * 8
     est = dense_u + vec
     if assembled:
-        nnz = (2 * cfg.p + 1) ** d * N
-        est += nnz * 8  # block-banded accumulator
-        est += nnz * 24  # COO build transient
-        est += nnz * 12  # final CSR
+        w = 2 * cfg.p + 1
+        nnz = w**d * N  # upper bound: every row holds the full band
+        csr = nnz * 12
+        if cfg.domain == "l_shape":
+            est += nnz * 8 + nnz * 24 + csr  # patch accumulators, COO scatter of their sum, CSR
+        else:
+            # the block-banded accumulator over the full space is held first
+            # with the quadrature work of one plane of elements (about 1.2 kB
+            # per point under tracemalloc for p <= 3), then with the CSR and
+            # its per-leading-row copies
+            q = cfg.p + 1
+            plane = q * ((n + 2 - cfg.p) * q) ** (d - 1)
+            est += ((n + 2) * w) ** d * 8 + max(1200 * plane, csr + 4 * nnz // n * 8)
     return int(est)
 
 

@@ -1,23 +1,33 @@
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.io
 
+import igakron
+from igakron.assembly import assemble_stiffness
 from igakron.bench import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     MemoryLimitError,
+    _estimate_bytes,
     emit_report,
     run_experiment,
 )
+from igakron.bspline import SplineSpace1D
+from igakron.geometry import builtin
 
 
 def run_cli(*args):
+    # the child imports the same igakron as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(igakron.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "igakron.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "igakron.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -68,6 +78,20 @@ def test_memory_guard_refuses():
     cfg = ExperimentConfig(domain="quarter_annulus", p=2, h_invs=(64,), solver="fd", memory_cap=2**20)
     with pytest.raises(MemoryLimitError, match="bytes"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("domain, d, h_inv", [("quarter_annulus", 2, 64), ("thick_quarter_ring", 3, 16)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_memory_estimate_covers_stiffness_assembly(domain, d, h_inv, p):
+    spaces = [SplineSpace1D.uniform(p, h_inv) for _ in range(d)]
+    tracemalloc.start()
+    try:
+        assemble_stiffness(spaces, builtin(domain))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    est = _estimate_bytes(ExperimentConfig(domain=domain, p=p), spaces[0].n, d, assembled=True)
+    assert peak <= est <= 1.5 * peak
 
 
 def test_reproducibility():

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 import scipy.sparse
 
 from igakron.assembly import assemble_stiffness
 from igakron.bspline import SplineSpace1D
 from igakron.geometry import builtin
-from igakron.ic import ic0_setup, ic_apply
+from igakron import ic
+from igakron.ic import ICBreakdownError, ic0_setup
 
 
 def annulus_matrix(p, q):
@@ -16,7 +18,7 @@ def test_diagonal_matrix_exact_sqrt():
     A = scipy.sparse.diags([4.0, 9.0, 16.0]).tocsr()
     f = ic0_setup(A, reorder="none")
     np.testing.assert_allclose(f.L.toarray(), np.diag([2.0, 3.0, 4.0]))
-    np.testing.assert_allclose(ic_apply(f, np.array([4.0, 9.0, 16.0])), np.ones(3))
+    np.testing.assert_allclose(f.apply(np.array([4.0, 9.0, 16.0])), np.ones(3))
 
 
 def test_dense_pattern_equals_exact_cholesky():
@@ -64,7 +66,7 @@ def test_apply_symmetry():
     f = ic0_setup(A)
     rng = np.random.default_rng(1)
     r, t = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[0])
-    lhs, rhs = r @ ic_apply(f, t), t @ ic_apply(f, r)
+    lhs, rhs = r @ f.apply(t), t @ f.apply(r)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -97,5 +99,72 @@ def test_shift_restart_on_indefinite_leaning_matrix():
     A = A + 1.4 * np.eye(4)  # SPD overall
     f = ic0_setup(scipy.sparse.csr_matrix(A), reorder="none")
     assert f.shift >= 0.0
-    x = ic_apply(f, np.ones(4))
+    x = f.apply(np.ones(4))
     assert np.all(np.isfinite(x))
+
+
+def test_shift_restart_reaches_positive_pivots():
+    # SPD (min eigenvalue 0.214) but IC(0) breaks down unshifted; the shift
+    # ladder 1e-3, 2e-3, ... first succeeds at 0.032
+    A = np.array(
+        [
+            [2.441, -0.34, -2.919, 0.0, -2.624],
+            [-0.34, 3.356, 1.947, 0.0, 0.0],
+            [-2.919, 1.947, 11.097, -1.746, 0.0],
+            [0.0, 0.0, -1.746, 1.671, 3.386],
+            [-2.624, 0.0, 0.0, 3.386, 11.383],
+        ]
+    )
+    assert np.linalg.eigvalsh(A).min() > 0.2
+    f = ic0_setup(scipy.sparse.csr_matrix(A), reorder="none")
+    assert f.shift == 0.032
+    B = A + f.shift * np.diag(np.diag(A))
+    L = f.L.toarray()
+    assert np.abs((B - L @ L.T)[L != 0]).max() <= 1e-14 * np.abs(B).max()
+
+
+def test_indefinite_matrix_raises_breakdown_naming_last_shift():
+    A = scipy.sparse.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
+    with pytest.raises(ICBreakdownError, match="shift 0.512"):
+        ic0_setup(A, reorder="none")
+
+
+def test_structurally_zero_diagonal_fails_at_setup():
+    A = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="structurally zero diagonal"):
+        ic0_setup(A, reorder="none")
+
+
+def _dense_ic0(B, pattern):
+    """Textbook right-looking IC(0): Cholesky with updates dropped off ``pattern``."""
+    L = np.tril(B) * pattern
+    n = len(L)
+    for k in range(n):
+        L[k, k] = np.sqrt(L[k, k])
+        L[k + 1 :, k] /= L[k, k]
+        L[k + 1 :, k + 1 :] -= np.tril(np.outer(L[k + 1 :, k], L[k + 1 :, k])) * pattern[k + 1 :, k + 1 :]
+    return L
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 100])
+@pytest.mark.parametrize("ordering", ["rcm", "none", "scrambled"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_factor_and_apply_match_dense_reference(p, ordering, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(ic, "_GATHER_CHUNK", chunk)
+    A = annulus_matrix(p, 10)
+    if ordering == "scrambled":
+        scramble = np.random.default_rng(p).permutation(A.shape[0])
+        A = A[scramble][:, scramble].tocsr()
+    f = ic0_setup(A, reorder="rcm" if ordering == "rcm" else "none")
+    Ap = A[f.perm][:, f.perm].tocsr()
+    pattern = scipy.sparse.tril(Ap).toarray() != 0
+    Bd = Ap.toarray() + f.shift * np.diag(Ap.diagonal())
+    Lref = _dense_ic0(Bd, pattern)
+    Ld = f.L.toarray()
+    assert np.array_equal(Ld != 0, pattern)
+    assert np.abs(Ld - Lref).max() <= 1e-13 * np.abs(Lref).max()
+    r = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = np.empty_like(r)
+    x[f.perm] = np.linalg.solve(Lref @ Lref.T, r[f.perm])
+    assert np.abs(f.apply(r) - x).max() <= 1e-12 * np.abs(x).max()
