@@ -9,7 +9,7 @@ Schwarz preconditioning, and a benchmark command line driver.
 
 from .bspline import KnotVector, SplineSpace1D, uniform_knots, find_span, eval_basis, eval_basis_derivs
 from .banded import BandedSymMatrix, BandedCholesky
-from .kron import KroneckerSum, kron_matvec, kron_solve, ksum_matvec
+from .kron import KroneckerSum, kron_matvec, kron_solve
 from .geometry import (
     BuiltinDomain,
     CoefficientField,
@@ -32,7 +32,7 @@ from .assembly import (
     write_matrix_market,
 )
 from .eigen import PencilEigen, generalized_eig, extreme_eigs
-from .fd import FDPreconditioner, fd_setup, fd_apply
+from .fd import FDPreconditioner, fd_setup
 from .adi import (
     ADIPreconditioner,
     ShiftPlan2D,
@@ -55,7 +55,6 @@ from .multipatch import (
     assemble_multipatch_stiffness,
     build_multipatch,
     l_shape_domain,
-    schwarz_apply,
     schwarz_setup,
 )
 from .bench import ExperimentConfig, ExperimentReport, emit_report, run_experiment

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import scipy.optimize
 
+from .banded import BandedSymMatrix
 from .eigen import extreme_eigs, generalized_eig
 from .kron import apply_along_axis, kron_matvec, solve_along_axis
 
@@ -31,7 +32,6 @@ __all__ = [
     "wachspress_shifts",
     "adi_bound_2d",
     "adi_solve_2d",
-    "adi_apply_2d",
     "rho_prefix_3d",
     "douglas_shifts_3d",
     "greedy_shifts_3d",
@@ -172,12 +172,14 @@ def _chol_shifted(K, M, w):
 
 
 class _Sweep2DFactors:
-    """Cached banded factorizations for a fixed 2D plan."""
+    """Banded factorizations and negatively shifted bands for a fixed 2D plan."""
 
     def __init__(self, pencils, plan):
         (K1, M1), (K2, M2) = pencils
         self.row = [_chol_shifted(K1, M1, w) for w in plan.omegas]
         self.col = [_chol_shifted(K2, M2, g) for g in plan.gammas]
+        self.row_minus = [K1.combine(-g, M1) for g in plan.gammas]
+        self.col_minus = [K2.combine(-w, M2) for w in plan.omegas]
         self.m1 = M1.cholesky()
 
 
@@ -188,30 +190,18 @@ def adi_solve_2d(pencils, r, plan, factors=None):
     costs two banded multiplications and two banded solves; the mass of
     direction 1 is solved off at the end.  The initial guess is zero.
     """
-    (K1, M1), (K2, M2) = pencils
-    n1, n2 = K1.n, K2.n
-    R = np.asarray(r, dtype=float).reshape(n1, n2)
+    (K1, _), (K2, _) = pencils
+    R = np.asarray(r, dtype=float).reshape(K1.n, K2.n)
     if factors is None:
         factors = _Sweep2DFactors(pencils, plan)
-    St = np.zeros_like(R)
-    first = True
     for j in range(plan.J):
-        w, g = plan.omegas[j], plan.gammas[j]
-        if first:
-            Rj = R.copy()
-            first = False
-        else:
-            Rj = R - (K2.combine(-w, M2).matmat(St.T)).T
+        # the zero initial guess leaves R as the first right-hand side
+        Rj = R if j == 0 else R - factors.col_minus[j].matmat(St.T).T
         Sh = factors.row[j].solve(Rj)
-        Rj2 = R - K1.combine(-g, M1).matmat(Sh)
+        Rj2 = R - factors.row_minus[j].matmat(Sh)
         St = factors.col[j].solve(Rj2.T).T
     S = factors.m1.solve(St)
     return S.reshape(-1)
-
-
-def adi_apply_2d(prec, r):
-    """Apply the fixed 2D sweep operator (the inexact inverse of P)."""
-    return prec.apply(r)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +432,7 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
 # 3D sweep
 
 class _Sweep3DFactors:
-    """Cached banded factorizations for a fixed 3D plan."""
+    """Banded factorizations and negatively shifted bands for a fixed 3D plan."""
 
     def __init__(self, pencils, plan):
         (K1, M1), (K2, M2), (K3, M3) = pencils
@@ -451,6 +441,9 @@ class _Sweep3DFactors:
         self.row = [_chol_shifted(K1, M1, w) for w in plan.omegas]
         self.col = [_chol_shifted(K2, M2, w) for w in plan.omegas]
         self.dep = [_chol_shifted(K3, M3, w) for w in plan.omegas]
+        self.row_minus = [K1.combine(-w, M1) for w in plan.omegas]
+        # 2 M1, which scales every product by 2 exactly
+        self.m1_twice = BandedSymMatrix(2.0 * M1.ab)
 
 
 def adi_solve_3d(pencils, r, plan, factors=None):
@@ -458,26 +451,39 @@ def adi_solve_3d(pencils, r, plan, factors=None):
 
     Implements the rearranged per-sweep updates in which the two mass-scaled
     products u_j and v_j are formed once, and v is advanced by the recurrence
-    v_{j+1} = b_j - w_j s_j instead of a fresh solve.
+    v_{j+1} = b_j - w_j s_j instead of a fresh solve.  The updates are made in
+    place on the arrays each product or solve returns, in the same order of
+    operations as the formulas.
     """
-    (K1, M1), (K2, M2), (K3, M3) = pencils
-    n1, n2, n3 = K1.n, K2.n, K3.n
-    R = np.asarray(r, dtype=float).reshape(n1, n2, n3)
+    (K1, _), (K2, M2), (K3, M3) = pencils
+    R = np.asarray(r, dtype=float).reshape(K1.n, K2.n, K3.n)
     if factors is None:
         factors = _Sweep3DFactors(pencils, plan)
     rt = 2.0 * solve_along_axis(factors.m3, solve_along_axis(factors.m2, R, 1), 2)
-    s = np.zeros_like(R)
-    v = np.zeros_like(R)
     for j, w in enumerate(plan.omegas):
-        u = solve_along_axis(factors.m2, apply_along_axis(K2, s, 1), 1)
-        rstar = rt - apply_along_axis(K1.combine(-w, M1), s, 0) - 2.0 * apply_along_axis(M1, u + v, 0)
-        sstar = solve_along_axis(factors.row[j], rstar, 0)
-        rss = apply_along_axis(M2, u + w * sstar, 1)
-        sss = solve_along_axis(factors.col[j], rss, 1)
-        bj = v + w * sss
-        rj = apply_along_axis(M3, bj, 2)
-        s = solve_along_axis(factors.dep[j], rj, 2)
-        v = bj - w * s
+        if j == 0:
+            # zero initial guess: s = v = u = 0 and r* = rt
+            sstar = solve_along_axis(factors.row[0], rt, 0)
+            sstar *= w
+        else:
+            u = solve_along_axis(factors.m2, apply_along_axis(K2, s, 1), 1)
+            # r* = rt - (K1 - w M1) s - 2 M1 (u + v)
+            rstar = apply_along_axis(factors.row_minus[j], s, 0)
+            np.subtract(rt, rstar, out=rstar)
+            rstar -= apply_along_axis(factors.m1_twice, u + v, 0)
+            # u + w s*
+            sstar = solve_along_axis(factors.row[j], rstar, 0)
+            sstar *= w
+            sstar += u
+        # b_j = v + w s**
+        bj = solve_along_axis(factors.col[j], apply_along_axis(M2, sstar, 1), 1)
+        bj *= w
+        if j:
+            bj += v
+        s = solve_along_axis(factors.dep[j], apply_along_axis(M3, bj, 2), 2)
+        # v = b_j - w s
+        bj -= w * s
+        v = bj
     return s.reshape(-1)
 
 

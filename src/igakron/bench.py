@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adi import ADIPreconditioner, adi_solve_2d, adi_solve_3d, douglas_shifts_3d, wachspress_shifts
+from .adi import ADIPreconditioner
 from .assembly import (
     assemble_load,
     assemble_pencil_1d,
@@ -22,7 +22,6 @@ from .assembly import (
     quadrature_grid,
 )
 from .bspline import SplineSpace1D
-from .eigen import extreme_eigs, generalized_eig
 from .fd import fd_setup
 from .geometry import BuiltinDomain, builtin
 from .ic import ic0_setup
@@ -249,6 +248,15 @@ def _cond_bound_value(spaces, geo):
     return cb.bound
 
 
+def _kron_preconditioner(cfg, pencils):
+    """The FD or ADI solver of the Kronecker sum of the pencils."""
+    if cfg.solver == "fd":
+        return fd_setup(KroneckerSum(pencils))
+    if len(pencils) == 2:
+        return ADIPreconditioner.setup_2d(pencils, eps=cfg.eps, seed=cfg.seed)
+    return ADIPreconditioner.setup_3d(pencils, eps=cfg.eps, shifts=cfg.adi_shifts, seed=cfg.seed)
+
+
 def _run_direct_row(cfg, h_inv, rng):
     d, spaces, geo = _single_patch_problem(cfg, h_inv, rng)
     n = spaces[0].n
@@ -259,27 +267,10 @@ def _run_direct_row(cfg, h_inv, rng):
     pencils = [assemble_pencil_1d(s) for s in spaces]
     P = KroneckerSum(pencils)
     b = _rhs_for(cfg, spaces, geo, d, P.n, rng)
-    inner = 0
-    if cfg.solver == "fd":
-        prec = fd_setup(P)
-        t1 = time.perf_counter()
-        x = prec.apply(b)
-        t2 = time.perf_counter()
-    else:
-        if d == 2:
-            brackets = [extreme_eigs(K, M, seed=cfg.seed) for K, M in pencils]
-            plan = wachspress_shifts(
-                brackets[0][0], brackets[0][1], brackets[1][0], brackets[1][1], cfg.eps
-            )
-            t1 = time.perf_counter()
-            x = adi_solve_2d(pencils, b, plan)
-        else:
-            eigs = [generalized_eig(K, M).D for K, M in pencils]
-            plan = douglas_shifts_3d(1.0, 1.0, cfg.eps, eigs=eigs)
-            t1 = time.perf_counter()
-            x = adi_solve_3d(pencils, b, plan)
-        inner = plan.J
-        t2 = time.perf_counter()
+    prec = _kron_preconditioner(cfg, pencils)
+    t1 = time.perf_counter()
+    x = prec.apply(b)
+    t2 = time.perf_counter()
     res = np.linalg.norm(P.matvec(x) - b) / np.linalg.norm(b)
     return ReportRow(
         domain=cfg.domain,
@@ -287,7 +278,7 @@ def _run_direct_row(cfg, h_inv, rng):
         h_inv=h_inv,
         solver=cfg.solver,
         outer_iters=1,
-        inner_iters=inner,
+        inner_iters=prec.inner_iterations if cfg.solver == "adi" else 0,
         setup_s=t1 - t0,
         solve_s=t2 - t1,
         residual=float(res),
@@ -308,16 +299,8 @@ def _run_precond_row(cfg, h_inv, rng):
     t0 = time.perf_counter()
     A = assemble_stiffness(spaces, geo)
     b = _rhs_for(cfg, spaces, geo, d, A.shape[0], rng)
-    inner = 0
-    if cfg.solver == "fd":
-        prec = fd_setup(KroneckerSum([assemble_pencil_1d(s) for s in spaces]))
-    elif cfg.solver == "adi":
-        pencils = [assemble_pencil_1d(s) for s in spaces]
-        if d == 2:
-            prec = ADIPreconditioner.setup_2d(pencils, eps=cfg.eps, seed=cfg.seed)
-        else:
-            prec = ADIPreconditioner.setup_3d(pencils, eps=cfg.eps, shifts=cfg.adi_shifts, seed=cfg.seed)
-        inner = prec.inner_iterations
+    if cfg.solver in ("fd", "adi"):
+        prec = _kron_preconditioner(cfg, [assemble_pencil_1d(s) for s in spaces])
     elif cfg.solver == "ic":
         prec = ic0_setup(A, reorder="rcm")
     elif cfg.solver == "none":
@@ -333,7 +316,7 @@ def _run_precond_row(cfg, h_inv, rng):
         h_inv=h_inv,
         solver=cfg.solver,
         outer_iters=result.iterations,
-        inner_iters=inner,
+        inner_iters=prec.inner_iterations if cfg.solver == "adi" else 0,
         setup_s=t1 - t0,
         solve_s=t2 - t1,
         residual=float(result.true_residual),

@@ -15,7 +15,7 @@ import numpy as np
 from .eigen import generalized_eig
 from .kron import kron_matvec
 
-__all__ = ["FDPreconditioner", "fd_setup", "fd_apply"]
+__all__ = ["FDPreconditioner", "fd_setup"]
 
 
 class FDPreconditioner:
@@ -58,8 +58,3 @@ class FDPreconditioner:
 def fd_setup(P):
     """Build the fast-diagonalization solver for a KroneckerSum."""
     return FDPreconditioner(generalized_eig(K, M) for K, M in P.factors)
-
-
-def fd_apply(prec, r):
-    """Exact solve of P s = r using a prepared FDPreconditioner."""
-    return prec.apply(r)

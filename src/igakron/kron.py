@@ -113,10 +113,22 @@ class KroneckerSum:
         return [K if i == l else M for i, (K, M) in enumerate(self.factors)]
 
     def matvec(self, x):
-        y = kron_matvec(self.term_mats(0), x)
-        for l in range(1, self.d):
-            y += kron_matvec(self.term_mats(l), x)
-        return y
+        # sum factorization from the last axis: `mass` holds x with the mass
+        # factors applied so far and `y` the terms whose stiffness factor has
+        # been applied, so a 3D product takes 7 factor products instead of 9
+        x = np.asarray(x)
+        if x.size != self.n:
+            raise ValueError("vector length %d does not match factor sizes %r" % (x.size, self.dims))
+        mass, y = x.reshape(self.dims), None
+        for axis in reversed(range(self.d)):
+            K, M = self.factors[axis]
+            term = apply_along_axis(K, mass, axis)
+            if y is not None:
+                term += apply_along_axis(M, y, axis)
+            y = term
+            if axis:
+                mass = apply_along_axis(M, mass, axis)
+        return y.reshape(-1)
 
     apply = matvec
 
@@ -136,11 +148,3 @@ class KroneckerSum:
                 term = Ad if term is None else np.kron(term, Ad)
             out += term
         return out
-
-
-def ksum_matvec(P, x):
-    """Product of a KroneckerSum with a vector."""
-    return P.matvec(x)
-
-
-__all__.append("ksum_matvec")

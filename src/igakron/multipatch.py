@@ -28,7 +28,6 @@ __all__ = [
     "assemble_multipatch_load",
     "SchwarzPreconditioner",
     "schwarz_setup",
-    "schwarz_apply",
     "merge_knot_vectors",
     "l_shape_domain",
 ]
@@ -337,11 +336,6 @@ def schwarz_setup(domain, A, mode="exact", inner_pcg_steps=3):
     if not covered.all():
         raise ValueError("subdomains do not cover every global dof")
     return SchwarzPreconditioner(subdomains, domain.N)
-
-
-def schwarz_apply(prec, r):
-    """Apply the additive Schwarz operator: sum of extended local solves."""
-    return prec.apply(r)
 
 
 def _unit_square_patch(p, num_spans, offset, scale=(1.0, 1.0)):

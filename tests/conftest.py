@@ -1,4 +1,11 @@
 from _acceptance_log import LINES
+from hypothesis import settings
+
+# property tests run the same examples on every run and have no per-example
+# time limit and keep no example database, so a loaded host or an earlier
+# run can neither fail them nor change what they check
+settings.register_profile("igakron", deadline=None, derandomize=True, database=None)
+settings.load_profile("igakron")
 
 
 def pytest_terminal_summary(terminalreporter):

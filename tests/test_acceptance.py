@@ -30,7 +30,7 @@ from igakron.assembly import (
 )
 from igakron.bspline import SplineSpace1D
 from igakron.eigen import extreme_eigs, generalized_eig
-from igakron.fd import fd_apply, fd_setup
+from igakron.fd import fd_setup
 from igakron.geometry import builtin, identity_coefficient, identity_map
 from igakron.ic import ic0_setup
 from igakron.kron import KroneckerSum
@@ -103,7 +103,7 @@ def operator_to_dense(op, n):
 
 
 def test_01_fd_exactness():
-    """P * fd_apply(r) = r to 1e-8 for d in {2,3}, p in {1..6}, n in {8,32,64}."""
+    """P * (FD apply of r) = r to 1e-8 for d in {2,3}, p in {1..6}, n in {8,32,64}."""
     worst = 0.0
     rng = np.random.default_rng(1)
     for d in (2, 3):
@@ -114,7 +114,7 @@ def test_01_fd_exactness():
                 prec = fd_setup(P)
                 for _ in range(20):
                     r = rng.standard_normal(P.n)
-                    s = fd_apply(prec, r)
+                    s = prec.apply(r)
                     err = np.linalg.norm(P.matvec(s) - r) / np.linalg.norm(r)
                     worst = max(worst, err)
     assert report("1", worst <= 1e-8, "max relative residual %.2e" % worst)
@@ -140,7 +140,7 @@ def test_03_adi_2d_count_and_error():
     plan = wachspress_shifts(brackets[0][0], brackets[0][1], brackets[1][0], brackets[1][1], 1e-8)
     spaces = spaces_for(p, q, 2)
     b = assemble_load(spaces, identity_map(2), f_poisson(2))
-    s_exact = fd_apply(fd_for(p, q, 2), b)
+    s_exact = fd_for(p, q, 2).apply(b)
     s_adi = adi_solve_2d(pencils, b, plan)
     err = m_norm(pencils, s_adi - s_exact) / m_norm(pencils, s_exact)
     ok = abs(plan.J - 29) <= 1 and err <= 1e-8
@@ -349,7 +349,7 @@ def test_13_oracle_equivalence():
         for _ in range(5):
             r = rng.standard_normal(P.n)
             s_dense = np.linalg.solve(Pd, r)
-            s_fd = fd_apply(prec, r)
+            s_fd = prec.apply(r)
             s_adi = solve_adi(r)
             scale = np.linalg.norm(s_dense)
             worst = max(
@@ -375,7 +375,7 @@ def test_14_manufactured_convergence():
     def solve_error(p, q):
         spaces = spaces_for(p, q, 2)
         b = assemble_load(spaces, geo, f_poisson(2))
-        u = fd_apply(fd_for(p, q, 2), b)
+        u = fd_for(p, q, 2).apply(b)
         return l2_error(spaces, geo, u, u_exact)
 
     errs = [solve_error(1, q) for q in (8, 16, 32, 64)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igakron.adi import (
     ADIPreconditioner,
@@ -290,3 +292,28 @@ def test_adi_preconditioner_3d_operator():
     lhs, rhs = r @ prec.apply(t), t @ prec.apply(r)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
     assert r @ prec.apply(r) > 0
+
+
+# ------------------------------------------------------------------ random spaces
+
+@st.composite
+def random_pencils(draw, d):
+    """Pencils of d uniform spline spaces with their own degree and span count."""
+    spaces = []
+    for _ in range(d):
+        p = draw(st.integers(1, 3))
+        spaces.append(SplineSpace1D.uniform(p, draw(st.integers(2, 24 if d == 2 else 8))))
+    return [assemble_pencil_1d(s) for s in spaces]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_adi_operator_symmetric_on_random_spaces(d, data):
+    pencils = data.draw(random_pencils(d))
+    prec = ADIPreconditioner.setup(pencils, eps=0.1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r, t = rng.standard_normal(prec.n), rng.standard_normal(prec.n)
+    Pr, Pt = prec.apply(r), prec.apply(t)
+    scale = np.linalg.norm(r) * np.linalg.norm(Pt) + np.linalg.norm(t) * np.linalg.norm(Pr)
+    assert abs(r @ Pt - t @ Pr) <= 1e-10 * scale

@@ -8,7 +8,8 @@ import pytest
 import scipy.io
 
 import igakron
-from igakron.assembly import assemble_stiffness
+from igakron.adi import ADIPreconditioner
+from igakron.assembly import assemble_load, assemble_pencil_1d, assemble_stiffness
 from igakron.bench import (
     CSV_COLUMNS,
     ConfigError,
@@ -16,10 +17,12 @@ from igakron.bench import (
     MemoryLimitError,
     _estimate_bytes,
     emit_report,
+    poisson_source,
     run_experiment,
 )
 from igakron.bspline import SplineSpace1D
 from igakron.geometry import builtin
+from igakron.kron import KroneckerSum
 
 
 def run_cli(*args):
@@ -53,6 +56,37 @@ def test_direct_square_single_row():
     assert row.outer_iters == 1
     assert row.residual <= 1e-10
     assert row.converged
+
+
+@pytest.mark.parametrize("domain,d,h_inv", [("unit_square", 2, 32), ("unit_cube", 3, 8)])
+def test_direct_adi_row_is_the_preconditioner_apply(domain, d, h_inv, monkeypatch):
+    # the row reports the residual of its solution through KroneckerSum.matvec
+    solutions = []
+    matvec = KroneckerSum.matvec
+
+    def recording_matvec(self, x):
+        solutions.append(np.array(x))
+        return matvec(self, x)
+
+    monkeypatch.setattr(KroneckerSum, "matvec", recording_matvec)
+    cfg = ExperimentConfig(domain=domain, p=2, h_invs=(h_inv,), solver="adi", mode="direct", eps=0.1, seed=11)
+    row = run_experiment(cfg).rows[0]
+    monkeypatch.undo()
+
+    spaces = [SplineSpace1D.uniform(2, h_inv) for _ in range(d)]
+    pencils = [assemble_pencil_1d(s) for s in spaces]
+    prec = ADIPreconditioner.setup(pencils, eps=cfg.eps, seed=cfg.seed)
+    N = prec.n
+    if d == 2:
+        b = assemble_load(spaces, builtin(domain), poisson_source(2))
+    else:
+        b = np.random.default_rng(cfg.seed).standard_normal(N)
+    x = prec.apply(b)
+    assert row.inner_iters == prec.plan.J
+    assert row.residual <= 2 * cfg.eps
+    assert row.converged
+    assert len(solutions) == 1
+    assert np.linalg.norm(solutions[0] - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_precond_quarter_annulus_constant_iterations():

@@ -4,7 +4,7 @@ import pytest
 from igakron.assembly import assemble_pencil_1d, assemble_stiffness
 from igakron.banded import BandedSymMatrix
 from igakron.bspline import SplineSpace1D
-from igakron.fd import fd_apply, fd_setup
+from igakron.fd import fd_setup
 from igakron.geometry import identity_map
 from igakron.kron import KroneckerSum
 
@@ -24,7 +24,7 @@ def test_identity_factors_diag():
     prec = fd_setup(P)
     np.testing.assert_allclose(prec.diag, 2.0 * np.ones(16))
     r = np.arange(16.0)
-    np.testing.assert_allclose(fd_apply(prec, r), r / 2.0)
+    np.testing.assert_allclose(prec.apply(r), r / 2.0)
 
 
 def test_diag_is_all_pairwise_sums():
@@ -63,7 +63,7 @@ def test_fd_exactness(p, d):
     rng = np.random.default_rng(p + 10 * d)
     for _ in range(5):
         r = rng.standard_normal(P.n)
-        s = fd_apply(prec, r)
+        s = prec.apply(r)
         assert np.linalg.norm(P.matvec(s) - r) / np.linalg.norm(r) <= 1e-8
 
 
@@ -76,7 +76,7 @@ def test_fd_matches_dense_solve_of_identity_geometry():
     rng = np.random.default_rng(5)
     r = rng.standard_normal(P.n)
     s_dense = np.linalg.solve(A, r)
-    np.testing.assert_allclose(fd_apply(prec, r), s_dense, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(prec.apply(r), s_dense, rtol=1e-9, atol=1e-12)
 
 
 def test_fd_apply_is_symmetric_operator():
@@ -84,6 +84,6 @@ def test_fd_apply_is_symmetric_operator():
     prec = fd_setup(P)
     rng = np.random.default_rng(9)
     r, t = rng.standard_normal(P.n), rng.standard_normal(P.n)
-    lhs = r @ fd_apply(prec, t)
-    rhs = t @ fd_apply(prec, r)
+    lhs = r @ prec.apply(t)
+    rhs = t @ prec.apply(r)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs))
