@@ -14,9 +14,7 @@ from .geometry import (
     BuiltinDomain,
     CoefficientField,
     GeometryMap,
-    SingularJacobianError,
     builtin,
-    eval_Q,
     identity_coefficient,
     identity_map,
     affine_map,

@@ -5,13 +5,23 @@ The stiffness matrix is
     A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = |det J| J^{-T} K J^{-1},
 
 assembled by tensor-product Gauss quadrature, with Q from the closed-form
-pull-back of the geometry module.  The element loop is blocked: Q is
-evaluated once per plane of elements in the leading direction, each slab (a
-row of elements in the leading directions) is contracted with batched matmuls,
-and the result is accumulated into a dense block-banded array.  CSR over the
-interior (Dirichlet) or full index range is emitted straight from that array.
-Quadrature points with a singular geometry Jacobian contribute zero (see the
-geometry module).
+pull-back of the geometry module.  Both dimensions go through one
+sum-factorized kernel (_sum_factorize).  Each trailing direction has, per
+component (c, e) of Q, a CSR "pair table" whose row (i, o) holds the
+weighted product F_c(B_i) F_e(B_{i+o-p}) at every quadrature point of that
+direction, so the element overlap-add is part of the product.  Q is
+evaluated once per plane of elements in the leading direction and the
+trailing tables are applied one axis at a time; one GEMM with the plane's
+leading-direction tables then gives the band rows of the plane's basis
+functions, which are added to a dense block-banded array.  CSR over the
+interior (Dirichlet) or full index range is emitted straight from that
+array.  The load vector goes through the same kernel with weighted value
+tables.  Quadrature points with a singular geometry Jacobian contribute zero
+(see the geometry module).
+
+The condition bound screens Q's extreme eigenvalues with closed forms (the
+hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
+``eigvalsh`` only on the points that may hold an extreme.
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
@@ -213,145 +223,118 @@ def _band_to_csr(BB, ranges, p):
     return scipy.sparse.csr_matrix((data, indices, indptr.astype(itype)), shape=(N, N))
 
 
-def _pair_tables(vals, ders):
-    """Products F_c[q, i] * F_e[q, j], c/e = 0 for derivative, 1 for value."""
-    out = {}
-    out[0, 0] = np.einsum("qi,qj->qij", ders, ders)
-    out[0, 1] = np.einsum("qi,qj->qij", ders, vals)
-    out[1, 0] = np.einsum("qi,qj->qij", vals, ders)
-    out[1, 1] = np.einsum("qi,qj->qij", vals, vals)
-    return out
+_Tables = namedtuple("_Tables", ["first", "stride", "local", "data", "nrows"])
+_Tables.__doc__ = """Element tables of one direction for _sum_factorize.
+
+``data[c]`` is component c's (E, q, K) table over the elements' points.
+Entry k of element e belongs to output row ``first[e] * stride +
+local.flat[k]`` of that direction, of ``nrows`` in all; each row of
+``local`` is a run of consecutive output rows.
+"""
 
 
-def _component_tables(pair_tables, direction, d, a):
-    """Stack the per-(c,e) pair tables of one direction along a new axis.
+def _pair_tables(space, rule, k, d):
+    """Weighted basis pair products of direction k for the stiffness.
 
-    Gradient component c uses the derivative table in direction c and the
-    value table elsewhere; the stacked axis enumerates all (c, e) pairs.
+    Gradient component c takes derivatives in direction c and values
+    elsewhere, so component (c, e) holds w F_c(B_i) F_e(B_j) at each point,
+    for the local pair (i, j) of the element.  The pair lands in row
+    (first + i) * (2p + 1) + (p + j - i): basis function first + i and band
+    offset j - i.
     """
-    stacked = []
+    first, vals, ders = _direction_tables(space, rule)
+    E, q, a = vals.shape
+    p = space.p
+    w = rule.weights[:, :, None, None]
+    data = []
     for c in range(d):
         for e in range(d):
-            key = (0 if c == direction else 1, 0 if e == direction else 1)
-            stacked.append(pair_tables[key].reshape(pair_tables[key].shape[0], a * a))
-    return np.ascontiguousarray(np.stack(stacked))
+            F = ders if c == k else vals
+            G = ders if e == k else vals
+            data.append((w * F[:, :, :, None] * G[:, :, None, :]).reshape(E, q, a * a))
+    i = np.arange(a)
+    local = i[:, None] * 2 * p + p + i
+    return _Tables(first, 2 * p + 1, local, data, space.m * (2 * p + 1))
 
 
-def _assemble_stiffness_2d(spaces, geo, coeff, q):
-    rules = [gauss_rule(s, q) for s in spaces]
-    f1, v1, d1 = _direction_tables(spaces[0], rules[0])
-    f2, v2, d2 = _direction_tables(spaces[1], rules[1])
-    E1, q1, a1 = v1.shape
-    E2, q2, a2 = v2.shape
-    m1, m2 = spaces[0].m, spaces[1].m
-    p = spaces[0].p
-    wband = 2 * p + 1
-
-    pts2 = rules[1].points.ravel()
-    w2 = rules[1].weights.ravel()
-    Nq2 = pts2.size
-    # (E2, a2^2, 4*q2): dir-2 tables arranged for one batched matmul per slab
-    P2 = _component_tables(
-        _pair_tables(v2.reshape(Nq2, a2), d2.reshape(Nq2, a2)), 1, 2, a2
-    ).reshape(4, E2, q2, a2 * a2)
-    P2c = np.ascontiguousarray(P2.transpose(1, 3, 0, 2).reshape(E2, a2 * a2, 4 * q2))
-    T1t_all = [
-        np.ascontiguousarray(_component_tables(_pair_tables(v1[e], d1[e]), 0, 2, a1).transpose(0, 2, 1))
-        for e in range(E1)
-    ]
-
-    BB = np.zeros((m1, wband, m2, wband))
-    z = np.empty((q1 * Nq2, 2))
-    for e1 in range(E1):
-        z[:, 0] = np.repeat(rules[0].points[e1], Nq2)
-        z[:, 1] = np.tile(pts2, q1)
-        Q, _ = eval_Q_masked(geo, coeff, z)
-        wq = rules[0].weights[e1][:, None] * w2[None, :]
-        Qw = Q.reshape(q1, Nq2, 2, 2) * wq[..., None, None]
-        Qx = np.ascontiguousarray(Qw.transpose(2, 3, 0, 1).reshape(4, q1, Nq2))
-
-        Y1 = T1t_all[e1] @ Qx  # (4, a1^2, Nq2)
-        Y1c = np.ascontiguousarray(
-            Y1.reshape(4, a1 * a1, E2, q2).transpose(2, 0, 3, 1).reshape(E2, 4 * q2, a1 * a1)
-        )
-        W = P2c @ Y1c  # (E2, a2^2, a1^2)
-        Wr = W.reshape(E2, a2, a2, a1, a1)
-        local = np.zeros((a1, a1, m2, wband))
-        for i2 in range(a2):
-            for j2 in range(a2):
-                # f2 + i2 is strictly increasing across elements, so plain
-                # fancy-index accumulation is safe here
-                local[:, :, f2 + i2, p + j2 - i2] += Wr[:, i2, j2].transpose(1, 2, 0)
-        base = f1[e1]
-        for i1 in range(a1):
-            BB[base + i1, p - i1 : p - i1 + a1] += local[i1]
-    return BB
+def _value_tables(space, rule):
+    """Weighted basis values w B_i of one direction for the load."""
+    first, vals, _ = _direction_tables(space, rule)
+    return _Tables(first, 1, np.arange(space.p + 1)[None], [rule.weights[:, :, None] * vals], space.m)
 
 
-def _assemble_stiffness_3d(spaces, geo, coeff, q):
-    rules = [gauss_rule(s, q) for s in spaces]
-    f1, v1, d1 = _direction_tables(spaces[0], rules[0])
-    f2, v2, d2 = _direction_tables(spaces[1], rules[1])
-    f3, v3, d3 = _direction_tables(spaces[2], rules[2])
-    E1, q1, a1 = v1.shape
-    E2, q2, a2 = v2.shape
-    E3, q3, a3 = v3.shape
-    m1, m2, m3 = (s.m for s in spaces)
-    p = spaces[0].p
-    wband = 2 * p + 1
+def _point_csr(t, data):
+    """CSR over all points of t's direction of one component's tables ``data``.
 
-    pts3 = rules[2].points.ravel()
-    w3 = rules[2].weights.ravel()
-    Nq3 = pts3.size
-    # dir-3 tables arranged so the slab contraction is one batched matmul
-    P3 = _component_tables(
-        _pair_tables(v3.reshape(Nq3, a3), d3.reshape(Nq3, a3)), 2, 3, a3
-    ).reshape(9, E3, q3, a3 * a3)
-    P3c = np.ascontiguousarray(P3.transpose(1, 3, 0, 2).reshape(E3, a3 * a3, 9 * q3))
-    T1t_all = [
-        np.ascontiguousarray(_component_tables(_pair_tables(v1[e], d1[e]), 0, 3, a1).transpose(0, 2, 1))
-        for e in range(E1)
-    ]
-    T2_all = [
-        np.ascontiguousarray(_component_tables(_pair_tables(v2[e], d2[e]), 1, 3, a2)[:, None])
-        for e in range(E2)
-    ]
+    ``data[e, j, k]`` goes to row ``first[e] * stride + local.flat[k]`` and
+    column ``e * q + j``, so a row sums over every element it touches: the
+    element overlap-add, repeated knots included, is part of the product.
+    No (row, column) pair repeats, since a column is one point of one element.
+    """
+    E, q, _ = data.shape
+    rows = np.broadcast_to((t.first[:, None] * t.stride + t.local.ravel())[:, None, :], data.shape)
+    cols = np.broadcast_to(np.arange(E * q).reshape(E, q, 1), data.shape)
+    return scipy.sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(t.nrows, E * q))
 
-    pts2 = rules[1].points.ravel()
-    w2 = rules[1].weights.ravel()
-    Nq2 = pts2.size
-    BB = np.zeros((m1, wband, m2, wband, m3, wband))
-    z = np.empty((q1 * Nq2 * Nq3, 3))
-    z[:, 1] = np.tile(np.repeat(pts2, Nq3), q1)
-    z[:, 2] = np.tile(pts3, q1 * Nq2)
-    for e1 in range(E1):
-        T1t = T1t_all[e1]
-        # Q once per plane of elements, contracted below one slab at a time
-        z[:, 0] = np.repeat(rules[0].points[e1], Nq2 * Nq3)
-        Q, _ = eval_Q_masked(geo, coeff, z)
-        wq = rules[0].weights[e1][:, None, None] * w2[None, :, None] * w3[None, None, :]
-        Qw = Q.reshape(q1, Nq2, Nq3, 3, 3) * wq[..., None, None]
-        Qp = Qw.transpose(3, 4, 0, 1, 2).reshape(9, q1, E2, q2 * Nq3)
-        for e2 in range(E2):
-            T2 = T2_all[e2]  # (9, 1, q2, a2^2)
-            Qx = np.ascontiguousarray(Qp[:, :, e2])
 
-            Y1 = (T1t @ Qx).reshape(9, a1 * a1, q2, Nq3)  # contract q1
-            Y2 = np.swapaxes(T2, 2, 3) @ Y1  # (9, a1^2, a2^2, Nq3), contract q2
-            Y2c = np.ascontiguousarray(
-                Y2.reshape(9, a1 * a1 * a2 * a2, E3, q3).transpose(2, 0, 3, 1).reshape(E3, 9 * q3, -1)
-            )
-            W = P3c @ Y2c  # (E3, a3^2, a1^2 * a2^2)
-            Wr = W.reshape(E3, a3, a3, a1, a1, a2, a2)
-            local = np.zeros((a1, a1, a2, a2, m3, wband))
-            for i3 in range(a3):
-                for j3 in range(a3):
-                    local[:, :, :, :, f3 + i3, p + j3 - i3] += Wr[:, i3, j3].transpose(1, 2, 3, 4, 0)
-            b1, b2 = f1[e1], f2[e2]
-            for i1 in range(a1):
-                for i2 in range(a2):
-                    BB[b1 + i1, p - i1 : p - i1 + a1, b2 + i2, p - i2 : p - i2 + a2] += local[i1, :, i2]
-    return BB
+def _sum_factorize(rules, tables, values, out):
+    """Sum point values against per-direction tables into ``out``, plane by plane.
+
+    For every component c this adds
+
+        out[r_1, (r_2, ..., r_d)] += sum_z values_c(z) prod_k T_kc[r_k, z_k]
+
+    with T_kc the tables of direction k (see _Tables), ``out`` of shape
+    (nrows_1, nrows_2 * ... * nrows_d).  ``values`` is called once per
+    element e1 of the leading direction, on that plane's points ordered with
+    direction d slowest and the leading direction fastest, and returns one
+    row of values per component.  The trailing directions are contracted one
+    axis at a time, d first, as CSR products over the leading axis of a
+    C-contiguous array (de Boor's tensor-product scheme; Antolin et al.,
+    CMAME 285, 2015).  The leading direction is then one GEMM over all
+    components with element e1's tables, added to e1's rows of ``out`` one
+    run at a time.
+    """
+    d = len(rules)
+    lead = tables[0]
+    csr = [None] + [[_point_csr(t, D) for D in t.data] for t in tables[1:]]
+    nq = [rules[0].points_per_span] + [r.points.size for r in rules[1:]]
+    R = out.shape[1]
+    # (E, K, C * q): element e's tables of all components side by side
+    L = np.concatenate([D.transpose(0, 2, 1) for D in lead.data], axis=2)
+    Y_all = np.empty((len(lead.data), nq[0], R))
+    acc = np.empty((L.shape[1], R))
+    runs, run = lead.local.shape
+    grid = np.meshgrid(*[r.points.ravel() for r in rules[:0:-1]], np.arange(nq[0]), indexing="ij")
+    z = np.empty((grid[0].size, d))
+    for k in range(1, d):
+        z[:, k] = grid[d - 1 - k].ravel()
+    slot = grid[-1].ravel()
+    for e1 in range(rules[0].num_elements):
+        z[:, 0] = rules[0].points[e1][slot]
+        for c, Y in enumerate(values(z)):
+            rows = 1
+            for k in range(d - 1, 0, -1):
+                Y = csr[k][c] @ Y.reshape(nq[k], -1)
+                rows *= Y.shape[0]
+                # direction k - 1's points to the front (copied by the next
+                # reshape, or by the store into Y_all)
+                Y = Y.reshape(rows, nq[k - 1], -1).swapaxes(0, 1)
+            Y_all[c] = Y.reshape(nq[0], R)
+        np.matmul(L[e1], Y_all.reshape(-1, R), out=acc)
+        base = lead.first[e1] * lead.stride
+        for i in range(runs):
+            o = base + lead.local[i, 0]
+            out[o : o + run] += acc[i * run : (i + 1) * run]
+
+
+def _check_dim(spaces, geo):
+    d = len(spaces)
+    if geo.dim != d:
+        raise ValueError("geometry dimension %d does not match %d spaces" % (geo.dim, d))
+    if d not in (2, 3):
+        raise ValueError("only 2D and 3D assembly is supported")
+    return d
 
 
 def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=True):
@@ -367,20 +350,22 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     Returns:
         scipy CSR matrix of order n^d (dirichlet) or m^d (full space).
     """
-    d = len(spaces)
-    if geo.dim != d:
-        raise ValueError("geometry dimension %d does not match %d spaces" % (geo.dim, d))
+    d = _check_dim(spaces, geo)
     if len({s.p for s in spaces}) != 1:
         raise ValueError("all directions must use the same spline degree")
+    p = spaces[0].p
     q = points_per_span or _default_q(spaces[0])
-    if d == 2:
-        BB = _assemble_stiffness_2d(spaces, geo, coeff, q)
-    elif d == 3:
-        BB = _assemble_stiffness_3d(spaces, geo, coeff, q)
-    else:
-        raise ValueError("only 2D and 3D assembly is supported")
+    rules = [gauss_rule(s, q) for s in spaces]
+    tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
+    BB = np.zeros([x for s in spaces for x in (s.m, 2 * p + 1)])
+
+    def values(z):
+        Q, _ = eval_Q_masked(geo, coeff, z)
+        return Q.reshape(len(z), d * d).T
+
+    _sum_factorize(rules, tables, values, BB.reshape(tables[0].nrows, -1))
     ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
-    return _band_to_csr(BB, ranges, spaces[0].p)
+    return _band_to_csr(BB, ranges, p)
 
 
 def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
@@ -388,64 +373,17 @@ def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
 
     ``f`` maps an (N, d) array of physical points to N values.
     """
-    d = len(spaces)
+    _check_dim(spaces, geo)
     q = points_per_span or _default_q(spaces[0])
     rules = [gauss_rule(s, q) for s in spaces]
-    tabs = [_direction_tables(s, r) for s, r in zip(spaces, rules)]
     ms = tuple(s.m for s in spaces)
     b = np.zeros(ms)
 
-    def f_weighted(z):
+    def values(z):
         absdet, _ = abs_det_masked(geo, z)
-        return np.asarray(f(geo.evaluate(z)), dtype=float) * absdet
+        return (np.asarray(f(geo.evaluate(z)), dtype=float) * absdet)[None]
 
-    if d == 2:
-        (fa1, v1, _), (fa2, v2, _) = tabs
-        E1, q1, a1 = v1.shape
-        E2, q2, a2 = v2.shape
-        pts2 = rules[1].points.ravel()
-        w2 = rules[1].weights.ravel()
-        Nq2 = pts2.size
-        z = np.empty((q1 * Nq2, 2))
-        for e1 in range(E1):
-            z[:, 0] = np.repeat(rules[0].points[e1], Nq2)
-            z[:, 1] = np.tile(pts2, q1)
-            F = f_weighted(z).reshape(q1, Nq2) * (rules[0].weights[e1][:, None] * w2[None, :])
-            G = np.einsum("qi,qr->ir", v1[e1], F)  # (a1, Nq2)
-            C = np.einsum("ieq,eqj->eij", G.reshape(a1, E2, q2), v2)  # (E2, a1, a2)
-            for i1 in range(a1):
-                row = b[fa1[e1] + i1]
-                for i2 in range(a2):
-                    row[fa2 + i2] += C[:, i1, i2]
-    elif d == 3:
-        (fa1, v1, _), (fa2, v2, _), (fa3, v3, _) = tabs
-        E1, q1, a1 = v1.shape
-        E2, q2, a2 = v2.shape
-        E3, q3, a3 = v3.shape
-        pts2, pts3 = rules[1].points.ravel(), rules[2].points.ravel()
-        w2, w3 = rules[1].weights.ravel(), rules[2].weights.ravel()
-        Nq2, Nq3 = pts2.size, pts3.size
-        z = np.empty((q1 * Nq2 * Nq3, 3))
-        z[:, 1] = np.tile(np.repeat(pts2, Nq3), q1)
-        z[:, 2] = np.tile(pts3, q1 * Nq2)
-        for e1 in range(E1):
-            # f and |det J| once per plane of elements, as in the stiffness
-            z[:, 0] = np.repeat(rules[0].points[e1], Nq2 * Nq3)
-            wq = rules[0].weights[e1][:, None, None] * w2[None, :, None] * w3[None, None, :]
-            F = f_weighted(z).reshape(q1, Nq2, Nq3) * wq
-            G1 = np.einsum("qi,qrs->irs", v1[e1], F).reshape(a1, E2, q2, Nq3)
-            G2 = np.einsum("eqj,ieqs->iejs", v2, G1).reshape(a1, E2, a2, E3, q3)
-            C = np.einsum("fsk,iejfs->iejfk", v3, G2)  # (a1, E2, a2, E3, a3)
-            for i1 in range(a1):
-                plane = b[fa1[e1] + i1]
-                for i2 in range(a2):
-                    for i3 in range(a3):
-                        # fa2 + i2 and fa3 + i3 are strictly increasing, so
-                        # no index repeats within one accumulation
-                        plane[np.ix_(fa2 + i2, fa3 + i3)] += C[i1, :, i2, :, i3]
-    else:
-        raise ValueError("only 2D and 3D assembly is supported")
-
+    _sum_factorize(rules, [_value_tables(s, r) for s, r in zip(spaces, rules)], values, b.reshape(ms[0], -1))
     if dirichlet:
         sl = tuple(slice(1, m - 1) for m in ms)
         return b[sl].reshape(-1).copy()
@@ -457,6 +395,39 @@ ConditionBound = namedtuple("ConditionBound", ["bound", "singular"])
 # sample points per Q/eigenvalue evaluation in condition_bound
 _BOUND_CHUNK = 2**16
 
+# relative error allowed to the closed-form eigenvalues in the screen of
+# condition_bound; the 3D formula loses about sqrt(eps) near a double root
+_SCREEN_TOL = 1e-5
+
+
+def _eig_screen(Q):
+    """Closed-form eigenvalue ranges of a batch of symmetric 2x2 or 3x3 Q.
+
+    2D: mean -/+ hypot.  3D: the trigonometric formula of O. K. Smith (Comm.
+    ACM 4(4), 1961) on K = Q - m I with m = trace / 3.  Returns (N, 4):
+    lmin - slack, lmin + slack, lmax - slack, lmax + slack, where slack
+    covers the error of the formulas.
+    """
+    q = Q.reshape(len(Q), -1)
+    if Q.shape[-1] == 2:
+        m = 0.5 * (q[:, 0] + q[:, 3])
+        s = np.hypot(0.5 * (q[:, 0] - q[:, 3]), q[:, 1])
+        lmin, lmax = m - s, m + s
+    else:
+        m = (q[:, 0] + q[:, 4] + q[:, 8]) / 3.0
+        a, b, c = q[:, 0] - m, q[:, 4] - m, q[:, 8] - m
+        d, e, f = q[:, 1], q[:, 5], q[:, 2]
+        dd, ee, ff = d * d, e * e, f * f
+        p = (a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0
+        h = 0.5 * (a * b * c + 2.0 * d * e * f - a * ee - b * ff - c * dd)  # det(K) / 2
+        s = np.sqrt(p)
+        phi = np.arctan2(np.sqrt(np.maximum(p * p * p - h * h, 0.0)), h) / 3.0
+        cos, sin = np.cos(phi), np.sin(phi)
+        lmin = m - s * (cos + np.sqrt(3.0) * sin)
+        lmax = m + 2.0 * s * cos
+    slack = _SCREEN_TOL * (np.abs(m) + s)
+    return np.column_stack((lmin - slack, lmin + slack, lmax - slack, lmax + slack))
+
 
 def condition_bound(geo, coeff, zeta):
     """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
@@ -464,21 +435,36 @@ def condition_bound(geo, coeff, zeta):
     This bounds the spectral condition number of the preconditioned system.
     If any sample point has a singular Jacobian the bound is +inf and the
     ``singular`` flag is set.  ``coeff=None`` is the identity coefficient.
-    Q and its eigenvalues are evaluated _BOUND_CHUNK points at a time,
-    keeping a running minimum and maximum, so memory does not grow with the
-    number of points.
+
+    Q is evaluated _BOUND_CHUNK points at a time, so memory does not grow
+    with the number of points.  The closed-form ranges of _eig_screen keep
+    only the points that may hold an extreme: lo and hi are the running
+    certain bounds on inf lmin and sup lmax, and a point whose range cannot
+    reach past them is dropped.  The kept points get exact ``eigvalsh``, so
+    the bound is the one ``eigvalsh`` gives over all points.
 
     Returns:
         ConditionBound(bound, singular)
     """
     lo, hi = np.inf, -np.inf
+    kept, reach = np.empty((0, geo.dim, geo.dim)), np.empty((0, 4))
     for start in range(0, len(zeta), _BOUND_CHUNK):
         Q, sing = eval_Q_masked(geo, coeff, zeta[start : start + _BOUND_CHUNK])
         if sing.any():
             return ConditionBound(np.inf, True)
-        ev = np.linalg.eigvalsh(Q)
-        lo = min(lo, ev[:, 0].min())
-        hi = max(hi, ev[:, -1].max())
+        r = _eig_screen(Q)
+        lo, hi = min(lo, r[:, 1].min()), max(hi, r[:, 2].max())
+        new = (r[:, 0] <= lo) | (r[:, 3] >= hi)
+        kept, reach = np.concatenate([kept, Q[new]]), np.concatenate([reach, r[new]])
+        keep = (reach[:, 0] <= lo) | (reach[:, 3] >= hi)
+        kept, reach = kept[keep], reach[keep]
+        if len(kept) > _BOUND_CHUNK:
+            # many points near an extreme (Q nearly constant): keep the exact extremes
+            ev = np.linalg.eigvalsh(kept)
+            pick = [ev[:, 0].argmin(), ev[:, -1].argmax()]
+            kept, reach = kept[pick], reach[pick]
+    ev = np.linalg.eigvalsh(kept)
+    lo, hi = ev[:, 0].min(), ev[:, -1].max()
     if lo <= 0.0:
         return ConditionBound(np.inf, True)
     return ConditionBound(float(hi / lo), False)

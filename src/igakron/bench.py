@@ -8,6 +8,7 @@ the reproducible quantity.
 """
 
 import io
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -72,6 +73,15 @@ class MemoryLimitError(ConfigError):
     """Predicted memory use exceeds the configured cap."""
 
 
+# share of the machine's physical memory a run may be predicted to need,
+# unless memory_cap is given
+MEMORY_SHARE = 0.75
+
+
+def _default_memory_cap():
+    return int(MEMORY_SHARE * os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+
+
 @dataclass
 class ExperimentConfig:
     domain: str = "quarter_annulus"
@@ -83,7 +93,7 @@ class ExperimentConfig:
     tol: float = 1e-8
     seed: int = 42
     maxit: int = 3000
-    memory_cap: int = 12 * 2**30
+    memory_cap: int = field(default_factory=_default_memory_cap)
     adi_shifts: str = "douglas"
 
     def validate(self):
@@ -217,12 +227,18 @@ def _estimate_bytes(cfg, n, d, assembled):
             est += nnz * 8 + nnz * 24 + csr  # patch accumulators, COO scatter of their sum, CSR
         else:
             # the block-banded accumulator over the full space is held first
-            # with the quadrature work of one plane of elements (about 1.2 kB
-            # per point under tracemalloc for p <= 3), then with the CSR and
-            # its per-leading-row copies
+            # with the kernel's element tables (d^3 of E q^3 entries) and the
+            # work of one plane of elements: Q and its temporaries (about
+            # 400 B per point under tracemalloc for p <= 3) and the d^2
+            # trailing-direction sums of the q leading points plus their
+            # q^2-row GEMM result; then with the CSR and its per-leading-row
+            # copies
             q = cfg.p + 1
-            plane = q * ((n + 2 - cfg.p) * q) ** (d - 1)
-            est += ((n + 2) * w) ** d * 8 + max(1200 * plane, csr + 4 * nnz // n * 8)
+            E = n + 2 - cfg.p
+            plane = q * (E * q) ** (d - 1)
+            rows = ((n + 2) * w) ** (d - 1)
+            kernel = 16 * d**3 * E * q**3 + 400 * plane + 8 * (d * d + q) * q * rows
+            est += ((n + 2) * w) ** d * 8 + max(kernel, csr + 4 * nnz // n * 8)
     return int(est)
 
 

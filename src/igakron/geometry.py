@@ -14,21 +14,15 @@ __all__ = [
     "GeometryMap",
     "CoefficientField",
     "BuiltinDomain",
-    "SingularJacobianError",
     "builtin",
     "identity_map",
     "affine_map",
     "identity_coefficient",
-    "eval_Q",
     "eval_Q_masked",
     "abs_det_masked",
 ]
 
 SINGULAR_TOL = 1e-14
-
-
-class SingularJacobianError(ArithmeticError):
-    """Raised when the geometry Jacobian is (numerically) singular."""
 
 
 class GeometryMap:
@@ -258,17 +252,22 @@ def builtin(domain):
     return _BUILDERS[domain]()
 
 
+def _components(J):
+    """A batch of Jacobians (N, d, d) as contiguous components (d, d, N)."""
+    return np.ascontiguousarray(np.moveaxis(J, 0, -1))
+
+
 def _cofactor(J, r, c):
-    """Cofactor of entry (r, c) of a batch of 2x2 or 3x3 matrices, shape (N,)."""
-    if J.shape[-1] == 2:
-        return J[:, 1 - r, 1 - c] if r == c else -J[:, 1 - r, 1 - c]
+    """Cofactor of entry (r, c) of components J (d, d, N), d = 2 or 3, shape (N,)."""
+    if len(J) == 2:
+        return J[1 - r, 1 - c] if r == c else -J[1 - r, 1 - c]
     r1, r2, c1, c2 = (r + 1) % 3, (r + 2) % 3, (c + 1) % 3, (c + 2) % 3
-    return J[:, r1, c1] * J[:, r2, c2] - J[:, r1, c2] * J[:, r2, c1]
+    return J[r1, c1] * J[r2, c2] - J[r1, c2] * J[r2, c1]
 
 
 def _abs_det(J, row0_cofactors):
-    """|det J| with singular points zeroed, and the singular mask."""
-    det = sum(J[:, 0, c] * row0_cofactors[c] for c in range(J.shape[-1]))
+    """|det J| of components J with singular points zeroed, and the singular mask."""
+    det = sum(J[0, c] * row0_cofactors[c] for c in range(len(J)))
     absdet = np.abs(det)
     singular = absdet < SINGULAR_TOL
     absdet[singular] = 0.0
@@ -284,7 +283,7 @@ def abs_det_masked(geo, zeta):
     Returns:
         (absdet, singular_mask), both of shape (N,).
     """
-    J = geo.jacobian(np.asarray(zeta, dtype=float))
+    J = _components(geo.jacobian(np.asarray(zeta, dtype=float)))
     return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
 
 
@@ -307,35 +306,26 @@ def eval_Q_masked(geo, coeff, zeta):
     contribute nothing).
 
     Returns:
-        (Q, singular_mask) with shapes (N, d, d) and (N,).
+        (Q, singular_mask) with shapes (N, d, d) and (N,).  Q is a view of
+        a (d, d, N) array, so each component Q[:, i, l] is contiguous.
     """
     zeta = np.asarray(zeta, dtype=float)
     d = geo.dim
-    J = geo.jacobian(zeta)
+    J = _components(geo.jacobian(zeta))
     # adj[i][j] = cofactor (j, i); its first column holds the row-0 cofactors
     adj = [[_cofactor(J, j, i) for j in range(d)] for i in range(d)]
     absdet, singular = _abs_det(J, [adj[c][0] for c in range(d)])
     inv = np.divide(1.0, absdet, out=np.zeros_like(absdet), where=~singular)
-    Q = np.empty((zeta.shape[0], d, d))
+    Qc = np.empty((d, d, zeta.shape[0]))
+    Q = Qc.transpose(2, 0, 1)
     if coeff is None:
         for i in range(d):
             for l in range(i, d):
-                Q[:, i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
-                Q[:, l, i] = Q[:, i, l]
+                Qc[i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
+                Qc[l, i] = Qc[i, l]
     else:
         A = np.stack([np.stack(row, axis=-1) for row in adj], axis=1)
         K = coeff.evaluate(geo.evaluate(zeta))
         np.matmul(np.swapaxes(A, 1, 2), K @ A, out=Q)
         Q *= inv[:, None, None]
     return Q, singular
-
-
-def eval_Q(geo, coeff, zeta):
-    """As eval_Q_masked, but raises SingularJacobianError on singular points."""
-    Q, singular = eval_Q_masked(geo, coeff, zeta)
-    if singular.any():
-        raise SingularJacobianError(
-            "geometry Jacobian is singular at %d of %d sample points"
-            % (int(singular.sum()), singular.size)
-        )
-    return Q

@@ -1,6 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from igakron import assembly
 from igakron.assembly import (
@@ -15,9 +20,18 @@ from igakron.assembly import (
     l2_error,
     write_matrix_market,
 )
-from igakron.bspline import SplineSpace1D
+from igakron.bspline import KnotVector, SplineSpace1D
 from igakron.fd import fd_setup
-from igakron.geometry import affine_map, builtin, identity_coefficient, identity_map
+from igakron.geometry import (
+    BuiltinDomain,
+    CoefficientField,
+    abs_det_masked,
+    affine_map,
+    builtin,
+    eval_Q_masked,
+    identity_coefficient,
+    identity_map,
+)
 from igakron.kron import KroneckerSum
 from igakron.pcg import pcg
 
@@ -261,3 +275,146 @@ def test_matrix_market_roundtrip(tmp_path):
     write_matrix_market(b, path_b)
     b2 = scipy.io.mmread(path_b).ravel()
     np.testing.assert_array_equal(b, b2)
+
+
+# ---------------------------------------------------------------------------
+# the sum-factorized kernel against brute-force dense quadrature
+
+
+@st.composite
+def open_knot_vector(draw, p, max_breaks, max_mult):
+    """Open knot vector on a 1/20 grid with repeated interior knots."""
+    k = draw(st.integers(1, max_breaks))
+    breaks = sorted(draw(st.lists(st.integers(1, 19), min_size=k, max_size=k, unique=True)))
+    mult = draw(st.lists(st.integers(1, max_mult), min_size=k, max_size=k))
+    interior = np.repeat(np.array(breaks) / 20.0, mult)
+    return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
+
+
+def anisotropic_coefficient(d):
+    """A rotated, position-dependent SPD diffusion tensor."""
+    R = np.linalg.qr(np.arange(1.0, d * d + 1).reshape(d, d) + np.eye(d))[0]
+    K0 = R @ np.diag(np.arange(1.0, d + 1) ** 2) @ R.T
+
+    def evaluate(x):
+        return K0 * (1.0 + 0.5 * np.sin(3.0 * x[:, :1]))[:, :, None]
+
+    return CoefficientField(evaluate)
+
+
+def dense_quadrature(spaces, geo, coeff, f):
+    """Dense A and b by Gauss quadrature over every nonempty span.
+
+    Basis values and derivatives come from scipy's BSpline, the tensor
+    basis from Kronecker products of the dense 1D tables.
+    """
+    d = len(spaces)
+    pts, wts, V, D = [], [], [], []
+    for s in spaces:
+        x, w = np.polynomial.legendre.leggauss(s.p + 1)
+        br = np.unique(s.kv.knots)
+        a, b = br[:-1, None], br[1:, None]
+        z = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+        spline = BSpline(s.kv.knots, np.eye(s.m), s.p)
+        pts.append(z)
+        wts.append((0.5 * (b - a) * w).ravel())
+        V.append(spline(z))
+        D.append(spline.derivative()(z))
+    zeta = np.column_stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")])
+    w = reduce(np.multiply.outer, wts).ravel()
+    Q, _ = eval_Q_masked(geo, coeff, zeta)
+    G = [reduce(np.kron, [D[k] if k == c else V[k] for k in range(d)]) for c in range(d)]
+    A = sum(G[c].T @ ((w * Q[:, c, e])[:, None] * G[e]) for c in range(d) for e in range(d))
+    absdet, _ = abs_det_masked(geo, zeta)
+    b = reduce(np.kron, V).T @ (w * absdet * f(geo.evaluate(zeta)))
+    return A, b
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_matches_dense_quadrature(d, data):
+    p = data.draw(st.integers(1, 4), label="p")
+    # keep the 3D dense reference small: at most 2 breakpoints of multiplicity 2
+    max_breaks, max_mult = (3, p) if d == 2 else (2, min(p, 2))
+    spaces = [SplineSpace1D(data.draw(open_knot_vector(p, max_breaks, max_mult))) for _ in range(d)]
+    geo = builtin("quarter_annulus" if d == 2 else "revolved_quarter_ring")
+    coeff = data.draw(st.sampled_from([None, anisotropic_coefficient(d)]), label="coeff")
+    dirichlet = data.draw(st.booleans(), label="dirichlet")
+    f = lambda x: np.cos(x[:, 0]) + x[:, -1] ** 2
+    A_ref, b_ref = dense_quadrature(spaces, geo, coeff, f)
+    if dirichlet:
+        inner = [np.arange(1, s.m - 1) for s in spaces]
+        keep = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inner, indexing="ij")], [s.m for s in spaces])
+        A_ref, b_ref = A_ref[np.ix_(keep, keep)], b_ref[keep]
+    A = assemble_stiffness(spaces, geo, coeff, dirichlet=dirichlet).toarray()
+    b = assemble_load(spaces, geo, f, dirichlet=dirichlet)
+    np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12 * np.abs(A_ref).max())
+    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
+
+
+@pytest.mark.parametrize("domain", list(BuiltinDomain))
+@pytest.mark.parametrize("corners", [False, True])
+@pytest.mark.parametrize("chunk", [None, 500])
+def test_condition_bound_matches_eigvalsh(domain, corners, chunk, monkeypatch):
+    # the thick ring has a double eigenvalue wherever lmax is taken, where
+    # the closed-form screen is least accurate
+    geo = builtin(domain)
+    _, z, _ = quadrature_grid([SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)])
+    if corners:
+        z = np.vstack([z, np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T])
+    if chunk:
+        monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
+    cb = condition_bound(geo, None, z)
+    Q, sing = eval_Q_masked(geo, None, z)
+    if sing.any():
+        assert cb.singular and np.isinf(cb.bound)
+        return
+    ev = np.linalg.eigvalsh(Q)
+    ref = ev[:, -1].max() / ev[:, 0].min()
+    assert not cb.singular
+    assert abs(cb.bound - ref) <= 1e-12 * ref
+
+
+# ---------------------------------------------------------------------------
+# the pull-back orientation defect (ROADMAP item 1): expected to fail until
+# eval_Q_masked forms |det J| J^-1 K J^-T for J_ik = dx_i / dz_k
+
+PULLBACK_DEFECT = "ROADMAP item 1: eval_Q_masked pulls K back in the transposed orientation"
+
+
+@pytest.mark.xfail(strict=True, reason=PULLBACK_DEFECT)
+def test_shear_map_energy_of_linear_function():
+    # x = (z_1 + z_2, z_2) maps the unit square onto a parallelogram of area
+    # 1; u = x_2 = z_2 has |grad u| = 1, so its energy is the area
+    sp = spaces_2d(2, 4)
+    A = assemble_stiffness(sp, affine_map([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0]), dirichlet=False)
+    kv = sp[1].kv
+    greville = np.array([kv.knots[i + 1 : i + kv.p + 1].mean() for i in range(kv.m)])
+    c = np.tile(greville, sp[0].m)
+    assert abs(c @ (A @ c) - 1.0) < 1e-12
+
+
+def annulus_u(x):
+    s = x[:, 0] ** 2 + x[:, 1] ** 2
+    return x[:, 0] * x[:, 1] * (s - 1.0) * (s - 4.0)
+
+
+def annulus_f(x):
+    # -laplace(x y g(s)) = -x y (12 g'(s) + 4 s g''(s)) with g(s) = (s - 1)(s - 4)
+    s = x[:, 0] ** 2 + x[:, 1] ** 2
+    return x[:, 0] * x[:, 1] * (60.0 - 32.0 * s)
+
+
+@pytest.mark.xfail(strict=True, reason=PULLBACK_DEFECT)
+@pytest.mark.parametrize("p", [2, 3])
+def test_quarter_annulus_manufactured_rate(p):
+    # u vanishes on the whole boundary of the quarter annulus
+    geo = builtin("quarter_annulus")
+    errs = []
+    for h_inv in (8, 16, 32):
+        sp = spaces_2d(p, h_inv)
+        u = scipy.sparse.linalg.spsolve(assemble_stiffness(sp, geo).tocsc(), assemble_load(sp, geo, annulus_f))
+        errs.append(l2_error(sp, geo, u, annulus_u))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(rates - (p + 1)) < 0.3), rates

@@ -21,6 +21,7 @@ from igakron.bench import (
     run_experiment,
 )
 from igakron.bspline import SplineSpace1D
+from igakron.cli import _build_config, build_parser
 from igakron.geometry import builtin
 from igakron.kron import KroneckerSum
 
@@ -126,6 +127,14 @@ def test_memory_estimate_covers_stiffness_assembly(domain, d, h_inv, p):
         tracemalloc.stop()
     est = _estimate_bytes(ExperimentConfig(domain=domain, p=p), spaces[0].n, d, assembled=True)
     assert peak <= est <= 1.5 * peak
+
+
+def test_default_memory_cap_within_physical_memory():
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert 0 < ExperimentConfig().memory_cap <= phys
+    # --memory-cap overrides the default
+    args = build_parser().parse_args(["run", "--memory-cap", str(2**20)])
+    assert _build_config(args).memory_cap == 2**20
 
 
 def test_reproducibility():
