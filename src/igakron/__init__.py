@@ -9,7 +9,7 @@ Schwarz preconditioning, and a benchmark command line driver.
 
 from .bspline import KnotVector, SplineSpace1D, uniform_knots, find_span, eval_basis, eval_basis_derivs
 from .banded import BandedSymMatrix, BandedCholesky
-from .kron import KroneckerSum, kron_matvec, kron_solve
+from .kron import KroneckerSum, kron_matvec
 from .geometry import (
     BuiltinDomain,
     CoefficientField,

@@ -12,14 +12,16 @@ weighted product F_c(B_i) F_e(B_{i+o-p}) at every quadrature point of that
 direction, so the element overlap-add is part of the product.  Q is
 evaluated once per plane of elements in the leading direction and the
 trailing tables are applied one axis at a time; one GEMM with the plane's
-leading-direction tables then gives the band rows of the plane's basis
-functions, which are added to a dense block-banded array.  CSR over the
-interior (Dirichlet) or full index range is emitted straight from that
-array.  The load vector goes through the same kernel with weighted value
-tables.  Quadrature points with a singular geometry Jacobian contribute zero
-(see the geometry module).
+leading-direction tables then gives the band rows of the plane's p + 1
+basis functions.  Those are summed in a ring of p + 1 rows, and each
+leading basis function is written into the CSR, allocated up front over
+the interior (Dirichlet) or full index range, as soon as no later element
+touches it: no full-space intermediate is ever held.  The load vector goes
+through the same kernel with weighted value tables.  Quadrature points with
+a singular geometry Jacobian contribute zero (see the geometry module).
 
-The condition bound screens Q's extreme eigenvalues with closed forms (the
+The condition bound generates its sample points a chunk at a time from the
+per-direction axes, screens Q's extreme eigenvalues with closed forms (the
 hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
 ``eigvalsh`` only on the points that may hold an extreme.
 
@@ -170,57 +172,70 @@ def quadrature_grid(spaces, points_per_span=None):
     return rules, zeta, np.asarray(w).ravel()
 
 
-def _band_to_csr(BB, ranges, p):
-    """CSR straight from the block-banded accumulator, over an index box.
+class _CSRRows:
+    """Stiffness CSR over an index box, written one leading basis function at a time.
 
-    ``BB[i_1, o_1 + p, ..., i_d, o_d + p]`` holds A[i, i + o].  ``ranges``
-    gives a (lo, hi) index range per direction: (1, m - 1) keeps the interior
-    basis functions, (0, m) the full space.  Rows and columns are numbered in
-    C order over the box; within a row the columns come in offset order,
-    which is ascending.  Every in-box pair within the band is stored, so the
-    pattern is that of the Kronecker sum of the univariate pencils.
+    ``ranges`` gives a (lo, hi) index range per direction of the full spaces
+    of sizes ``ms``: (1, m - 1) keeps the interior basis functions, (0, m)
+    the full space.  Rows and columns are numbered in C order over the box;
+    within a row the columns come in offset order, which is ascending.  Every
+    in-box pair within the band is stored, so the pattern is that of the
+    Kronecker sum of the univariate pencils.  ``indptr`` and the arrays are
+    allocated up front; ``write(i, rows)`` fills the CSR rows of leading
+    basis function i from its band rows, with ``rows[o_1, i_2, o_2, ...,
+    i_d, o_d]`` = A[i, i + o - p] over the full trailing spaces.
     """
-    d = len(ranges)
-    ns = [hi - lo for lo, hi in ranges]
-    # local column index i + o of each (row, offset) per direction, -1 outside
-    cols = []
-    for n in ns:
-        j = np.arange(n)[:, None] + np.arange(-p, p + 1)
-        j[(j < 0) | (j >= n)] = -1
-        cols.append(j)
-    # the trailing directions' rows and offsets, shaped (n_2..n_d, w..w)
-    tail = 2 * (d - 1)
-    tail_col = np.zeros([1] * tail, dtype=np.int64)
-    tail_ok = np.ones([1] * tail, dtype=bool)
-    for k in range(1, d):
-        shape = [1] * tail
-        shape[k - 1], shape[d - 2 + k] = ns[k], 2 * p + 1
-        jk = cols[k].reshape(shape)
-        tail_col = tail_col * ns[k] + jk
-        tail_ok = tail_ok & (jk >= 0)
-    n_tail = tail_col.size // (2 * p + 1) ** (d - 1)
-    counts = np.outer((cols[0] >= 0).sum(1), tail_ok.reshape(n_tail, -1).sum(1)).ravel()
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    N, nnz = counts.size, int(indptr[-1])
-    itype = np.int32 if max(N, nnz) < 2**31 else np.int64
-    indices = np.empty(nnz, dtype=itype)
-    data = np.empty(nnz)
-    # one leading row at a time: axes (rows of the tail, o_1, offsets of the tail)
-    tail_col = np.expand_dims(tail_col, d - 1)
-    tail_ok = np.expand_dims(tail_ok, d - 1)
-    o1 = [1] * (d - 1) + [2 * p + 1] + [1] * (d - 1)
-    box = tuple(slice(lo, hi) for lo, hi in ranges[1:])
-    perm = [2 * k + 1 for k in range(d - 1)] + [2 * k for k in range(d)]
-    lo1 = ranges[0][0]
-    for i1 in range(ns[0]):
-        j1 = cols[0][i1].reshape(o1)
-        ok = tail_ok & (j1 >= 0)
-        block = BB[(lo1 + i1,) + tuple(s for sl in box for s in (slice(None), sl))]
-        a, b = indptr[i1 * n_tail], indptr[(i1 + 1) * n_tail]
-        data[a:b] = block.transpose(perm)[ok]
-        indices[a:b] = (j1 * n_tail + tail_col)[ok]
-    return scipy.sparse.csr_matrix((data, indices, indptr.astype(itype)), shape=(N, N))
+
+    def __init__(self, ms, ranges, p):
+        d = len(ranges)
+        ns = [hi - lo for lo, hi in ranges]
+        # local column index i + o of each (row, offset) per direction, -1 outside
+        cols = []
+        for n in ns:
+            j = np.arange(n)[:, None] + np.arange(-p, p + 1)
+            j[(j < 0) | (j >= n)] = -1
+            cols.append(j)
+        # the trailing directions' rows and offsets, shaped (n_2..n_d, w..w)
+        tail = 2 * (d - 1)
+        tail_col = np.zeros([1] * tail, dtype=np.int64)
+        tail_ok = np.ones([1] * tail, dtype=bool)
+        for k in range(1, d):
+            shape = [1] * tail
+            shape[k - 1], shape[d - 2 + k] = ns[k], 2 * p + 1
+            jk = cols[k].reshape(shape)
+            tail_col = tail_col * ns[k] + jk
+            tail_ok = tail_ok & (jk >= 0)
+        self.n_tail = tail_col.size // (2 * p + 1) ** (d - 1)
+        counts = np.outer((cols[0] >= 0).sum(1), tail_ok.reshape(self.n_tail, -1).sum(1)).ravel()
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        N, nnz = counts.size, int(indptr[-1])
+        self.itype = np.int32 if max(N, nnz) < 2**31 else np.int64
+        self.indptr, self.shape = indptr, (N, N)
+        self.indices = np.empty(nnz, dtype=self.itype)
+        self.data = np.empty(nnz)
+        # axes of one leading row: (rows of the tail, o_1, offsets of the tail)
+        self.tail_col = np.expand_dims(tail_col, d - 1)
+        self.tail_ok = np.expand_dims(tail_ok, d - 1)
+        self.cols0 = cols[0].reshape((ns[0],) + (1,) * (d - 1) + (2 * p + 1,) + (1,) * (d - 1))
+        self.band = [2 * p + 1] + [x for m in ms[1:] for x in (m, 2 * p + 1)]
+        self.box = (slice(None),) + tuple(s for lo, hi in ranges[1:] for s in (slice(lo, hi), slice(None)))
+        self.perm = [2 * k + 1 for k in range(d - 1)] + [2 * k for k in range(d)]
+        self.lo, self.n_lead = ranges[0][0], ns[0]
+
+    def write(self, i, rows):
+        i1 = i - self.lo
+        if not 0 <= i1 < self.n_lead:
+            return
+        j1 = self.cols0[i1]
+        ok = self.tail_ok & (j1 >= 0)
+        block = rows.reshape(self.band)[self.box]
+        a, b = self.indptr[i1 * self.n_tail], self.indptr[(i1 + 1) * self.n_tail]
+        self.data[a:b] = block.transpose(self.perm)[ok]
+        self.indices[a:b] = (j1 * self.n_tail + self.tail_col)[ok]
+
+    def matrix(self):
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr.astype(self.itype)), shape=self.shape)
 
 
 _Tables = namedtuple("_Tables", ["first", "stride", "local", "data", "nrows"])
@@ -229,7 +244,7 @@ _Tables.__doc__ = """Element tables of one direction for _sum_factorize.
 ``data[c]`` is component c's (E, q, K) table over the elements' points.
 Entry k of element e belongs to output row ``first[e] * stride +
 local.flat[k]`` of that direction, of ``nrows`` in all; each row of
-``local`` is a run of consecutive output rows.
+``local`` is a run of consecutive output rows of one basis function.
 """
 
 
@@ -260,7 +275,7 @@ def _pair_tables(space, rule, k, d):
 def _value_tables(space, rule):
     """Weighted basis values w B_i of one direction for the load."""
     first, vals, _ = _direction_tables(space, rule)
-    return _Tables(first, 1, np.arange(space.p + 1)[None], [rule.weights[:, :, None] * vals], space.m)
+    return _Tables(first, 1, np.arange(space.p + 1)[:, None], [rule.weights[:, :, None] * vals], space.m)
 
 
 def _point_csr(t, data):
@@ -277,34 +292,43 @@ def _point_csr(t, data):
     return scipy.sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(t.nrows, E * q))
 
 
-def _sum_factorize(rules, tables, values, out):
-    """Sum point values against per-direction tables into ``out``, plane by plane.
+def _sum_factorize(rules, tables, values, sink):
+    """Sum point values against per-direction tables, one leading row at a time.
 
-    For every component c this adds
+    For every component c this forms
 
-        out[r_1, (r_2, ..., r_d)] += sum_z values_c(z) prod_k T_kc[r_k, z_k]
+        out[r_1, (r_2, ..., r_d)] = sum_z values_c(z) prod_k T_kc[r_k, z_k]
 
-    with T_kc the tables of direction k (see _Tables), ``out`` of shape
-    (nrows_1, nrows_2 * ... * nrows_d).  ``values`` is called once per
-    element e1 of the leading direction, on that plane's points ordered with
-    direction d slowest and the leading direction fastest, and returns one
-    row of values per component.  The trailing directions are contracted one
-    axis at a time, d first, as CSR products over the leading axis of a
-    C-contiguous array (de Boor's tensor-product scheme; Antolin et al.,
-    CMAME 285, 2015).  The leading direction is then one GEMM over all
-    components with element e1's tables, added to e1's rows of ``out`` one
-    run at a time.
+    with T_kc the tables of direction k (see _Tables), but never holds out:
+    the rows of leading basis function i, ``out[i * stride : (i + 1) *
+    stride]``, go to ``sink(i, rows)`` in increasing i as soon as no later
+    element touches them.  They are summed in a ring of the p + 1 basis
+    functions of one element, indexed by i mod (p + 1), which is reused: a
+    sink copies what it keeps.  ``values`` is called once per element e1 of
+    the leading direction, on that plane's points ordered with direction d
+    slowest and the leading direction fastest, and returns one row of values
+    per component.  The trailing directions are contracted one axis at a
+    time, d first, as CSR products over the leading axis of a C-contiguous
+    array (de Boor's tensor-product scheme, ACM TOMS 5, 1979; Antolin et
+    al., CMAME 285, 2015).  The leading direction is then one GEMM over all
+    components with element e1's tables, added to e1's rows of the ring.
     """
     d = len(rules)
     lead = tables[0]
     csr = [None] + [[_point_csr(t, D) for D in t.data] for t in tables[1:]]
     nq = [rules[0].points_per_span] + [r.points.size for r in rules[1:]]
-    R = out.shape[1]
+    R = int(np.prod([t.nrows for t in tables[1:]]))
     # (E, K, C * q): element e's tables of all components side by side
     L = np.concatenate([D.transpose(0, 2, 1) for D in lead.data], axis=2)
     Y_all = np.empty((len(lead.data), nq[0], R))
     acc = np.empty((L.shape[1], R))
+    stride = lead.stride
+    slots = lead.local.max() // stride + 1
+    ring = np.zeros((slots, stride, R))
+    ring_rows = ring.reshape(-1, R)
     runs, run = lead.local.shape
+    # basis functions below nxt[e1] are complete once element e1 is added
+    nxt = np.append(lead.first[1:], lead.nrows // stride)
     grid = np.meshgrid(*[r.points.ravel() for r in rules[:0:-1]], np.arange(nq[0]), indexing="ij")
     z = np.empty((grid[0].size, d))
     for k in range(1, d):
@@ -322,10 +346,12 @@ def _sum_factorize(rules, tables, values, out):
                 Y = Y.reshape(rows, nq[k - 1], -1).swapaxes(0, 1)
             Y_all[c] = Y.reshape(nq[0], R)
         np.matmul(L[e1], Y_all.reshape(-1, R), out=acc)
-        base = lead.first[e1] * lead.stride
         for i in range(runs):
-            o = base + lead.local[i, 0]
-            out[o : o + run] += acc[i * run : (i + 1) * run]
+            o = (lead.first[e1] * stride + lead.local[i, 0]) % len(ring_rows)
+            ring_rows[o : o + run] += acc[i * run : (i + 1) * run]
+        for i in range(lead.first[e1], nxt[e1]):
+            sink(i, ring[i % slots])
+            ring[i % slots] = 0.0
 
 
 def _check_dim(spaces, geo):
@@ -357,15 +383,15 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     q = points_per_span or _default_q(spaces[0])
     rules = [gauss_rule(s, q) for s in spaces]
     tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
-    BB = np.zeros([x for s in spaces for x in (s.m, 2 * p + 1)])
+    ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
+    A = _CSRRows([s.m for s in spaces], ranges, p)
 
     def values(z):
         Q, _ = eval_Q_masked(geo, coeff, z)
         return Q.reshape(len(z), d * d).T
 
-    _sum_factorize(rules, tables, values, BB.reshape(tables[0].nrows, -1))
-    ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
-    return _band_to_csr(BB, ranges, p)
+    _sum_factorize(rules, tables, values, A.write)
+    return A.matrix()
 
 
 def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
@@ -377,13 +403,16 @@ def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
     q = points_per_span or _default_q(spaces[0])
     rules = [gauss_rule(s, q) for s in spaces]
     ms = tuple(s.m for s in spaces)
-    b = np.zeros(ms)
+    b = np.empty(ms)
 
     def values(z):
         absdet, _ = abs_det_masked(geo, z)
         return (np.asarray(f(geo.evaluate(z)), dtype=float) * absdet)[None]
 
-    _sum_factorize(rules, [_value_tables(s, r) for s, r in zip(spaces, rules)], values, b.reshape(ms[0], -1))
+    def store(i, rows):
+        b[i] = rows.reshape(ms[1:])
+
+    _sum_factorize(rules, [_value_tables(s, r) for s, r in zip(spaces, rules)], values, store)
     if dirichlet:
         sl = tuple(slice(1, m - 1) for m in ms)
         return b[sl].reshape(-1).copy()
@@ -429,27 +458,40 @@ def _eig_screen(Q):
     return np.column_stack((lmin - slack, lmin + slack, lmax - slack, lmax + slack))
 
 
-def condition_bound(geo, coeff, zeta):
+def condition_bound(geo, coeff, axes, extra=()):
     """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
 
-    This bounds the spectral condition number of the preconditioned system.
-    If any sample point has a singular Jacobian the bound is +inf and the
-    ``singular`` flag is set.  ``coeff=None`` is the identity coefficient.
+    The points are the tensor grid of the 1D coordinates ``axes`` (C order,
+    last direction fastest) followed by the rows of the (k, d) array
+    ``extra``.  This bounds the spectral condition number of the
+    preconditioned system.  If any sample point has a singular Jacobian the
+    bound is +inf and the ``singular`` flag is set.  ``coeff=None`` is the
+    identity coefficient.
 
-    Q is evaluated _BOUND_CHUNK points at a time, so memory does not grow
-    with the number of points.  The closed-form ranges of _eig_screen keep
-    only the points that may hold an extreme: lo and hi are the running
-    certain bounds on inf lmin and sup lmax, and a point whose range cannot
-    reach past them is dropped.  The kept points get exact ``eigvalsh``, so
-    the bound is the one ``eigvalsh`` gives over all points.
+    The points are generated and Q is evaluated _BOUND_CHUNK points at a
+    time, so memory does not grow with the number of points.  The
+    closed-form ranges of _eig_screen keep only the points that may hold an
+    extreme: lo and hi are the running certain bounds on inf lmin and sup
+    lmax, and a point whose range cannot reach past them is dropped.  The
+    kept points get exact ``eigvalsh``, so the bound is the one ``eigvalsh``
+    gives over all points.
 
     Returns:
         ConditionBound(bound, singular)
     """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    shape = tuple(len(a) for a in axes)
+    n_grid = int(np.prod(shape))
+    extra = np.asarray(extra, dtype=float).reshape(-1, geo.dim)
+    total = n_grid + len(extra)
     lo, hi = np.inf, -np.inf
     kept, reach = np.empty((0, geo.dim, geo.dim)), np.empty((0, 4))
-    for start in range(0, len(zeta), _BOUND_CHUNK):
-        Q, sing = eval_Q_masked(geo, coeff, zeta[start : start + _BOUND_CHUNK])
+    for start in range(0, total, _BOUND_CHUNK):
+        stop = min(start + _BOUND_CHUNK, total)
+        idx = np.unravel_index(np.arange(start, min(stop, n_grid)), shape)
+        grid = np.column_stack([a[i] for a, i in zip(axes, idx)])
+        zeta = np.vstack([grid, extra[max(start - n_grid, 0) : max(stop - n_grid, 0)]])
+        Q, sing = eval_Q_masked(geo, coeff, zeta)
         if sing.any():
             return ConditionBound(np.inf, True)
         r = _eig_screen(Q)

@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import dsbmv
 
-__all__ = ["BandedSymMatrix", "BandedCholesky", "DenseCholesky"]
+__all__ = ["BandedSymMatrix", "BandedCholesky"]
 
 
 class BandedSymMatrix:
@@ -163,19 +163,5 @@ class BandedCholesky:
         for i in range(n - 1, -1, -1):
             W[i + p] = dot(bwd[i], W[i + p : i + 2 * p + 1])
         return W[p : p + n]
-
-    __call__ = solve
-
-
-class DenseCholesky:
-    """Dense counterpart of BandedCholesky, for small oracle computations."""
-
-    def __init__(self, A):
-        A = A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)
-        self.c = scipy.linalg.cho_factor(A)
-        self.n = A.shape[0]
-
-    def solve(self, b):
-        return scipy.linalg.cho_solve(self.c, b)
 
     __call__ = solve

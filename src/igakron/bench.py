@@ -20,7 +20,7 @@ from .assembly import (
     assemble_pencil_1d,
     assemble_stiffness,
     condition_bound,
-    quadrature_grid,
+    gauss_rule,
 )
 from .bspline import SplineSpace1D
 from .fd import fd_setup
@@ -224,21 +224,21 @@ def _estimate_bytes(cfg, n, d, assembled):
         nnz = w**d * N  # upper bound: every row holds the full band
         csr = nnz * 12
         if cfg.domain == "l_shape":
-            est += nnz * 8 + nnz * 24 + csr  # patch accumulators, COO scatter of their sum, CSR
+            est += nnz * 8 + nnz * 24 + csr  # patch matrices, COO scatter of their sum, CSR
         else:
-            # the block-banded accumulator over the full space is held first
-            # with the kernel's element tables (d^3 of E q^3 entries) and the
-            # work of one plane of elements: Q and its temporaries (about
-            # 400 B per point under tracemalloc for p <= 3) and the d^2
-            # trailing-direction sums of the q leading points plus their
-            # q^2-row GEMM result; then with the CSR and its per-leading-row
-            # copies
+            # the CSR is allocated up front and filled one leading basis
+            # function at a time from a ring of the p + 1 open ones, so it is
+            # held with the ring and either the kernel's work or one row's
+            # copies: the element tables (d^3 of E q^3 entries) and, per plane
+            # of elements, Q and its temporaries (about 400 B per point under
+            # tracemalloc for p <= 3) and the d^2 trailing-direction sums of
+            # the q leading points plus their q^2-row GEMM result
             q = cfg.p + 1
             E = n + 2 - cfg.p
             plane = q * (E * q) ** (d - 1)
             rows = ((n + 2) * w) ** (d - 1)
             kernel = 16 * d**3 * E * q**3 + 400 * plane + 8 * (d * d + q) * q * rows
-            est += ((n + 2) * w) ** d * 8 + max(kernel, csr + 4 * nnz // n * 8)
+            est += csr + q * w * rows * 8 + max(kernel, 4 * nnz // n * 8)
     return int(est)
 
 
@@ -256,12 +256,11 @@ def _rhs_for(cfg, spaces, geo, d, N, rng):
 
 
 def _cond_bound_value(spaces, geo):
-    _, zeta, _ = quadrature_grid(spaces)
+    axes = [gauss_rule(s, s.p + 1).points.ravel() for s in spaces]
     # the bound is a supremum over the closed domain: include the corners so
     # boundary-singular parametrizations report the +inf sentinel
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    cb = condition_bound(geo, None, np.vstack([zeta, corners]))
-    return cb.bound
+    return condition_bound(geo, None, axes, corners).bound
 
 
 def _kron_preconditioner(cfg, pencils):

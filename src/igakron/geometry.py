@@ -22,6 +22,7 @@ __all__ = [
     "abs_det_masked",
 ]
 
+# largest Hadamard ratio |det J| / prod_k ||J e_k|| of a singular point
 SINGULAR_TOL = 1e-14
 
 
@@ -266,10 +267,15 @@ def _cofactor(J, r, c):
 
 
 def _abs_det(J, row0_cofactors):
-    """|det J| of components J with singular points zeroed, and the singular mask."""
-    det = sum(J[0, c] * row0_cofactors[c] for c in range(len(J)))
-    absdet = np.abs(det)
-    singular = absdet < SINGULAR_TOL
+    """|det J| of components J with singular points zeroed, and the singular mask.
+
+    A point is singular when |det J| <= SINGULAR_TOL prod_k ||J e_k||: by
+    Hadamard's inequality the product of the column norms bounds |det J|, so
+    the test does not depend on the scale of the map.
+    """
+    absdet = np.abs(sum(J[0, c] * row0_cofactors[c] for c in range(len(J))))
+    # prod_k ||J e_k|| from the product of the squared column norms
+    singular = absdet <= SINGULAR_TOL * np.sqrt(np.einsum("ik...,ik...->k...", J, J).prod(axis=0))
     absdet[singular] = 0.0
     return absdet, singular
 
@@ -277,7 +283,7 @@ def _abs_det(J, row0_cofactors):
 def abs_det_masked(geo, zeta):
     """|det J| at many points, by cofactor expansion.
 
-    Points where |det J| < SINGULAR_TOL are flagged in the returned mask and
+    Singular points (see _abs_det) are flagged in the returned mask and
     their value is set to zero, as in eval_Q_masked.
 
     Returns:
@@ -301,7 +307,7 @@ def eval_Q_masked(geo, coeff, zeta):
     coefficient: Q = adj(J)^T adj(J) / |det J| is then formed without
     evaluating the map or K.
 
-    Points where |det J| < SINGULAR_TOL are flagged in the returned mask and
+    Singular points (see _abs_det) are flagged in the returned mask and
     their Q is set to zero (the assembly policy is that such quadrature points
     contribute nothing).
 

@@ -9,7 +9,7 @@ the familiar identity (A (x) B) vec(X) = vec(A X B^T) for row-major vec.
 
 import numpy as np
 
-__all__ = ["kron_matvec", "kron_solve", "apply_along_axis", "solve_along_axis", "KroneckerSum"]
+__all__ = ["kron_matvec", "apply_along_axis", "solve_along_axis", "KroneckerSum"]
 
 
 def _op_dim(op):
@@ -59,23 +59,6 @@ def kron_matvec(mats, x):
     X = x.reshape(dims)
     for axis, A in enumerate(mats):
         X = apply_along_axis(A, X, axis)
-    return X.reshape(-1)
-
-
-def kron_solve(solvers, x):
-    """Solve (A_1 (x) ... (x) A_d) s = x via factorwise solves.
-
-    Args:
-        solvers: ordered list of factor solvers (objects with .n and .solve)
-        x: right-hand side vector
-    """
-    dims = tuple(s.n for s in solvers)
-    x = np.asarray(x)
-    if x.size != int(np.prod(dims)):
-        raise ValueError("vector length %d does not match solver sizes %r" % (x.size, dims))
-    X = x.reshape(dims)
-    for axis, s in enumerate(solvers):
-        X = solve_along_axis(s, X, axis)
     return X.reshape(-1)
 
 

@@ -17,7 +17,6 @@ from .bspline import KnotVector, SplineSpace1D
 from .fd import fd_setup
 from .geometry import affine_map
 from .kron import KroneckerSum
-from .pcg import pcg
 
 __all__ = [
     "Patch",
@@ -281,24 +280,12 @@ class _FDLocalSolver:
         return self._fd.apply(r)
 
 
-class _InnerPCGLocalSolver:
-    def __init__(self, A_sub, spaces, steps):
-        self.A = A_sub
-        self.steps = steps
-        self._fd = _FDLocalSolver(spaces)._fd
-
-    def solve(self, r):
-        res = pcg(self.A, self._fd, r, tol=0.0, maxit=self.steps)
-        return res.x
-
-
 class SchwarzPreconditioner:
     """Additive overlapping Schwarz operator from patch-pair subdomains.
 
     mode "exact" factors each local matrix directly; mode "fd" replaces the
     local solve by one fast-diagonalization application on the merged tensor
-    space (geometry deliberately not incorporated); mode "fd_pcg" runs a fixed
-    number of locally preconditioned CG steps instead.
+    space (geometry deliberately not incorporated).
     """
 
     def __init__(self, subdomains, n):
@@ -316,7 +303,7 @@ class SchwarzPreconditioner:
     __call__ = apply
 
 
-def schwarz_setup(domain, A, mode="exact", inner_pcg_steps=3):
+def schwarz_setup(domain, A, mode="exact"):
     """Build the Schwarz preconditioner for an assembled multipatch matrix."""
     subdomains = []
     for iface in domain.interfaces:
@@ -325,8 +312,6 @@ def schwarz_setup(domain, A, mode="exact", inner_pcg_steps=3):
             solver = _ExactLocalSolver(A[dofs][:, dofs])
         elif mode == "fd":
             solver = _FDLocalSolver(spaces)
-        elif mode == "fd_pcg":
-            solver = _InnerPCGLocalSolver(A[dofs][:, dofs], spaces, inner_pcg_steps)
         else:
             raise ValueError("unknown Schwarz mode %r" % mode)
         subdomains.append((dofs, solver))

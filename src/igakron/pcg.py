@@ -63,10 +63,6 @@ class PCGResult:
         self.alphas = alphas
         self.betas = betas
 
-    @property
-    def lanczos_cond_estimate(self):
-        return lanczos_condition_estimate(self)
-
 
 def pcg(A, Pinv, b, tol=1e-8, maxit=500):
     """Solve A x = b by preconditioned conjugate gradients from x0 = 0.

@@ -9,7 +9,7 @@ from scipy.interpolate import BSpline
 
 from igakron import assembly
 from igakron.assembly import (
-    _band_to_csr,
+    _CSRRows,
     assemble_load,
     assemble_pencil_1d,
     assemble_stiffness,
@@ -38,6 +38,11 @@ from igakron.pcg import pcg
 
 def spaces_2d(p, q):
     return [SplineSpace1D.uniform(p, q), SplineSpace1D.uniform(p, q)]
+
+
+def gauss_axes(spaces):
+    """The 1D coordinates of quadrature_grid's points, per direction."""
+    return [gauss_rule(s, s.p + 1).points.ravel() for s in spaces]
 
 
 def test_gauss_midpoint_rule():
@@ -192,28 +197,48 @@ def test_manufactured_solution_exact_for_p2():
 
 
 def test_condition_bound_identity_and_annulus(monkeypatch):
-    _, z, _ = quadrature_grid(spaces_2d(2, 8))
-    cb = condition_bound(identity_map(2), identity_coefficient(2), z)
+    axes = gauss_axes(spaces_2d(2, 8))
+    cb = condition_bound(identity_map(2), identity_coefficient(2), axes)
     assert not cb.singular and abs(cb.bound - 1.0) < 1e-10
-    cb2 = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), z)
+    cb2 = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), axes)
     assert abs(cb2.bound - np.pi**2) < 0.05 * np.pi**2
     # chunked evaluation gives the single-shot value
     for chunk in (7, 24, 100):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), z)
+        cb = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), axes)
         assert not cb.singular and cb.bound == cb2.bound
 
 
 def test_condition_bound_singular_domain(monkeypatch):
-    _, z, _ = quadrature_grid(spaces_2d(2, 6))
-    z = np.vstack([z, [[0.5, 1.0]]])  # force a point on the collapsed edge
-    cb = condition_bound(builtin("collapsed_triangle"), identity_coefficient(2), z)
+    axes = gauss_axes(spaces_2d(2, 6))
+    edge = [[0.5, 1.0]]  # force a point on the collapsed edge
+    cb = condition_bound(builtin("collapsed_triangle"), identity_coefficient(2), axes, edge)
     assert cb.singular and np.isinf(cb.bound)
     # the only singular point alone in the last chunk still gives the sentinel
-    for chunk in (18, len(z) - 1):
+    for chunk in (18, len(axes[0]) * len(axes[1])):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("collapsed_triangle"), None, z)
+        cb = condition_bound(builtin("collapsed_triangle"), None, axes, edge)
         assert cb.singular and np.isinf(cb.bound)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 143, 145, 1000])
+def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
+    # every point once, in C order, chunk boundaries anywhere (the grid has 144)
+    spaces = [SplineSpace1D.uniform(2, 3), SplineSpace1D.uniform(3, 4)]
+    _, z, _ = quadrature_grid(spaces)
+    extra = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    seen = []
+
+    def record(geo, coeff, zeta):
+        seen.append(np.array(zeta))
+        return eval_Q_masked(geo, coeff, zeta)
+
+    monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
+    monkeypatch.setattr(assembly, "eval_Q_masked", record)
+    cb = condition_bound(builtin("quarter_annulus"), None, gauss_axes(spaces), extra)
+    assert not cb.singular
+    assert all(len(c) <= chunk for c in seen)
+    assert np.array_equal(np.vstack(seen), np.vstack([z, extra]))
 
 
 def _dense_from_band(BB, ms, p):
@@ -235,7 +260,14 @@ def test_band_to_csr_matches_dense_reference(ms, p, dirichlet):
     rng = np.random.default_rng(5)
     BB = rng.uniform(0.5, 1.5, size=[x for m in ms for x in (m, 2 * p + 1)])
     ranges = [(1, m - 1) if dirichlet else (0, m) for m in ms]
-    A = _band_to_csr(BB, ranges, p)
+    rows = _CSRRows(ms, ranges, p)
+    scratch = np.empty(BB.shape[1:])
+    for i in range(ms[0]):
+        # the sink must copy what it keeps: the kernel reuses the rows it passes
+        scratch[...] = BB[i]
+        rows.write(i, scratch.reshape(2 * p + 1, -1))
+        scratch[...] = np.nan
+    A = rows.matrix()
     inside = [np.arange(lo, hi) for lo, hi in ranges]
     idx = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inside, indexing="ij")], ms)
     ref = scipy.sparse.csr_matrix(_dense_from_band(BB, ms, p)[np.ix_(idx, idx)])
@@ -353,6 +385,40 @@ def test_kernel_matches_dense_quadrature(d, data):
     np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_kernel_leading_knot_of_multiplicity_p(d, dirichlet):
+    # the leading direction's first active function jumps by p at the
+    # repeated knot, so p rows of the kernel's ring are passed on at once
+    p = 3
+    lead = KnotVector(np.r_[np.zeros(p + 1), 0.25, [0.5] * p, 0.75, np.ones(p + 1)], p)
+    spaces = [SplineSpace1D(lead)] + [SplineSpace1D.uniform(p, 2 + k) for k in range(d - 1)]
+    geo = builtin("quarter_annulus" if d == 2 else "revolved_quarter_ring")
+    coeff = anisotropic_coefficient(d)
+    f = lambda x: np.cos(x[:, 0]) + x[:, -1] ** 2
+    A_ref, b_ref = dense_quadrature(spaces, geo, coeff, f)
+    if dirichlet:
+        inner = [np.arange(1, s.m - 1) for s in spaces]
+        keep = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inner, indexing="ij")], [s.m for s in spaces])
+        A_ref, b_ref = A_ref[np.ix_(keep, keep)], b_ref[keep]
+    A = assemble_stiffness(spaces, geo, coeff, dirichlet=dirichlet).toarray()
+    b = assemble_load(spaces, geo, f, dirichlet=dirichlet)
+    np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12 * np.abs(A_ref).max())
+    np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
+
+
+def test_scaled_map_is_not_singular():
+    # |det J| = 1e-15 is below an absolute 1e-14 but the map is a plain
+    # scaling: Q = 1e-5 I everywhere
+    spaces = [SplineSpace1D.uniform(2, 4) for _ in range(3)]
+    geo = affine_map(1e-5 * np.eye(3), np.zeros(3))
+    A = assemble_stiffness(spaces, geo)
+    A0 = assemble_stiffness(spaces, identity_map(3))
+    assert abs(A - 1e-5 * A0).max() <= 1e-12 * 1e-5 * abs(A0).max()
+    cb = condition_bound(geo, None, gauss_axes(spaces))
+    assert not cb.singular and cb.bound == 1.0
+
+
 @pytest.mark.parametrize("domain", list(BuiltinDomain))
 @pytest.mark.parametrize("corners", [False, True])
 @pytest.mark.parametrize("chunk", [None, 500])
@@ -360,12 +426,15 @@ def test_condition_bound_matches_eigvalsh(domain, corners, chunk, monkeypatch):
     # the thick ring has a double eigenvalue wherever lmax is taken, where
     # the closed-form screen is least accurate
     geo = builtin(domain)
-    _, z, _ = quadrature_grid([SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)])
+    spaces = [SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)]
+    _, z, _ = quadrature_grid(spaces)
+    extra = np.zeros((0, geo.dim))
     if corners:
-        z = np.vstack([z, np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T])
+        extra = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
+    z = np.vstack([z, extra])
     if chunk:
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-    cb = condition_bound(geo, None, z)
+    cb = condition_bound(geo, None, gauss_axes(spaces), extra)
     Q, sing = eval_Q_masked(geo, None, z)
     if sing.any():
         assert cb.singular and np.isinf(cb.bound)

@@ -15,6 +15,7 @@ from igakron.bench import (
     ConfigError,
     ExperimentConfig,
     MemoryLimitError,
+    _cond_bound_value,
     _estimate_bytes,
     emit_report,
     poisson_source,
@@ -127,6 +128,14 @@ def test_memory_estimate_covers_stiffness_assembly(domain, d, h_inv, p):
         tracemalloc.stop()
     est = _estimate_bytes(ExperimentConfig(domain=domain, p=p), spaces[0].n, d, assembled=True)
     assert peak <= est <= 1.5 * peak
+
+
+def test_condition_bound_memory_does_not_grow(tracemalloc_peak):
+    # the bound's sample points are generated chunk by chunk: 8x the points
+    # (2.1 M at 1/h = 32) must not raise the peak
+    geo = builtin("thick_quarter_ring")
+    peaks = [tracemalloc_peak(_cond_bound_value, [SplineSpace1D.uniform(3, h)] * 3, geo) for h in (16, 32)]
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_default_memory_cap_within_physical_memory():

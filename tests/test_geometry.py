@@ -156,10 +156,11 @@ def _spd_coefficient(dim):
 
 
 def _Q_reference(geo, K, z):
-    """|det J| J^{-T} K J^{-1} by batched inverse, zero where |det J| < SINGULAR_TOL."""
+    """|det J| J^{-T} K J^{-1} by batched inverse, zero where the Hadamard
+    ratio |det J| / prod_k ||J e_k|| is at most SINGULAR_TOL."""
     J = geo.jacobian(z)
     det = np.linalg.det(J)
-    singular = np.abs(det) < SINGULAR_TOL
+    singular = np.abs(det) <= SINGULAR_TOL * np.prod(np.linalg.norm(J, axis=1), axis=1)
     J[singular] = np.eye(geo.dim)
     Jinv = np.linalg.inv(J)
     Kx = K.evaluate(geo.evaluate(z))

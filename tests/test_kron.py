@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from igakron.banded import BandedSymMatrix, DenseCholesky
-from igakron.kron import KroneckerSum, kron_matvec, kron_solve
+from igakron.banded import BandedSymMatrix
+from igakron.kron import KroneckerSum, kron_matvec
 
 
 def random_spd(rng, n):
@@ -57,17 +57,6 @@ def test_nesting_order_consistency():
     np.testing.assert_allclose(got, right_first, rtol=1e-13, atol=1e-13)
 
 
-def test_kron_solve_identity_and_roundtrip():
-    rng = np.random.default_rng(5)
-    mats = [random_spd(rng, 4), random_spd(rng, 4)]
-    solvers = [DenseCholesky(A) for A in mats]
-    x = rng.standard_normal(16)
-    np.testing.assert_allclose(kron_solve(solvers, kron_matvec(mats, x)), x, rtol=1e-10, atol=1e-10)
-    # identity factors
-    eye_solvers = [DenseCholesky(np.eye(4)) for _ in range(2)]
-    np.testing.assert_allclose(kron_solve(eye_solvers, x), x)
-
-
 def test_kron_solve_singular_factor_raises():
     import scipy.linalg
 
@@ -76,15 +65,6 @@ def test_kron_solve_singular_factor_raises():
     singular = BandedSymMatrix.from_dense(np.diag([1.0, 0.0, 1.0]), 0)
     with pytest.raises(scipy.linalg.LinAlgError):
         BandedCholesky(singular)
-
-
-def test_kron_solve_matches_dense_inverse():
-    rng = np.random.default_rng(6)
-    mats = [random_spd(rng, 4), random_spd(rng, 4)]
-    x = rng.standard_normal(16)
-    want = np.linalg.solve(dense_kron(mats), x)
-    got = kron_solve([DenseCholesky(A) for A in mats], x)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def banded_from_dense(A, p):

@@ -239,11 +239,8 @@ def test_l_shape_inexact_schwarz_iteration_band():
         assert 12 <= res.iterations <= 26
 
 
-def test_inner_pcg_variant_available():
+def test_unknown_schwarz_mode_raises():
     dom = l_shape_domain(2, 8)
     A = assemble_multipatch_stiffness(dom)
-    prec = schwarz_setup(dom, A, mode="fd_pcg", inner_pcg_steps=3)
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(dom.N)
-    res = pcg(A, prec, b, tol=1e-8, maxit=200)
-    assert res.converged
+    with pytest.raises(ValueError, match="fd_pcg"):
+        schwarz_setup(dom, A, mode="fd_pcg")
