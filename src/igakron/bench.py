@@ -5,9 +5,21 @@ preconditioned CG, and collects per-refinement rows with iteration counts,
 timings, the achieved residual, the a-priori condition bound and the matrix
 fill.  Timings are reported but never asserted anywhere; iteration counts are
 the reproducible quantity.
+
+Every row takes one path, ``_run_row``: the memory check, then ``setup_s``
+around ``_problem`` (the one place that turns a domain into A, b, spaces,
+geometry, pencils or the multi-patch domain) and the solver's entry in
+``SOLVERS`` (the one place that builds each preconditioner), then
+``solve_s`` around CG, or around one application of the Kronecker solver in
+a direct row, and last the condition bound.  ``igakron export-matrix``
+builds its system through the same ``_problem``.
+
+The library functions are looked up as globals of this module when a row
+calls them, never held in a table filled at import time, so a wrapper
+installed on a module attribute (``perfbench/tracing.py`` does this) sees
+every call.
 """
 
-import io
 import os
 import time
 from dataclasses import dataclass, field
@@ -48,7 +60,24 @@ __all__ = [
 
 DOMAINS_2D = {"unit_square", "quarter_annulus", "stretched_square", "collapsed_triangle"}
 DOMAINS_3D = {"unit_cube", "thick_quarter_ring", "revolved_quarter_ring"}
-SOLVERS = {"fd", "adi", "ic", "schwarz_exact", "schwarz_fd", "none"}
+
+
+def _adi_setup(cfg, pb):
+    if len(pb.pencils) == 2:
+        return ADIPreconditioner.setup_2d(pb.pencils, eps=cfg.eps, seed=cfg.seed)
+    return ADIPreconditioner.setup_3d(pb.pencils, eps=cfg.eps, shifts=cfg.adi_shifts, seed=cfg.seed)
+
+
+# solver -> (the kinds of row it runs in, its preconditioner builder taking the
+# config and the _problem); the builders name library functions at call time
+SOLVERS = {
+    "fd": (("direct", "single-patch"), lambda cfg, pb: fd_setup(KroneckerSum(pb.pencils))),
+    "adi": (("direct", "single-patch"), _adi_setup),
+    "ic": (("single-patch", "multi-patch"), lambda cfg, pb: ic0_setup(pb.A, reorder="rcm")),
+    "schwarz_exact": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="exact")),
+    "schwarz_fd": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="fd")),
+    "none": (("single-patch", "multi-patch"), lambda cfg, pb: None),
+}
 
 CSV_COLUMNS = [
     "domain",
@@ -114,15 +143,12 @@ class ExperimentConfig:
             raise ConfigError("inner tolerance must lie in (0, 1)")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("outer tolerance must lie in (0, 1)")
-        if self.mode == "direct":
-            if self.domain not in ("unit_square", "unit_cube"):
-                raise ConfigError("direct mode applies the Kronecker solver, which is exact only on the unit square/cube")
-            if self.solver not in ("fd", "adi"):
-                raise ConfigError("direct mode supports the fd and adi solvers")
-        if self.solver in ("schwarz_exact", "schwarz_fd") and self.domain != "l_shape":
-            raise ConfigError("Schwarz solvers need the multi-patch l_shape domain")
-        if self.domain == "l_shape" and self.solver in ("adi",):
-            raise ConfigError("the l_shape benchmark supports fd-based Schwarz, ic or none")
+        if self.mode == "direct" and self.domain not in ("unit_square", "unit_cube"):
+            raise ConfigError("direct mode applies the Kronecker solver, which is exact only on the unit square/cube")
+        kind = "direct" if self.mode == "direct" else "multi-patch" if self.domain == "l_shape" else "single-patch"
+        if kind not in SOLVERS[self.solver][0]:
+            allowed = ", ".join(s for s, (kinds, _) in SOLVERS.items() if kind in kinds)
+            raise ConfigError("solver %r does not run in %s rows, which take %s" % (self.solver, kind, allowed))
         if self.adi_shifts not in ("douglas", "greedy"):
             raise ConfigError("adi_shifts must be 'douglas' or 'greedy'")
         return self
@@ -150,56 +176,19 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
 
     def to_csv(self):
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for r in self.rows:
-            out.write(
-                "%s,%d,%d,%s,%d,%d,%s,%s,%s,%s,%d\n"
-                % (
-                    r.domain,
-                    r.p,
-                    r.h_inv,
-                    r.solver,
-                    r.outer_iters,
-                    r.inner_iters,
-                    _fmt(r.setup_s),
-                    _fmt(r.solve_s),
-                    _fmt(r.residual),
-                    _fmt(r.cond_bound),
-                    r.nnz,
-                )
-            )
-        return out.getvalue()
+        table = [CSV_COLUMNS] + [_cells(r) for r in self.rows]
+        return "".join(",".join(cells) + "\n" for cells in table)
 
     def to_text(self):
-        cells = [CSV_COLUMNS]
-        for r in self.rows:
-            cells.append(
-                [
-                    r.domain,
-                    str(r.p),
-                    str(r.h_inv),
-                    r.solver,
-                    str(r.outer_iters),
-                    str(r.inner_iters),
-                    _fmt(r.setup_s),
-                    _fmt(r.solve_s),
-                    _fmt(r.residual),
-                    _fmt(r.cond_bound),
-                    str(r.nnz),
-                ]
-            )
-        widths = [max(len(row[c]) for row in cells) for c in range(len(CSV_COLUMNS))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+        table = [CSV_COLUMNS] + [_cells(r) for r in self.rows]
+        widths = [max(len(cells[c]) for cells in table) for c in range(len(CSV_COLUMNS))]
+        lines = ["  ".join(cell.rjust(w) for cell, w in zip(cells, widths)) for cells in table]
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x):
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return "nan"
-    if isinstance(x, float) and np.isinf(x):
-        return "inf"
-    return "%.6g" % x
+def _cells(row):
+    """The row's report cells in CSV_COLUMNS order; floats to 6 significant digits."""
+    return ["%.6g" % x if isinstance(x, float) else str(x) for x in (getattr(row, c) for c in CSV_COLUMNS)]
 
 
 def poisson_source(d):
@@ -242,17 +231,38 @@ def _estimate_bytes(cfg, n, d, assembled):
     return int(est)
 
 
-def _single_patch_problem(cfg, h_inv, rng):
-    d = 2 if cfg.domain in DOMAINS_2D else 3
-    spaces = [SplineSpace1D.uniform(cfg.p, h_inv) for _ in range(d)]
+@dataclass
+class _Problem:
+    A: object  # the assembled matrix; None in a direct row
+    b: np.ndarray
+    spaces: list = None  # single-patch domains only
+    geo: object = None
+    pencils: list = None  # direct rows and the Kronecker solvers only
+    dom: object = None  # the multi-patch domain
+
+
+def _problem(cfg, h_inv, rng):
+    """The linear system of one row of ``cfg`` at refinement ``h_inv``.
+
+    The unit cube takes a standard normal right-hand side from ``rng``; every
+    other domain loads the Poisson source.
+    """
+    if cfg.domain == "l_shape":
+        dom = l_shape_domain(cfg.p, h_inv)
+        A = assemble_multipatch_stiffness(dom)
+        return _Problem(A, assemble_multipatch_load(dom, poisson_source(2)), dom=dom)
     geo = builtin(BuiltinDomain(cfg.domain))
-    return d, spaces, geo
-
-
-def _rhs_for(cfg, spaces, geo, d, N, rng):
+    spaces = [SplineSpace1D.uniform(cfg.p, h_inv) for _ in range(geo.dim)]
+    direct = cfg.mode == "direct"
+    pencils = [assemble_pencil_1d(s) for s in spaces] if direct else None
+    A = None if direct else assemble_stiffness(spaces, geo)
     if cfg.domain == "unit_cube":
-        return rng.standard_normal(N)
-    return assemble_load(spaces, geo, poisson_source(d))
+        b = rng.standard_normal(spaces[0].n ** geo.dim)
+    else:
+        b = assemble_load(spaces, geo, poisson_source(geo.dim))
+    if not direct and cfg.solver in ("fd", "adi"):
+        pencils = [assemble_pencil_1d(s) for s in spaces]
+    return _Problem(A, b, spaces, geo, pencils)
 
 
 def _cond_bound_value(spaces, geo):
@@ -263,118 +273,45 @@ def _cond_bound_value(spaces, geo):
     return condition_bound(geo, None, axes, corners).bound
 
 
-def _kron_preconditioner(cfg, pencils):
-    """The FD or ADI solver of the Kronecker sum of the pencils."""
-    if cfg.solver == "fd":
-        return fd_setup(KroneckerSum(pencils))
-    if len(pencils) == 2:
-        return ADIPreconditioner.setup_2d(pencils, eps=cfg.eps, seed=cfg.seed)
-    return ADIPreconditioner.setup_3d(pencils, eps=cfg.eps, shifts=cfg.adi_shifts, seed=cfg.seed)
-
-
-def _run_direct_row(cfg, h_inv, rng):
-    d, spaces, geo = _single_patch_problem(cfg, h_inv, rng)
-    n = spaces[0].n
-    need = _estimate_bytes(cfg, n, d, assembled=False)
+def _run_row(cfg, h_inv, rng):
+    direct = cfg.mode == "direct"
+    d = 3 if cfg.domain in DOMAINS_3D else 2
+    need = _estimate_bytes(cfg, h_inv + cfg.p - 2, d, assembled=not direct)
     if need > cfg.memory_cap:
         raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
     t0 = time.perf_counter()
-    pencils = [assemble_pencil_1d(s) for s in spaces]
-    P = KroneckerSum(pencils)
-    b = _rhs_for(cfg, spaces, geo, d, P.n, rng)
-    prec = _kron_preconditioner(cfg, pencils)
+    pb = _problem(cfg, h_inv, rng)
+    prec = SOLVERS[cfg.solver][1](cfg, pb)
     t1 = time.perf_counter()
-    x = prec.apply(b)
-    t2 = time.perf_counter()
-    res = np.linalg.norm(P.matvec(x) - b) / np.linalg.norm(b)
+    if direct:
+        x = prec.apply(pb.b)
+        t2 = time.perf_counter()
+        residual = np.linalg.norm(KroneckerSum(pb.pencils).matvec(x) - pb.b) / np.linalg.norm(pb.b)
+        outer_iters = 1
+        converged = residual <= 2 * max(cfg.tol, cfg.eps if cfg.solver == "adi" else 0.0)
+        cond_bound = 1.0
+        nnz = sum((2 * cfg.p + 1) * s.n for s in pb.spaces)
+    else:
+        result = pcg(pb.A, prec, pb.b, tol=cfg.tol, maxit=cfg.maxit)
+        t2 = time.perf_counter()
+        residual = result.true_residual
+        outer_iters = result.iterations
+        converged = result.converged
+        cond_bound = float("nan") if pb.geo is None else _cond_bound_value(pb.spaces, pb.geo)
+        nnz = pb.A.nnz
     return ReportRow(
         domain=cfg.domain,
         p=cfg.p,
         h_inv=h_inv,
         solver=cfg.solver,
-        outer_iters=1,
+        outer_iters=outer_iters,
         inner_iters=prec.inner_iterations if cfg.solver == "adi" else 0,
         setup_s=t1 - t0,
         solve_s=t2 - t1,
-        residual=float(res),
-        cond_bound=1.0,
-        nnz=sum((2 * cfg.p + 1) * s.n for s in spaces),
-        converged=bool(res <= 2 * max(cfg.tol, cfg.eps if cfg.solver == "adi" else 0.0)),
-    )
-
-
-def _run_precond_row(cfg, h_inv, rng):
-    if cfg.domain == "l_shape":
-        return _run_l_shape_row(cfg, h_inv, rng)
-    d, spaces, geo = _single_patch_problem(cfg, h_inv, rng)
-    n = spaces[0].n
-    need = _estimate_bytes(cfg, n, d, assembled=True)
-    if need > cfg.memory_cap:
-        raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
-    t0 = time.perf_counter()
-    A = assemble_stiffness(spaces, geo)
-    b = _rhs_for(cfg, spaces, geo, d, A.shape[0], rng)
-    if cfg.solver in ("fd", "adi"):
-        prec = _kron_preconditioner(cfg, [assemble_pencil_1d(s) for s in spaces])
-    elif cfg.solver == "ic":
-        prec = ic0_setup(A, reorder="rcm")
-    elif cfg.solver == "none":
-        prec = None
-    else:
-        raise ConfigError("solver %r is not available on single-patch domains" % cfg.solver)
-    t1 = time.perf_counter()
-    result = pcg(A, prec, b, tol=cfg.tol, maxit=cfg.maxit)
-    t2 = time.perf_counter()
-    return ReportRow(
-        domain=cfg.domain,
-        p=cfg.p,
-        h_inv=h_inv,
-        solver=cfg.solver,
-        outer_iters=result.iterations,
-        inner_iters=prec.inner_iterations if cfg.solver == "adi" else 0,
-        setup_s=t1 - t0,
-        solve_s=t2 - t1,
-        residual=float(result.true_residual),
-        cond_bound=_cond_bound_value(spaces, geo),
-        nnz=int(A.nnz),
-        converged=bool(result.converged),
-    )
-
-
-def _run_l_shape_row(cfg, h_inv, rng):
-    need = _estimate_bytes(cfg, h_inv + cfg.p - 2, 2, assembled=True)
-    if need > cfg.memory_cap:
-        raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
-    t0 = time.perf_counter()
-    dom = l_shape_domain(cfg.p, h_inv)
-    A = assemble_multipatch_stiffness(dom)
-    b = assemble_multipatch_load(dom, poisson_source(2))
-    if cfg.solver == "schwarz_exact":
-        prec = schwarz_setup(dom, A, mode="exact")
-    elif cfg.solver == "schwarz_fd":
-        prec = schwarz_setup(dom, A, mode="fd")
-    elif cfg.solver == "ic":
-        prec = ic0_setup(A, reorder="rcm")
-    elif cfg.solver == "none":
-        prec = None
-    else:
-        raise ConfigError("solver %r is not available on the l_shape domain" % cfg.solver)
-    t1 = time.perf_counter()
-    result = pcg(A, prec, b, tol=cfg.tol, maxit=cfg.maxit)
-    t2 = time.perf_counter()
-    return ReportRow(
-        domain=cfg.domain,
-        p=cfg.p,
-        h_inv=h_inv,
-        solver=cfg.solver,
-        outer_iters=result.iterations,
-        inner_iters=0,
-        setup_s=t1 - t0,
-        solve_s=t2 - t1,
-        residual=float(result.true_residual),
-        cond_bound=float("nan"),
-        nnz=int(A.nnz),
-        converged=bool(result.converged),
+        residual=float(residual),
+        cond_bound=float(cond_bound),
+        nnz=int(nnz),
+        converged=bool(converged),
     )
 
 
@@ -388,11 +325,7 @@ def run_experiment(cfg):
     report = ExperimentReport(config=cfg)
     rng = np.random.default_rng(cfg.seed)
     for h_inv in cfg.h_invs:
-        if cfg.mode == "direct":
-            row = _run_direct_row(cfg, h_inv, rng)
-        else:
-            row = _run_precond_row(cfg, h_inv, rng)
-        report.rows.append(row)
+        report.rows.append(_run_row(cfg, h_inv, rng))
     return report
 
 

@@ -10,32 +10,21 @@ run failed to converge.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .adi import douglas_shifts_3d, greedy_shifts_3d, wachspress_shifts
-from .assembly import assemble_load, assemble_stiffness, write_matrix_market
-from .bench import ConfigError, ExperimentConfig, emit_report, poisson_source, run_experiment
-from .bspline import SplineSpace1D
-from .geometry import BuiltinDomain, builtin
-from .multipatch import assemble_multipatch_load, assemble_multipatch_stiffness, l_shape_domain
+from .assembly import write_matrix_market
+from .bench import SOLVERS, ConfigError, ExperimentConfig, _problem, emit_report, run_experiment
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = {
-    "domain": str,
-    "p": int,
-    "h_inv": str,
-    "solver": str,
-    "mode": str,
-    "eps": float,
-    "tol": float,
-    "seed": int,
-    "maxit": int,
-    "memory_cap": int,
-    "adi_shifts": str,
-}
+# config-file keys and run flags: ExperimentConfig's fields, with the
+# refinement list given as comma-separated h_inv
+_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "h_invs"}
+_CONFIG_KEYS["h_inv"] = str
 
 
 def _parse_config_file(path):
@@ -51,7 +40,10 @@ def _parse_config_file(path):
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = _CONFIG_KEYS[key](val.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](val.strip())
+            except ValueError as err:
+                raise ConfigError("%s:%d: %s" % (path, lineno, err)) from err
     return values
 
 
@@ -66,12 +58,10 @@ def _build_config(args):
     values = {}
     if args.config:
         values.update(_parse_config_file(args.config))
-    for key in ("domain", "p", "solver", "mode", "eps", "tol", "seed", "maxit", "memory_cap", "adi_shifts"):
+    for key in _CONFIG_KEYS:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    if getattr(args, "h_inv", None) is not None:
-        values["h_inv"] = args.h_inv
     if "h_inv" in values:
         values["h_invs"] = _parse_h_invs(values.pop("h_inv"))
     if values.get("mode") == "preconditioner":
@@ -93,38 +83,30 @@ def _cmd_run(args):
 
 
 def _cmd_export_matrix(args):
-    p = args.p
-    h = args.h_inv
-    if args.domain == "l_shape":
-        dom = l_shape_domain(p, h)
-        A = assemble_multipatch_stiffness(dom)
-        b = assemble_multipatch_load(dom, poisson_source(2))
-    else:
-        geo = builtin(BuiltinDomain(args.domain))
-        spaces = [SplineSpace1D.uniform(p, h) for _ in range(geo.dim)]
-        A = assemble_stiffness(spaces, geo)
-        if args.domain == "unit_cube":
-            b = np.random.default_rng(args.seed).standard_normal(A.shape[0])
-        else:
-            b = assemble_load(spaces, geo, poisson_source(geo.dim))
+    cfg = ExperimentConfig(domain=args.domain, p=args.p, h_invs=(args.h_inv,), solver="none", seed=args.seed)
+    pb = _problem(cfg.validate(), args.h_inv, np.random.default_rng(cfg.seed))
+    A = pb.A
     write_matrix_market(A, args.out + ".A.mtx")
-    write_matrix_market(b, args.out + ".b.mtx")
+    write_matrix_market(pb.b, args.out + ".b.mtx")
     print("wrote %s.A.mtx (%dx%d, nnz %d) and %s.b.mtx" % (args.out, A.shape[0], A.shape[1], A.nnz, args.out))
     return 0
 
 
 def _cmd_shifts(args):
+    try:
+        if args.dim == 2:
+            plan = wachspress_shifts(args.a, args.b, args.a, args.b, args.eps)
+        elif args.strategy == "greedy":
+            plan = greedy_shifts_3d(args.a, args.b, args.j_max or 400, args.eps, seed=args.seed)
+        else:
+            plan = douglas_shifts_3d(args.a, args.b, args.eps)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if args.dim == 2:
-        plan = wachspress_shifts(args.a, args.b, args.a, args.b, args.eps)
         print("J = %d  (realized bound %.3e <= %.3e)" % (plan.J, plan.bound, args.eps))
         for j, (w, g) in enumerate(zip(plan.omegas, plan.gammas), 1):
             print("%3d  omega = %.9e  gamma = %.9e" % (j, w, g))
     else:
-        if args.strategy == "greedy":
-            j_max = args.j_max or 400
-            plan = greedy_shifts_3d(args.a, args.b, j_max, args.eps, seed=args.seed)
-        else:
-            plan = douglas_shifts_3d(args.a, args.b, args.eps)
         print(
             "J = %d of a-priori %d  (contraction %.3e <= %.3e)"
             % (plan.J, plan.J0, plan.rho_values[-1], args.eps)
@@ -143,7 +125,7 @@ def build_parser():
     run.add_argument("--domain")
     run.add_argument("--p", type=int)
     run.add_argument("--h-inv", dest="h_inv", help="comma-separated refinement levels, e.g. 64,128")
-    run.add_argument("--solver", choices=["fd", "adi", "ic", "schwarz_exact", "schwarz_fd", "none"])
+    run.add_argument("--solver", choices=list(SOLVERS))
     run.add_argument("--mode", choices=["precond", "preconditioner", "direct"])
     run.add_argument("--eps", type=float, help="inner (ADI) tolerance")
     run.add_argument("--tol", type=float, help="outer CG tolerance")
@@ -168,7 +150,7 @@ def build_parser():
     sh.add_argument("--b", type=float, required=True)
     sh.add_argument("--eps", type=float, required=True)
     sh.add_argument("--dim", type=int, choices=[2, 3], default=2)
-    sh.add_argument("--strategy", choices=["elliptic", "douglas", "greedy"], default=None)
+    sh.add_argument("--strategy", choices=["douglas", "greedy"], default=None)
     sh.add_argument("--j-max", dest="j_max", type=int)
     sh.add_argument("--seed", type=int, default=0)
     sh.set_defaults(func=_cmd_shifts)

@@ -263,23 +263,6 @@ def _merged_subdomain(domain, iface):
     return dofs, spaces
 
 
-class _ExactLocalSolver:
-    def __init__(self, A_sub):
-        self._lu = scipy.sparse.linalg.splu(A_sub.tocsc())
-
-    def solve(self, r):
-        return self._lu.solve(r)
-
-
-class _FDLocalSolver:
-    def __init__(self, spaces):
-        pencils = [assemble_pencil_1d(s) for s in spaces]
-        self._fd = fd_setup(KroneckerSum(pencils))
-
-    def solve(self, r):
-        return self._fd.apply(r)
-
-
 class SchwarzPreconditioner:
     """Additive overlapping Schwarz operator from patch-pair subdomains.
 
@@ -289,15 +272,15 @@ class SchwarzPreconditioner:
     """
 
     def __init__(self, subdomains, n):
-        self.subdomains = subdomains  # list of (dofs, solver)
+        self.subdomains = subdomains  # list of (dofs, local solve)
         self.n = n
 
     shape = property(lambda self: (self.n, self.n))
 
     def apply(self, r):
         out = np.zeros_like(np.asarray(r, dtype=float))
-        for dofs, solver in self.subdomains:
-            out[dofs] += solver.solve(r[dofs])
+        for dofs, solve in self.subdomains:
+            out[dofs] += solve(r[dofs])
         return out
 
     __call__ = apply
@@ -309,12 +292,12 @@ def schwarz_setup(domain, A, mode="exact"):
     for iface in domain.interfaces:
         dofs, spaces = _merged_subdomain(domain, iface)
         if mode == "exact":
-            solver = _ExactLocalSolver(A[dofs][:, dofs])
+            solve = scipy.sparse.linalg.splu(A[dofs][:, dofs].tocsc()).solve
         elif mode == "fd":
-            solver = _FDLocalSolver(spaces)
+            solve = fd_setup(KroneckerSum([assemble_pencil_1d(s) for s in spaces])).apply
         else:
             raise ValueError("unknown Schwarz mode %r" % mode)
-        subdomains.append((dofs, solver))
+        subdomains.append((dofs, solve))
     covered = np.zeros(domain.N, dtype=bool)
     for dofs, _ in subdomains:
         covered[dofs] = True

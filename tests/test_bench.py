@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.io
 
 import igakron
+import igakron.bench
 from igakron.adi import ADIPreconditioner
 from igakron.assembly import assemble_load, assemble_pencil_1d, assemble_stiffness
 from igakron.bench import (
@@ -23,8 +25,17 @@ from igakron.bench import (
 )
 from igakron.bspline import SplineSpace1D
 from igakron.cli import _build_config, build_parser
+from igakron.fd import fd_setup
 from igakron.geometry import builtin
+from igakron.ic import ic0_setup
 from igakron.kron import KroneckerSum
+from igakron.multipatch import (
+    assemble_multipatch_load,
+    assemble_multipatch_stiffness,
+    l_shape_domain,
+    schwarz_setup,
+)
+from igakron.pcg import pcg
 
 
 def run_cli(*args):
@@ -37,16 +48,18 @@ def run_cli(*args):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(domain="moebius").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(h_invs=(48,)).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(eps=1.5).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(mode="direct", domain="quarter_annulus").validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(solver="schwarz_fd", domain="unit_square").validate()
+    for bad in [
+        dict(domain="moebius"),
+        dict(h_invs=(48,)),
+        dict(eps=1.5),
+        dict(mode="direct", domain="quarter_annulus"),
+        dict(mode="direct", domain="unit_square", solver="ic"),
+        dict(solver="schwarz_fd", domain="unit_square"),
+        dict(solver="fd", domain="l_shape"),
+        dict(solver="adi", domain="l_shape"),
+    ]:
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad).validate()
     ExperimentConfig(domain="unit_square", mode="direct", solver="fd", h_invs=(16,)).validate()
 
 
@@ -89,6 +102,83 @@ def test_direct_adi_row_is_the_preconditioner_apply(domain, d, h_inv, monkeypatc
     assert row.converged
     assert len(solutions) == 1
     assert np.linalg.norm(solutions[0] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+# the library functions the driver looks up in igakron.bench when a row runs
+BENCH_LOOKUPS = [
+    "assemble_stiffness",
+    "assemble_load",
+    "assemble_pencil_1d",
+    "condition_bound",
+    "fd_setup",
+    "ic0_setup",
+    "assemble_multipatch_stiffness",
+    "assemble_multipatch_load",
+    "schwarz_setup",
+    "pcg",
+]
+SINGLE = {"assemble_stiffness", "assemble_load", "condition_bound", "pcg"}
+MULTI = {"assemble_multipatch_stiffness", "assemble_multipatch_load", "pcg"}
+
+
+@pytest.mark.parametrize(
+    "domain, solver, mode, looked_up",
+    [
+        ("quarter_annulus", "fd", "precond", SINGLE | {"assemble_pencil_1d", "fd_setup"}),
+        ("quarter_annulus", "adi", "precond", SINGLE | {"assemble_pencil_1d"}),
+        ("quarter_annulus", "ic", "precond", SINGLE | {"ic0_setup"}),
+        ("quarter_annulus", "none", "precond", SINGLE),
+        ("l_shape", "schwarz_exact", "precond", MULTI | {"schwarz_setup"}),
+        ("l_shape", "schwarz_fd", "precond", MULTI | {"schwarz_setup"}),
+        ("l_shape", "ic", "precond", MULTI | {"ic0_setup"}),
+        ("l_shape", "none", "precond", MULTI),
+        ("unit_square", "fd", "direct", {"assemble_load", "assemble_pencil_1d", "fd_setup"}),
+        ("unit_square", "adi", "direct", {"assemble_load", "assemble_pencil_1d"}),
+    ],
+)
+def test_every_solver_row_is_the_library_solve(domain, solver, mode, looked_up, monkeypatch):
+    calls = Counter()
+    for name in BENCH_LOOKUPS:
+
+        def counting(*args, _fn=getattr(igakron.bench, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(igakron.bench, name, counting)
+    cfg = ExperimentConfig(domain=domain, p=2, h_invs=(8,), solver=solver, mode=mode)
+    row = run_experiment(cfg).rows[0]
+    monkeypatch.undo()
+    assert set(calls) == looked_up
+
+    # the same system and preconditioner, built without the driver
+    if domain == "l_shape":
+        dom = l_shape_domain(2, 8)
+        A = assemble_multipatch_stiffness(dom)
+        b = assemble_multipatch_load(dom, poisson_source(2))
+    else:
+        spaces = [SplineSpace1D.uniform(2, 8)] * 2
+        A = assemble_stiffness(spaces, builtin(domain))
+        b = assemble_load(spaces, builtin(domain), poisson_source(2))
+        pencils = [assemble_pencil_1d(s) for s in spaces]
+    prec = {
+        "fd": lambda: fd_setup(KroneckerSum(pencils)),
+        "adi": lambda: ADIPreconditioner.setup_2d(pencils, eps=cfg.eps, seed=cfg.seed),
+        "ic": lambda: ic0_setup(A, reorder="rcm"),
+        "schwarz_exact": lambda: schwarz_setup(dom, A, mode="exact"),
+        "schwarz_fd": lambda: schwarz_setup(dom, A, mode="fd"),
+        "none": lambda: None,
+    }[solver]()
+    if mode == "direct":
+        x = prec.apply(b)
+        iterations = 1
+        residual = np.linalg.norm(KroneckerSum(pencils).matvec(x) - b) / np.linalg.norm(b)
+    else:
+        ref = pcg(A, prec, b, tol=cfg.tol, maxit=cfg.maxit)
+        iterations = ref.iterations
+        residual = ref.true_residual
+    assert row.outer_iters == iterations
+    assert row.residual == pytest.approx(residual, rel=1e-12)
+    assert row.converged
 
 
 def test_precond_quarter_annulus_constant_iterations():
@@ -255,3 +345,26 @@ def test_cli_shifts(tmp_path):
     cp3 = run_cli("shifts", "--a", "1", "--b", "100", "--eps", "1e-2", "--dim", "3")
     assert cp3.returncode == 0
     assert "omega" in cp3.stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("run", "--config", "bad.cfg"), "configuration error"),
+        (("export-matrix", "--domain", "moebius", "--p", "2", "--h-inv", "8"), "configuration error"),
+        (("export-matrix", "--domain", "quarter_annulus", "--p", "2", "--h-inv", "1"), "configuration error"),
+        (("shifts", "--a", "5", "--b", "1", "--eps", "0.1"), "configuration error"),
+        (("shifts", "--a", "5", "--b", "1", "--eps", "0.1", "--dim", "3"), "configuration error"),
+        (("shifts", "--a", "1", "--b", "5", "--eps", "0.1", "--dim", "3", "--strategy", "elliptic"), "invalid choice"),
+    ],
+)
+def test_cli_bad_input_exits_2(args, message, tmp_path):
+    (tmp_path / "bad.cfg").write_text("domain=quarter_annulus\np=abc\n")
+    args = [str(tmp_path / a) if a == "bad.cfg" else a for a in args]
+    if args[0] == "export-matrix":
+        args += ["--out", str(tmp_path / "sys")]
+    cp = run_cli(*args)
+    assert cp.returncode == 2
+    assert message in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not list(tmp_path.glob("sys*"))
