@@ -7,7 +7,7 @@ incomplete-Cholesky baseline, conforming multi-patch support with overlapping
 Schwarz preconditioning, and a benchmark command line driver.
 """
 
-from .bspline import KnotVector, SplineSpace1D, uniform_knots, find_span, eval_basis, eval_basis_derivs
+from .bspline import KnotVector, SplineSpace1D, uniform_knots, basis_tables
 from .banded import BandedSymMatrix, BandedCholesky
 from .kron import KroneckerSum, kron_matvec
 from .geometry import (

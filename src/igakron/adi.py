@@ -246,15 +246,6 @@ def rho_prefix_3d(omegas, lams):
     return out
 
 
-def _rho_complete(omegas, lams):
-    L1, L2, L3 = _triple_grids(lams)
-    S = L1 + L2 + L3
-    P = np.ones(np.broadcast_shapes(L1.shape, L2.shape, L3.shape))
-    for w in omegas:
-        P *= 1.0 - 2.0 * w * w * S / ((w + L1) * (w + L2) * (w + L3))
-    return float(np.abs(P).max())
-
-
 class ShiftPlan3D:
     """Shift plan for the 3D sweep.
 
@@ -341,18 +332,18 @@ def douglas_shifts_3d(a, b, eps, eigs=None, triple_cap=128):
     def ladder(J):
         return _geometric_ladder(a, 4.0 * b, J)
 
-    if _rho_complete(ladder(hi_J), lams) > eps:
+    rho = rho_prefix_3d(ladder(hi_J), lams)
+    if rho[-1] > eps:
         raise ArithmeticError("a-priori shift count does not certify the tolerance")
     # bisect the smallest certified ladder length
     while lo_J + 1 < hi_J:
         mid = (lo_J + hi_J) // 2
-        if _rho_complete(ladder(mid), lams) <= eps:
-            hi_J = mid
+        rho_mid = rho_prefix_3d(ladder(mid), lams)
+        if rho_mid[-1] <= eps:
+            hi_J, rho = mid, rho_mid
         else:
             lo_J = mid
-    omegas = ladder(hi_J)
-    rho = rho_prefix_3d(omegas, lams)
-    return ShiftPlan3D(J0, omegas, rho, (a, b), eps)
+    return ShiftPlan3D(J0, ladder(hi_J), rho, (a, b), eps)
 
 
 def _maximize_error_product(omegas, a, b, rng, ngrid=32, nrandom=24):
@@ -398,6 +389,8 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
     """
     if not (0.0 < a <= b):
         raise ValueError("need 0 < a <= b")
+    if J_max < 1:
+        raise ValueError("J_max must be >= 1, got %r" % (J_max,))
     rng = np.random.default_rng(seed)
     omegas = []
     rho_values = []
@@ -527,7 +520,7 @@ class ADIPreconditioner:
         if shifts == "douglas":
             plan = douglas_shifts_3d(a, b, eps, eigs=eigs)
         elif shifts == "greedy":
-            cap = J_max or max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
+            cap = J_max if J_max is not None else max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
             plan = greedy_shifts_3d(a, b, cap, eps, seed=seed)
         else:
             raise ValueError("unknown 3D shift strategy %r" % shifts)

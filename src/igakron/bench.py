@@ -143,6 +143,10 @@ class ExperimentConfig:
             raise ConfigError("inner tolerance must lie in (0, 1)")
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("outer tolerance must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer, got %r" % (self.seed,))
+        if self.maxit < 1:
+            raise ConfigError("maxit must be >= 1, got %r" % (self.maxit,))
         if self.mode == "direct" and self.domain not in ("unit_square", "unit_cube"):
             raise ConfigError("direct mode applies the Kronecker solver, which is exact only on the unit square/cube")
         kind = "direct" if self.mode == "direct" else "multi-patch" if self.domain == "l_shape" else "single-patch"

@@ -1,9 +1,14 @@
 """Univariate B-spline bases on open knot vectors.
 
-Basis values are computed by the Cox-DeBoor recursion (with the 0/0 = 0
-convention); first derivatives use the standard knot-difference formula.
-All evaluation routines are pure and the knot-vector objects are immutable
-after construction, so they can be shared freely between threads.
+`basis_tables` is the one basis evaluator.  It tabulates the p+1 nonzero
+B-splines and their first derivatives at a whole array of points: the spans
+come from one sorted search, and each step of the triangular Cox-de Boor
+scheme (de Boor, A Practical Guide to Splines, 1978) is one vector operation
+over all points.  First derivatives follow from the degree p-1 values of the
+same triangle by the knot-difference formula, with a zero term where
+repeated knots make the denominator vanish.  The evaluator is pure and the
+knot-vector objects are immutable after construction, so they can be shared
+freely between threads.
 """
 
 import numpy as np
@@ -12,9 +17,6 @@ __all__ = [
     "KnotVector",
     "SplineSpace1D",
     "uniform_knots",
-    "find_span",
-    "eval_basis",
-    "eval_basis_derivs",
     "basis_tables",
 ]
 
@@ -128,103 +130,47 @@ class SplineSpace1D:
         return "SplineSpace1D(p=%d, n=%d)" % (self.p, self.n)
 
 
-def find_span(kv, zeta):
-    """Index i of the knot span with knots[i] <= zeta < knots[i+1].
-
-    zeta = 1 is mapped to the last nonempty span, so basis values at the
-    right endpoint are left limits.
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError("evaluation point %r outside [0, 1]" % (zeta,))
-    knots, m = kv.knots, kv.m
-    i = int(np.searchsorted(knots, zeta, side="right")) - 1
-    return min(i, m - 1)
-
-
-def eval_basis(kv, zeta):
-    """Values of the p+1 B-splines that are nonzero at zeta.
-
-    Returns:
-        (span, values): the knot span index and an array of length p+1 with
-        the values of basis functions span-p ... span.
-    """
-    span = find_span(kv, zeta)
-    return span, _basis_values(kv.knots, kv.p, span, zeta)
-
-
-def _basis_values(knots, p, span, zeta):
-    # triangular Cox-DeBoor scheme; denominators are nonzero on nonempty spans
-    N = np.empty(p + 1)
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    N[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = zeta - knots[span + 1 - j]
-        right[j] = knots[span + j] - zeta
-        saved = 0.0
-        for r in range(j):
-            tmp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        N[j] = saved
-    return N
-
-
-def eval_basis_derivs(kv, zeta, order=1):
-    """Values and first derivatives of the nonzero B-splines at zeta.
-
-    Only order 0 (values) and 1 (values + first derivatives) are supported;
-    the Galerkin forms assembled here never need higher derivatives.
-
-    Returns:
-        (span, values, derivs); derivs is None when order == 0.
-    """
-    if order not in (0, 1):
-        raise ValueError("only derivative orders 0 and 1 are supported")
-    span = find_span(kv, zeta)
-    knots, p = kv.knots, kv.p
-    values = _basis_values(knots, p, span, zeta)
-    if order == 0:
-        return span, values, None
-    # first derivative from degree p-1 values:
-    # B'_{i,p} = p * ( B_{i,p-1}/(t_{i+p}-t_i) - B_{i+1,p-1}/(t_{i+p+1}-t_{i+1}) )
-    low = _basis_values(knots, p - 1, span, zeta) if p > 1 else np.ones(1)
-    derivs = np.empty(p + 1)
-    for r in range(p + 1):
-        i = span - p + r
-        term1 = 0.0
-        if r > 0:
-            den = knots[i + p] - knots[i]
-            if den > 0.0:
-                term1 = low[r - 1] / den
-        term2 = 0.0
-        if r < p:
-            den = knots[i + p + 1] - knots[i + 1]
-            if den > 0.0:
-                term2 = low[r] / den
-        derivs[r] = p * (term1 - term2)
-    return span, values, derivs
-
-
 def basis_tables(kv, points):
-    """Tabulate nonzero basis values/derivatives at many points.
+    """Nonzero basis values and first derivatives at many points at once.
+
+    Point z is placed in the knot span i with knots[i] <= z < knots[i+1];
+    z = 1 goes to the last nonempty span, so its values are left limits.
 
     Args:
         kv: knot vector
-        points: 1D array of evaluation points in [0, 1]
+        points: array of evaluation points in [0, 1] (flattened)
 
     Returns:
         (spans, values, derivs) with shapes (npts,), (npts, p+1), (npts, p+1).
         Column r of row q belongs to basis function spans[q] - p + r.
+
+    Raises:
+        ValueError: if a point lies outside [0, 1].
     """
-    points = np.asarray(points, dtype=float).ravel()
-    npts = points.size
-    spans = np.empty(npts, dtype=np.int64)
-    values = np.empty((npts, kv.p + 1))
-    derivs = np.empty((npts, kv.p + 1))
-    for q, z in enumerate(points):
-        s, v, d = eval_basis_derivs(kv, z, order=1)
-        spans[q] = s
-        values[q] = v
-        derivs[q] = d
-    return spans, values, derivs
+    z = np.asarray(points, dtype=float).ravel()
+    outside = ~((z >= 0.0) & (z <= 1.0))
+    if outside.any():
+        raise ValueError("evaluation point %r outside [0, 1]" % (float(z[outside][0]),))
+    knots, p = kv.knots, kv.p
+    spans = np.minimum(np.searchsorted(knots, z, side="right") - 1, kv.m - 1)
+    # triangular scheme: after step j, N[r] holds B_{span-j+r, j} at every
+    # point; the denominators are nonzero on nonempty spans
+    N, left, right = [np.ones(z.size)], [None], [None]
+    for j in range(1, p + 1):
+        left.append(z - knots[spans + 1 - j])
+        right.append(knots[spans + j] - z)
+        saved = np.zeros(z.size)
+        step = []
+        for r in range(j):
+            tmp = N[r] / (right[r + 1] + left[j - r])
+            step.append(saved + right[r + 1] * tmp)
+            saved = left[j - r] * tmp
+        low, N = N, step + [saved]
+    # first derivatives from the degree p-1 values (low):
+    # B'_{i,p} = p * ( B_{i,p-1}/(t_{i+p}-t_i) - B_{i+1,p-1}/(t_{i+p+1}-t_{i+1}) ),
+    # a term being zero where repeated knots make its denominator vanish
+    r = np.arange(1, p + 1)
+    den = knots[spans[:, None] + r] - knots[spans[:, None] + r - p]
+    quot = np.zeros((z.size, p + 2))
+    np.divide(np.stack(low, axis=1), den, out=quot[:, 1:-1], where=den > 0.0)
+    return spans, np.stack(N, axis=1), p * (quot[:, :-1] - quot[:, 1:])

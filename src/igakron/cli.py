@@ -97,7 +97,7 @@ def _cmd_shifts(args):
         if args.dim == 2:
             plan = wachspress_shifts(args.a, args.b, args.a, args.b, args.eps)
         elif args.strategy == "greedy":
-            plan = greedy_shifts_3d(args.a, args.b, args.j_max or 400, args.eps, seed=args.seed)
+            plan = greedy_shifts_3d(args.a, args.b, args.j_max, args.eps, seed=args.seed)
         else:
             plan = douglas_shifts_3d(args.a, args.b, args.eps)
     except ValueError as err:
@@ -151,7 +151,7 @@ def build_parser():
     sh.add_argument("--eps", type=float, required=True)
     sh.add_argument("--dim", type=int, choices=[2, 3], default=2)
     sh.add_argument("--strategy", choices=["douglas", "greedy"], default=None)
-    sh.add_argument("--j-max", dest="j_max", type=int)
+    sh.add_argument("--j-max", dest="j_max", type=int, default=400)
     sh.add_argument("--seed", type=int, default=0)
     sh.set_defaults(func=_cmd_shifts)
     return parser

@@ -10,6 +10,7 @@ variant.  No coarse space is used.
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .assembly import assemble_load, assemble_pencil_1d, assemble_stiffness
@@ -106,23 +107,6 @@ def _check_conforming(pa, pb, side_a, side_b):
         raise ConformityError("glued faces do not coincide geometrically")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n)
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _face_indices(dims, axis, end):
     """Flat local indices of the basis functions on one face layer."""
     grids = [np.arange(m) for m in dims]
@@ -144,9 +128,9 @@ def build_multipatch(patches, interfaces):
     patches = list(patches)
     offsets = np.cumsum([0] + [int(np.prod(p.dims)) for p in patches])
     total = offsets[-1]
-    uf = _UnionFind(total)
 
     glued = set()
+    glue = [np.empty((2, 0), dtype=np.int64)]
     for ka, side_a, kb, side_b in interfaces:
         pa, pb = patches[ka], patches[kb]
         _check_conforming(pa, pb, side_a, side_b)
@@ -154,8 +138,7 @@ def build_multipatch(patches, interfaces):
         ib = _face_indices(pb.dims, *side_b) + offsets[kb]
         if ia.size != ib.size:
             raise ConformityError("interface dof counts differ")
-        for sa, sb in zip(ia, ib):
-            uf.union(sa, sb)
+        glue.append(np.stack((ia, ib)))
         glued.add((ka, side_a))
         glued.add((kb, side_b))
 
@@ -166,7 +149,13 @@ def build_multipatch(patches, interfaces):
                 if (k, (axis, end)) not in glued:
                     dirichlet[_face_indices(p.dims, axis, end) + offsets[k]] = True
 
-    roots = np.array([uf.find(i) for i in range(total)])
+    # glued dofs form the components of the interface graph; each dof's
+    # root is the lowest index of its component
+    ia, ib = np.concatenate(glue, axis=1)
+    graph = scipy.sparse.coo_matrix((np.ones(ia.size), (ia, ib)), shape=(total, total))
+    _, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    roots = first[labels]
     root_dirichlet = np.zeros(total, dtype=bool)
     np.logical_or.at(root_dirichlet, roots, dirichlet)
 

@@ -57,6 +57,8 @@ def test_config_validation():
         dict(solver="schwarz_fd", domain="unit_square"),
         dict(solver="fd", domain="l_shape"),
         dict(solver="adi", domain="l_shape"),
+        dict(seed=-1),
+        dict(maxit=0),
     ]:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validate()
@@ -356,6 +358,10 @@ def test_cli_shifts(tmp_path):
         (("shifts", "--a", "5", "--b", "1", "--eps", "0.1"), "configuration error"),
         (("shifts", "--a", "5", "--b", "1", "--eps", "0.1", "--dim", "3"), "configuration error"),
         (("shifts", "--a", "1", "--b", "5", "--eps", "0.1", "--dim", "3", "--strategy", "elliptic"), "invalid choice"),
+        (("run", "--domain", "unit_square", "--h-inv", "8", "--seed", "-1"), "configuration error"),
+        (("run", "--domain", "unit_square", "--h-inv", "8", "--maxit", "0"), "configuration error"),
+        (("export-matrix", "--domain", "quarter_annulus", "--p", "2", "--h-inv", "8", "--seed", "-1"), "configuration error"),
+        (("shifts", "--a", "1", "--b", "5", "--eps", "0.1", "--dim", "3", "--strategy", "greedy", "--j-max", "0"), "configuration error"),
     ],
 )
 def test_cli_bad_input_exits_2(args, message, tmp_path):
