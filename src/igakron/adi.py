@@ -189,6 +189,8 @@ def adi_solve_2d(pencils, r, plan, factors=None):
     Works in the transformed variables (mass-scaled halves), so each sweep
     costs two banded multiplications and two banded solves; the mass of
     direction 1 is solved off at the end.  The initial guess is zero.
+    Direction 2 works along axis 1 of the (n1, n2) array, and every solve
+    but the first runs in place on its right-hand side.
     """
     (K1, _), (K2, _) = pencils
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n)
@@ -196,12 +198,11 @@ def adi_solve_2d(pencils, r, plan, factors=None):
         factors = _Sweep2DFactors(pencils, plan)
     for j in range(plan.J):
         # the zero initial guess leaves R as the first right-hand side
-        Rj = R if j == 0 else R - factors.col_minus[j].matmat(St.T).T
-        Sh = factors.row[j].solve(Rj)
+        Rj = R if j == 0 else R - factors.col_minus[j].matmat(St, axis=1)
+        Sh = factors.row[j].solve(Rj, overwrite_b=j > 0)
         Rj2 = R - factors.row_minus[j].matmat(Sh)
-        St = factors.col[j].solve(Rj2.T).T
-    S = factors.m1.solve(St)
-    return S.reshape(-1)
+        St = factors.col[j].solve(Rj2, axis=1, overwrite_b=True)
+    return factors.m1.solve(St, overwrite_b=True).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,36 +445,42 @@ def adi_solve_3d(pencils, r, plan, factors=None):
 
     Implements the rearranged per-sweep updates in which the two mass-scaled
     products u_j and v_j are formed once, and v is advanced by the recurrence
-    v_{j+1} = b_j - w_j s_j instead of a fresh solve.  The updates are made in
-    place on the arrays each product or solve returns, in the same order of
-    operations as the formulas.
+    v_{j+1} = b_j - w_j s_j instead of a fresh solve.  Every solve but the
+    two that must keep their right-hand side runs in place on the product it
+    follows, and the updates are made in place on the arrays the solves
+    return, in the same order of operations as the formulas.
     """
     (K1, _), (K2, M2), (K3, M3) = pencils
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n, K3.n)
     if factors is None:
         factors = _Sweep3DFactors(pencils, plan)
-    rt = 2.0 * solve_along_axis(factors.m3, solve_along_axis(factors.m2, R, 1), 2)
+    rt = solve_along_axis(factors.m3, solve_along_axis(factors.m2, R, 1), 2, overwrite_b=True)
+    rt *= 2.0
     for j, w in enumerate(plan.omegas):
         if j == 0:
             # zero initial guess: s = v = u = 0 and r* = rt
             sstar = solve_along_axis(factors.row[0], rt, 0)
             sstar *= w
         else:
-            u = solve_along_axis(factors.m2, apply_along_axis(K2, s, 1), 1)
+            u = solve_along_axis(factors.m2, apply_along_axis(K2, s, 1), 1, overwrite_b=True)
             # r* = rt - (K1 - w M1) s - 2 M1 (u + v)
             rstar = apply_along_axis(factors.row_minus[j], s, 0)
             np.subtract(rt, rstar, out=rstar)
             rstar -= apply_along_axis(factors.m1_twice, u + v, 0)
             # u + w s*
-            sstar = solve_along_axis(factors.row[j], rstar, 0)
+            sstar = solve_along_axis(factors.row[j], rstar, 0, overwrite_b=True)
             sstar *= w
             sstar += u
+            # free what the rest of the sweep does not read: it then holds
+            # at most 7 full-size arrays
+            del u, rstar
         # b_j = v + w s**
-        bj = solve_along_axis(factors.col[j], apply_along_axis(M2, sstar, 1), 1)
+        bj = solve_along_axis(factors.col[j], apply_along_axis(M2, sstar, 1), 1, overwrite_b=True)
+        del sstar
         bj *= w
         if j:
             bj += v
-        s = solve_along_axis(factors.dep[j], apply_along_axis(M3, bj, 2), 2)
+        s = solve_along_axis(factors.dep[j], apply_along_axis(M3, bj, 2), 2, overwrite_b=True)
         # v = b_j - w s
         bj -= w * s
         v = bj

@@ -210,6 +210,8 @@ def _estimate_bytes(cfg, n, d, assembled):
     if cfg.domain == "l_shape":
         N = 3 * N
     dense_u = d * n * n * 8
+    # full-size vectors: CG's, or in a direct row b and the sweep's own (the
+    # 3D ADI apply holds at most 7, its result among them)
     vec = 12 * N * 8
     est = dense_u + vec
     if assembled:

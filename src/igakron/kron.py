@@ -5,54 +5,45 @@ last parametric direction varying fastest: a coefficient vector x of a d-way
 tensor-product space reshapes to ``X = x.reshape(n_1, ..., n_d)``, and
 ``(A_1 (x) ... (x) A_d) x`` applies A_l along axis l-1 of X.  In 2D this is
 the familiar identity (A (x) B) vec(X) = vec(A X B^T) for row-major vec.
+
+Each factor is applied along its own axis, without moving axes or copying X,
+by the block-row kernel ``banded.along``: a banded factor by its row blocks,
+a dense factor as one block, which is ``U @ X.reshape(n, -1)`` on the leading
+axis, a batched matmul on a middle axis and ``X.reshape(-1, n) @ U.T`` on the
+last.  Every result is a new C-contiguous array.
 """
 
+import functools
+
 import numpy as np
+
+from .banded import BandedSymMatrix, along
 
 __all__ = ["kron_matvec", "apply_along_axis", "solve_along_axis", "KroneckerSum"]
 
 
-def _op_dim(op):
-    if op is None:
-        raise ValueError("identity factors must carry an explicit size; pass (None, n)")
-    n = getattr(op, "n", None)
-    if n is not None and not callable(n):
-        return n
-    return op.shape[0]
-
-
 def apply_along_axis(op, X, axis):
-    """Apply a square operator along one axis of a dense tensor.
-
-    ``op`` may be a dense array, a scipy sparse matrix, a BandedSymMatrix, or
-    anything supporting ``op @ M`` for a 2D M.
-    """
-    if op is None:
-        return X
-    Xm = np.moveaxis(X, axis, 0)
-    shp = Xm.shape
-    Y = op @ np.ascontiguousarray(Xm).reshape(shp[0], -1)
-    return np.moveaxis(Y.reshape(shp), 0, axis)
+    """Apply a square factor (dense array or BandedSymMatrix) along one axis of X."""
+    if isinstance(op, BandedSymMatrix):
+        return op.matmat(X, axis)
+    U = np.asarray(op, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
+    return along([(0, U.shape[0], 0, U.shape[1], U)], X, axis, np.empty_like(X))
 
 
-def solve_along_axis(solver, X, axis):
-    """Apply a factor inverse (object with .solve for 2D rhs) along one axis."""
-    Xm = np.moveaxis(X, axis, 0)
-    shp = Xm.shape
-    Y = solver.solve(np.ascontiguousarray(Xm).reshape(shp[0], -1))
-    return np.moveaxis(Y.reshape(shp), 0, axis)
+def solve_along_axis(solver, X, axis, overwrite_b=False):
+    """Apply a factor inverse (a BandedCholesky) along one axis."""
+    return solver.solve(X, axis, overwrite_b=overwrite_b)
 
 
 def kron_matvec(mats, x):
     """Product (A_1 (x) ... (x) A_d) x without forming the Kronecker matrix.
 
     Args:
-        mats: ordered list of square factors (dense/sparse/banded)
+        mats: ordered list of square factors (dense or banded)
         x: vector of length prod(n_l)
-
-    Each factor is applied as a batched matrix product along its own axis.
     """
-    dims = tuple(_op_dim(A) for A in mats)
+    dims = tuple(A.shape[0] for A in mats)
     x = np.asarray(x)
     if x.size != int(np.prod(dims)):
         raise ValueError("vector length %d does not match factor sizes %r" % (x.size, dims))
@@ -76,24 +67,15 @@ class KroneckerSum:
         if len(factors) not in (2, 3):
             raise ValueError("only 2D and 3D Kronecker sums are supported")
         self.factors = factors
-        self.dims = tuple(_op_dim(K) for K, _ in factors)
-        for (K, M), n in zip(factors, self.dims):
-            if _op_dim(M) != n:
-                raise ValueError("K and M factor sizes disagree")
-
-    @property
-    def d(self):
-        return len(self.factors)
+        self.dims = tuple(K.shape[0] for K, _ in factors)
+        if any(M.shape[0] != n for (_, M), n in zip(factors, self.dims)):
+            raise ValueError("K and M factor sizes disagree")
 
     @property
     def n(self):
         return int(np.prod(self.dims))
 
     shape = property(lambda self: (self.n, self.n))
-
-    def term_mats(self, l):
-        """Factor list of the l-th Kronecker term (K in slot l, M elsewhere)."""
-        return [K if i == l else M for i, (K, M) in enumerate(self.factors)]
 
     def matvec(self, x):
         # sum factorization from the last axis: `mass` holds x with the mass
@@ -103,7 +85,7 @@ class KroneckerSum:
         if x.size != self.n:
             raise ValueError("vector length %d does not match factor sizes %r" % (x.size, self.dims))
         mass, y = x.reshape(self.dims), None
-        for axis in reversed(range(self.d)):
+        for axis in reversed(range(len(self.dims))):
             K, M = self.factors[axis]
             term = apply_along_axis(K, mass, axis)
             if y is not None:
@@ -115,19 +97,8 @@ class KroneckerSum:
 
     apply = matvec
 
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return self.matvec(x)
-        return np.column_stack([self.matvec(x[:, j]) for j in range(x.shape[1])])
-
     def toarray(self):
         """Dense Kronecker sum; intended for small oracle checks only."""
-        out = np.zeros((self.n, self.n))
-        for l in range(self.d):
-            term = None
-            for A in self.term_mats(l):
-                Ad = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
-                term = Ad if term is None else np.kron(term, Ad)
-            out += term
-        return out
+        dense = [[A.toarray() if hasattr(A, "toarray") else np.asarray(A) for A in KM] for KM in self.factors]
+        terms = [[K if i == l else M for i, (K, M) in enumerate(dense)] for l in range(len(dense))]
+        return sum(functools.reduce(np.kron, term) for term in terms)

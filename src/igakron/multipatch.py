@@ -281,7 +281,13 @@ def schwarz_setup(domain, A, mode="exact"):
     for iface in domain.interfaces:
         dofs, spaces = _merged_subdomain(domain, iface)
         if mode == "exact":
-            solve = scipy.sparse.linalg.splu(A[dofs][:, dofs].tocsc()).solve
+            # the subdomain block is SPD: a symmetric ordering and no pivoting
+            solve = scipy.sparse.linalg.splu(
+                A[dofs][:, dofs].tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            ).solve
         elif mode == "fd":
             solve = fd_setup(KroneckerSum([assemble_pencil_1d(s) for s in spaces])).apply
         else:

@@ -1,10 +1,11 @@
-"""Reference tests for the banded kernels over random SPD bands.
+"""Reference tests for the block-row banded kernels over random SPD bands.
 
-The substitution solve is checked against LAPACK's banded Cholesky solve
-(``scipy.linalg.cho_solve_banded`` on the same factor) and the CSR band
-product against the dense product, for every right-hand side layout the
-sweeps pass in: a vector, a C-order matrix, an F-order transposed view and a
-non-contiguous column slice.
+The block solve is checked against LAPACK's banded Cholesky solve
+(``scipy.linalg.cho_solve_banded`` on the same factor) and the block product
+against the dense product, along every axis of 1-D to 3-D operands in four
+layouts: C order, Fortran order, a transposed view and a strided slice.  The
+order n runs over [1, 40], so orders below, at and between multiples of the
+block size all occur, and so do orders not above the bandwidth.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from igakron.assembly import assemble_pencil_1d
 from igakron.banded import BandedSymMatrix
+from igakron.bspline import SplineSpace1D
 
-LAYOUTS = ("vector", "c_order", "f_view", "column_slice")
+LAYOUTS = ("c_order", "f_order", "transposed", "sliced")
 
 
 @st.composite
@@ -34,49 +37,86 @@ def spd_bands(draw):
 
 
 @st.composite
-def right_hand_sides(draw, n):
-    """A right-hand side with n rows in one of the four layouts."""
+def operands(draw, n):
+    """An array of 1 to 3 dimensions with n entries along ``axis``, and the axis."""
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    shape = [draw(st.integers(1, 4)) for _ in range(ndim)]
+    shape[axis] = n
     layout = draw(st.sampled_from(LAYOUTS))
-    m = draw(st.integers(1, 4))
     floats = st.floats(-1e3, 1e3)
-    if layout == "vector":
-        return draw(hnp.arrays(np.float64, n, elements=floats))
-    if layout == "c_order":
-        return draw(hnp.arrays(np.float64, (n, m), elements=floats))
-    if layout == "f_view":
-        return draw(hnp.arrays(np.float64, (m, n), elements=floats)).T
-    return draw(hnp.arrays(np.float64, (n, 2 * m), elements=floats))[:, ::2]
+    if layout == "transposed":
+        perm = draw(st.permutations(range(ndim)))
+        X = draw(hnp.arrays(np.float64, [shape[k] for k in perm], elements=floats)).transpose(np.argsort(perm))
+    elif layout == "sliced":
+        X = draw(hnp.arrays(np.float64, shape[:-1] + [2 * shape[-1]], elements=floats))[..., ::2]
+    else:
+        X = draw(hnp.arrays(np.float64, shape, elements=floats))
+        if layout == "f_order":
+            X = np.asfortranarray(X)
+    return X, axis
 
 
 @st.composite
-def band_and_rhs(draw):
+def band_and_operand(draw):
     A = draw(spd_bands())
-    return A, draw(right_hand_sides(A.n))
+    return (A,) + draw(operands(A.n))
 
 
-def _scale(x):
-    return max(float(np.abs(x).max(initial=0.0)), 1e-300)
+def _along(fn, X, axis):
+    """fn applied to the columns of X's axis, the reference the kernels are checked against."""
+    Xm = np.moveaxis(X, axis, 0)
+    return np.moveaxis(fn(Xm.reshape(Xm.shape[0], -1)).reshape(Xm.shape), 0, axis)
 
 
-@given(band_and_rhs())
+def _check_result(Y, X, X_before):
+    assert Y.shape == X.shape
+    assert Y.flags.c_contiguous
+    assert not np.shares_memory(Y, X)
+    np.testing.assert_array_equal(X, X_before)
+
+
+@given(band_and_operand())
 def test_solve_matches_lapack_banded_solve(case):
-    A, b = case
-    b_before = b.copy()
-    x = A.cholesky().solve(b)
-    ref = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(A.ab), False), b)
-    assert x.shape == b.shape
-    assert np.abs(x - ref).max(initial=0.0) <= 1e-12 * _scale(ref)
-    np.testing.assert_array_equal(b, b_before)
-    assert not np.shares_memory(x, b)
+    A, X, axis = case
+    X_before = X.copy()
+    factor = (scipy.linalg.cholesky_banded(A.ab), False)
+    ref = _along(lambda B: scipy.linalg.cho_solve_banded(factor, B), X, axis)
+    Y = A.cholesky().solve(X, axis)
+    _check_result(Y, X, X_before)
+    assert np.abs(Y - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+    # in place on a C-contiguous copy gives the same bits
+    W = np.array(X, order="C")
+    Z = A.cholesky().solve(W, axis, overwrite_b=True)
+    assert np.shares_memory(Z, W)
+    np.testing.assert_array_equal(Z, Y)
 
 
-@given(band_and_rhs())
+@given(band_and_operand())
 def test_matmat_matches_dense_product(case):
-    A, B = case
-    ref = A.toarray() @ B
-    Y = A @ B
-    assert Y.shape == ref.shape
-    assert np.abs(Y - ref).max(initial=0.0) <= 1e-13 * _scale(np.abs(A.toarray()) @ np.abs(B))
+    A, X, axis = case
+    X_before = X.copy()
+    Ad = A.toarray()
+    ref = _along(lambda B: Ad @ B, X, axis)
+    scale = _along(lambda B: np.abs(Ad) @ np.abs(B), X, axis)
+    Y = A.matmat(X, axis)
+    _check_result(Y, X, X_before)
+    assert np.all(np.abs(Y - ref) <= 1e-13 * scale)
+    if axis == 0:
+        np.testing.assert_array_equal(A @ X, Y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 8])
+@pytest.mark.parametrize("h_inv", [64, 1024])
+def test_solve_accurate_on_ill_conditioned_pencils(p, h_inv):
+    # cond(K) reaches 3.3e5 at p = 8, 1/h = 1024; the explicit inverses of
+    # the diagonal blocks must cost no accuracy against LAPACK's substitution
+    rng = np.random.default_rng(p * h_inv)
+    for A in assemble_pencil_1d(SplineSpace1D.uniform(p, h_inv)):
+        b = rng.standard_normal((A.n, 3))
+        ref = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(A.ab), False), b)
+        x = A.cholesky().solve(b)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @given(spd_bands(), st.floats(0.5, 10.0))

@@ -222,6 +222,15 @@ def test_memory_estimate_covers_stiffness_assembly(domain, d, h_inv, p):
     assert peak <= est <= 1.5 * peak
 
 
+def test_memory_estimate_covers_direct_adi_row(tracemalloc_peak):
+    # the row holds b and the sweep's full-size arrays (7 at most, the
+    # result among them); the estimate must cover them without doubling
+    cfg = ExperimentConfig(domain="unit_cube", p=3, h_invs=(32,), solver="adi", mode="direct")
+    peak = tracemalloc_peak(run_experiment, cfg)
+    est = _estimate_bytes(cfg, 33, 3, assembled=False)
+    assert peak <= est <= 2 * peak
+
+
 def test_condition_bound_memory_does_not_grow(tracemalloc_peak):
     # the bound's sample points are generated chunk by chunk: 8x the points
     # (2.1 M at 1/h = 32) must not raise the peak
