@@ -11,9 +11,11 @@ contraction function
 
 over eigenvalue triples, plus a greedy alternative that alternates between
 maximizing the current error product and minimizing the new factor at the
-maximizer.  With a zero initial guess and a fixed plan, a J-sweep application
-is a fixed symmetric positive definite operator, so it is a valid CG
-preconditioner; the conditioning penalty is (1+eps)/(1-eps).
+maximizer.  The 2D plan takes the certified brackets of ``extreme_eigs``,
+the 3D plans the pencils' eigenvalues.  With a zero initial guess and a fixed
+plan, a J-sweep application is a fixed symmetric positive definite operator,
+so it is a valid CG preconditioner; the conditioning penalty is
+(1+eps)/(1-eps).
 """
 
 import math
@@ -23,7 +25,7 @@ import scipy.optimize
 
 from .banded import BandedSymMatrix
 from .eigen import extreme_eigs, generalized_eig
-from .kron import apply_along_axis, kron_matvec, solve_along_axis
+from .kron import apply_along_axis, kron_matvec
 
 __all__ = [
     "ShiftPlan2D",
@@ -99,42 +101,39 @@ class ShiftPlan2D:
 
     Attributes:
         J: number of double sweeps
-        omegas, gammas: per-sweep shifts (equal for a symmetric bracket)
+        omegas: per-sweep shifts, the same in both directions
         interval1, interval2: the spectral brackets the plan certifies
         bound: numerically realized contraction bound (<= requested eps)
     """
 
-    def __init__(self, J, omegas, gammas, interval1, interval2, bound):
+    def __init__(self, J, omegas, interval1, interval2, bound):
         self.J = J
         self.omegas = np.asarray(omegas, dtype=float)
-        self.gammas = np.asarray(gammas, dtype=float)
         self.interval1 = interval1
         self.interval2 = interval2
         self.bound = bound
 
 
-def _one_sided_sup(zeros, poles, interval, npts=20001):
-    """sup over the interval of prod_j |(x - zeros_j)| / (x + poles_j)."""
+def _one_sided_sup(shifts, interval, npts=20001):
+    """sup over the interval of prod_j |x - shifts_j| / (x + shifts_j)."""
     lo, hi = interval
     if hi <= lo * (1 + 1e-14):
         x = np.array([lo])
     else:
         x = np.geomspace(lo, hi, npts)
     logp = np.zeros_like(x)
-    for z, p in zip(zeros, poles):
-        logp += np.log(np.abs(x - z) + 1e-300) - np.log(x + p)
+    for w in shifts:
+        logp += np.log(np.abs(x - w) + 1e-300) - np.log(x + w)
     return float(np.exp(logp.max()))
 
 
-def adi_bound_2d(omegas, gammas, interval1, interval2, npts=20001):
+def adi_bound_2d(omegas, interval1, interval2, npts=20001):
     """Contraction bound of the 2D sweep, evaluated numerically.
 
     The two-variable maximum factors into two one-variable suprema, which are
     evaluated on dense logarithmic grids.
     """
-    s1 = _one_sided_sup(gammas, omegas, interval1, npts)
-    s2 = _one_sided_sup(omegas, gammas, interval2, npts)
-    return s1 * s2
+    return _one_sided_sup(omegas, interval1, npts) * _one_sided_sup(omegas, interval2, npts)
 
 
 def wachspress_shifts(a, b, c, d, eps):
@@ -152,14 +151,13 @@ def wachspress_shifts(a, b, c, d, eps):
     lo, hi = min(a, c), max(b, d)
     if hi <= lo * (1 + 1e-12):
         shifts = np.array([lo])
-        bound = adi_bound_2d(shifts, shifts, (a, b), (c, d))
-        return ShiftPlan2D(1, shifts, shifts, (a, b), (c, d), bound)
+        return ShiftPlan2D(1, shifts, (a, b), (c, d), adi_bound_2d(shifts, (a, b), (c, d)))
     J = adi_iteration_count(lo, hi, eps)
     for _ in range(3):
         shifts = _elliptic_shifts(lo, hi, J)
-        bound = adi_bound_2d(shifts, shifts, (a, b), (c, d))
+        bound = adi_bound_2d(shifts, (a, b), (c, d))
         if bound <= eps:
-            return ShiftPlan2D(J, shifts, shifts, (a, b), (c, d), bound)
+            return ShiftPlan2D(J, shifts, (a, b), (c, d), bound)
         J += 1
     raise ArithmeticError("shift construction failed to reach the requested bound")
 
@@ -177,8 +175,8 @@ class _Sweep2DFactors:
     def __init__(self, pencils, plan):
         (K1, M1), (K2, M2) = pencils
         self.row = [_chol_shifted(K1, M1, w) for w in plan.omegas]
-        self.col = [_chol_shifted(K2, M2, g) for g in plan.gammas]
-        self.row_minus = [K1.combine(-g, M1) for g in plan.gammas]
+        self.col = [_chol_shifted(K2, M2, w) for w in plan.omegas]
+        self.row_minus = [K1.combine(-w, M1) for w in plan.omegas]
         self.col_minus = [K2.combine(-w, M2) for w in plan.omegas]
         self.m1 = M1.cholesky()
 
@@ -210,6 +208,10 @@ def adi_solve_2d(pencils, r, plan, factors=None):
 
 def _douglas_factor(w, l1, l2, l3):
     return 1.0 - 2.0 * w * w * (l1 + l2 + l3) / ((w + l1) * (w + l2) * (w + l3))
+
+
+# eigenvalues per direction on whose Cartesian triples the 3D plan is checked
+_TRIPLE_CAP = 128
 
 
 def _subsample_log(values, cap):
@@ -298,26 +300,24 @@ def _best_point_shift(a):
     return math.exp(x), v
 
 
-def douglas_shifts_3d(a, b, eps, eigs=None, triple_cap=128):
+def douglas_shifts_3d(eigs, eps):
     """Geometric-ladder shift plan for the 3D sweep.
 
-    The ladder spans [a, 4b] (the top padding protects the corner triple
-    (b, b, b), which is otherwise the slowest-damped point) and its length is
-    the smallest J whose complete contraction value meets eps, capped by the
-    a-priori bound J0.  The contraction is evaluated on the Cartesian triples
-    of the actual per-direction eigenvalues when available, else on 64-point
-    logarithmic surrogate grids.
+    ``eigs`` holds the eigenvalues of each direction's pencil (or surrogate
+    grids of a bracket [a, b]); a and b are their extremes.  The ladder spans
+    [a, 4b] (the top padding protects the corner triple (b, b, b), which is
+    otherwise the slowest-damped point) and its length is the smallest J whose
+    complete contraction value meets eps, capped by the a-priori bound J0.
+    The contraction is evaluated on the Cartesian triples of the eigenvalues,
+    log-subsampled to _TRIPLE_CAP per direction.
     """
-    if not (0.0 < a <= b):
-        raise ValueError("need 0 < a <= b")
     if not (0.0 < eps < 1.0):
         raise ValueError("tolerance must lie in (0, 1)")
-    if eigs is not None:
-        lams = [_subsample_log(e, triple_cap) for e in eigs]
-        a = min(l.min() for l in lams)
-        b = max(l.max() for l in lams)
-    else:
-        lams = [np.geomspace(a, b, 64)] * 3
+    lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
+    a = min(l.min() for l in lams)
+    b = max(l.max() for l in lams)
+    if not a > 0.0:
+        raise ValueError("eigenvalues must be positive")
 
     if b <= a * (1 + 1e-9):
         w, v = _best_point_shift(a)
@@ -454,33 +454,33 @@ def adi_solve_3d(pencils, r, plan, factors=None):
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n, K3.n)
     if factors is None:
         factors = _Sweep3DFactors(pencils, plan)
-    rt = solve_along_axis(factors.m3, solve_along_axis(factors.m2, R, 1), 2, overwrite_b=True)
+    rt = factors.m3.solve(factors.m2.solve(R, 1), 2, overwrite_b=True)
     rt *= 2.0
     for j, w in enumerate(plan.omegas):
         if j == 0:
             # zero initial guess: s = v = u = 0 and r* = rt
-            sstar = solve_along_axis(factors.row[0], rt, 0)
+            sstar = factors.row[0].solve(rt)
             sstar *= w
         else:
-            u = solve_along_axis(factors.m2, apply_along_axis(K2, s, 1), 1, overwrite_b=True)
+            u = factors.m2.solve(apply_along_axis(K2, s, 1), 1, overwrite_b=True)
             # r* = rt - (K1 - w M1) s - 2 M1 (u + v)
             rstar = apply_along_axis(factors.row_minus[j], s, 0)
             np.subtract(rt, rstar, out=rstar)
             rstar -= apply_along_axis(factors.m1_twice, u + v, 0)
             # u + w s*
-            sstar = solve_along_axis(factors.row[j], rstar, 0, overwrite_b=True)
+            sstar = factors.row[j].solve(rstar, overwrite_b=True)
             sstar *= w
             sstar += u
             # free what the rest of the sweep does not read: it then holds
             # at most 7 full-size arrays
             del u, rstar
         # b_j = v + w s**
-        bj = solve_along_axis(factors.col[j], apply_along_axis(M2, sstar, 1), 1, overwrite_b=True)
+        bj = factors.col[j].solve(apply_along_axis(M2, sstar, 1), 1, overwrite_b=True)
         del sstar
         bj *= w
         if j:
             bj += v
-        s = solve_along_axis(factors.dep[j], apply_along_axis(M3, bj, 2), 2, overwrite_b=True)
+        s = factors.dep[j].solve(apply_along_axis(M3, bj, 2), 2, overwrite_b=True)
         # v = b_j - w s
         bj -= w * s
         v = bj
@@ -512,33 +512,32 @@ class ADIPreconditioner:
         return self.plan.J
 
     @classmethod
-    def setup_2d(cls, pencils, eps=0.1, brackets=None, power_iters=10, seed=0):
-        if brackets is None:
-            brackets = [extreme_eigs(K, M, iters=power_iters, seed=seed) for K, M in pencils]
-        (a1, b1), (a2, b2) = brackets
+    def setup_2d(cls, pencils, eps=0.1):
+        (a1, b1), (a2, b2) = [extreme_eigs(K, M) for K, M in pencils]
         plan = wachspress_shifts(a1, b1, a2, b2, eps)
         return cls(pencils, plan, _Sweep2DFactors(pencils, plan))
 
     @classmethod
-    def setup_3d(cls, pencils, eps=0.1, shifts="douglas", J_max=None, seed=0):
+    def setup_3d(cls, pencils, eps=0.1, shifts="douglas", seed=0):
         eigs = [generalized_eig(K, M).D for K, M in pencils]
-        a = min(e.min() for e in eigs)
-        b = max(e.max() for e in eigs)
         if shifts == "douglas":
-            plan = douglas_shifts_3d(a, b, eps, eigs=eigs)
+            plan = douglas_shifts_3d(eigs, eps)
         elif shifts == "greedy":
-            cap = J_max if J_max is not None else max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
+            a = min(e.min() for e in eigs)
+            b = max(e.max() for e in eigs)
+            cap = max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
             plan = greedy_shifts_3d(a, b, cap, eps, seed=seed)
         else:
             raise ValueError("unknown 3D shift strategy %r" % shifts)
         return cls(pencils, plan, _Sweep3DFactors(pencils, plan))
 
     @classmethod
-    def setup(cls, pencils, eps=0.1, **kwargs):
+    def setup(cls, pencils, eps=0.1, shifts="douglas", seed=0):
+        """The preconditioner for 2 or 3 pencils; ``shifts`` and ``seed`` choose the 3D plan."""
         if len(pencils) == 2:
-            return cls.setup_2d(pencils, eps, **kwargs)
+            return cls.setup_2d(pencils, eps)
         if len(pencils) == 3:
-            return cls.setup_3d(pencils, eps, **kwargs)
+            return cls.setup_3d(pencils, eps, shifts, seed)
         raise ValueError("only 2D and 3D pencils are supported")
 
     def apply(self, r):

@@ -31,6 +31,7 @@ Degrees of freedom are linearized in C order, last direction fastest.
 from collections import namedtuple
 
 import numpy as np
+import scipy.io
 import scipy.sparse
 
 from .banded import BandedSymMatrix
@@ -548,20 +549,10 @@ def l2_error(spaces, geo, coefs, u_exact, points_per_span=None):
 
 
 def write_matrix_market(obj, path):
-    """Write a sparse matrix or a dense vector in Matrix Market text format.
+    """Write a sparse matrix, or a dense vector as an (n, 1) array, in Matrix Market format.
 
-    Values are written as ASCII decimals with 17 significant digits.
+    Values are written with 17 significant digits, so they read back exactly.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        if scipy.sparse.issparse(obj):
-            A = obj.tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write("%d %d %d\n" % (A.shape[0], A.shape[1], A.nnz))
-            for i, j, v in zip(A.row, A.col, A.data):
-                fh.write("%d %d %.16e\n" % (i + 1, j + 1, v))
-        else:
-            v = np.asarray(obj, dtype=float).ravel()
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write("%d 1\n" % v.size)
-            for x in v:
-                fh.write("%.16e\n" % x)
+    if not scipy.sparse.issparse(obj):
+        obj = np.asarray(obj, dtype=float).reshape(-1, 1)
+    scipy.io.mmwrite(path, obj, symmetry="general", precision=17)

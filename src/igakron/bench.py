@@ -62,17 +62,14 @@ DOMAINS_2D = {"unit_square", "quarter_annulus", "stretched_square", "collapsed_t
 DOMAINS_3D = {"unit_cube", "thick_quarter_ring", "revolved_quarter_ring"}
 
 
-def _adi_setup(cfg, pb):
-    if len(pb.pencils) == 2:
-        return ADIPreconditioner.setup_2d(pb.pencils, eps=cfg.eps, seed=cfg.seed)
-    return ADIPreconditioner.setup_3d(pb.pencils, eps=cfg.eps, shifts=cfg.adi_shifts, seed=cfg.seed)
-
-
 # solver -> (the kinds of row it runs in, its preconditioner builder taking the
 # config and the _problem); the builders name library functions at call time
 SOLVERS = {
     "fd": (("direct", "single-patch"), lambda cfg, pb: fd_setup(KroneckerSum(pb.pencils))),
-    "adi": (("direct", "single-patch"), _adi_setup),
+    "adi": (
+        ("direct", "single-patch"),
+        lambda cfg, pb: ADIPreconditioner.setup(pb.pencils, cfg.eps, cfg.adi_shifts, cfg.seed),
+    ),
     "ic": (("single-patch", "multi-patch"), lambda cfg, pb: ic0_setup(pb.A, reorder="rcm")),
     "schwarz_exact": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="exact")),
     "schwarz_fd": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="fd")),

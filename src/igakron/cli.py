@@ -64,8 +64,6 @@ def _build_config(args):
             values[key] = v
     if "h_inv" in values:
         values["h_invs"] = _parse_h_invs(values.pop("h_inv"))
-    if values.get("mode") == "preconditioner":
-        values["mode"] = "precond"
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -99,20 +97,21 @@ def _cmd_shifts(args):
         elif args.strategy == "greedy":
             plan = greedy_shifts_3d(args.a, args.b, args.j_max, args.eps, seed=args.seed)
         else:
-            plan = douglas_shifts_3d(args.a, args.b, args.eps)
+            if not 0.0 < args.a <= args.b:
+                raise ValueError("need 0 < a <= b")
+            # only the bracket is known: the plan is checked on 64-point log grids of it
+            plan = douglas_shifts_3d([np.geomspace(args.a, args.b, 64)] * 3, args.eps)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     if args.dim == 2:
         print("J = %d  (realized bound %.3e <= %.3e)" % (plan.J, plan.bound, args.eps))
-        for j, (w, g) in enumerate(zip(plan.omegas, plan.gammas), 1):
-            print("%3d  omega = %.9e  gamma = %.9e" % (j, w, g))
     else:
         print(
             "J = %d of a-priori %d  (contraction %.3e <= %.3e)"
             % (plan.J, plan.J0, plan.rho_values[-1], args.eps)
         )
-        for j, w in enumerate(plan.omegas, 1):
-            print("%3d  omega = %.9e" % (j, w))
+    for j, w in enumerate(plan.omegas, 1):
+        print("%3d  omega = %.9e" % (j, w))
     return 0
 
 
@@ -126,7 +125,7 @@ def build_parser():
     run.add_argument("--p", type=int)
     run.add_argument("--h-inv", dest="h_inv", help="comma-separated refinement levels, e.g. 64,128")
     run.add_argument("--solver", choices=list(SOLVERS))
-    run.add_argument("--mode", choices=["precond", "preconditioner", "direct"])
+    run.add_argument("--mode", choices=["precond", "direct"])
     run.add_argument("--eps", type=float, help="inner (ADI) tolerance")
     run.add_argument("--tol", type=float, help="outer CG tolerance")
     run.add_argument("--seed", type=int)

@@ -1,16 +1,26 @@
-"""Generalized symmetric-definite eigendecomposition and extreme-eigenvalue estimates.
+"""Generalized symmetric-definite eigendecomposition and certified spectral brackets.
 
 For a pencil (K, M) with both matrices SPD, the decomposition K U = M U diag(D)
 is normalized so that U^T M U = I, which also gives U^{-T} U^{-1} = M and
 U^{-T} diag(D) U^{-1} = K.  This is exactly what LAPACK's divide-and-conquer
 driver for the generalized symmetric problem computes (Cholesky reduction of M
 followed by a symmetric eigensolve), so we use it directly.
+
+A bracket of the spectrum of M^{-1} K needs no eigenvalues: by Sylvester's
+law of inertia K - s M is positive definite iff s < lambda_min, and M - K / s
+iff s > lambda_max (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), so a
+banded Cholesky factorization decides on which side of an end s lies.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
 __all__ = ["PencilEigen", "generalized_eig", "extreme_eigs"]
+
+# relative width to which each end of the bracket is bisected
+_BRACKET_RTOL = 1e-3
 
 
 class PencilEigen:
@@ -48,41 +58,43 @@ def generalized_eig(K, M):
     return PencilEigen(U=U, D=D)
 
 
-def extreme_eigs(K, M, iters=10, seed=0):
-    """Bracket [a, b] of the spectrum of M^{-1} K by the power method.
+def _definite(A):
+    """Whether the symmetric banded matrix A has a Cholesky factorization."""
+    try:
+        scipy.linalg.cholesky_banded(A.ab)
+    except scipy.linalg.LinAlgError:
+        return False
+    return True
 
-    Runs ``iters`` steps of the direct power method (for the largest
-    eigenvalue) and of the inverse power method (for the smallest), both via
-    banded Cholesky solves, then widens the Rayleigh-quotient estimates by 5%
-    so the bracket reliably encloses the true extremes.
 
-    Returns:
-        (a, b) with a <= b.
+def _bisect(inside, s, step):
+    """A point where ``inside`` holds, found by scaling s by ``step``, then log-scale bisection."""
+    out, s = s, s * step
+    while not inside(s):
+        out, s = s, s * step
+    while abs(math.log(out / s)) > math.log1p(_BRACKET_RTOL):
+        mid = math.sqrt(s * out)
+        if inside(mid):
+            s = mid
+        else:
+            out = mid
+    return s
+
+
+def extreme_eigs(K, M):
+    """Certified bracket [a, b] of the spectrum of M^{-1} K for banded SPD K, M.
+
+    K - a M and M - K / b factor, so a < lambda_min and b > lambda_max; each
+    is within a relative _BRACKET_RTOL of a point that does not factor.  The
+    search starts from the diagonal ratios K_ii / M_ii, which are Rayleigh
+    quotients and so lie inside the spectrum.
+
+    Raises:
+        ValueError: if K or M is not positive definite
     """
-    rng = np.random.default_rng(seed)
-    n = K.n if hasattr(K, "n") else K.shape[0]
-    Mc = M.cholesky()
-    Kc = K.cholesky()
-
-    def rayleigh(v):
-        return float(v @ (K @ v)) / float(v @ (M @ v))
-
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        v = Mc.solve(K @ v)
-        v /= np.linalg.norm(v)
-    b_est = rayleigh(v)
-
-    w = rng.standard_normal(n)
-    w /= np.linalg.norm(w)
-    for _ in range(iters):
-        w = Kc.solve(M @ w)
-        w /= np.linalg.norm(w)
-    a_est = rayleigh(w)
-
-    a = a_est / 1.05
-    b = b_est * 1.05
-    if a > b:
-        a, b = b, a
+    if not (_definite(K) and _definite(M)):
+        raise ValueError("pencil matrices must be symmetric positive definite")
+    ratios = K.ab[-1] / M.ab[-1]
+    a = _bisect(lambda s: _definite(K.combine(-s, M)), ratios.min(), 0.5)
+    b = _bisect(lambda s: _definite(M.combine(-1.0 / s, K)), ratios.max(), 2.0)
     return a, b

@@ -19,7 +19,7 @@ import numpy as np
 
 from .banded import BandedSymMatrix, along
 
-__all__ = ["kron_matvec", "apply_along_axis", "solve_along_axis", "KroneckerSum"]
+__all__ = ["kron_matvec", "apply_along_axis", "KroneckerSum"]
 
 
 def apply_along_axis(op, X, axis):
@@ -29,11 +29,6 @@ def apply_along_axis(op, X, axis):
     U = np.asarray(op, dtype=float)
     X = np.ascontiguousarray(X, dtype=float)
     return along([(0, U.shape[0], 0, U.shape[1], U)], X, axis, np.empty_like(X))
-
-
-def solve_along_axis(solver, X, axis, overwrite_b=False):
-    """Apply a factor inverse (a BandedCholesky) along one axis."""
-    return solver.solve(X, axis, overwrite_b=overwrite_b)
 
 
 def kron_matvec(mats, x):

@@ -169,19 +169,22 @@ def build_multipatch(patches, interfaces):
 
 
 def assemble_multipatch_stiffness(domain, coeff=None, points_per_span=None):
-    """Scatter per-patch Galerkin matrices into the global numbering."""
-    N = domain.N
-    acc = scipy.sparse.csr_matrix((N, N))
+    """Scatter per-patch Galerkin matrices into the global numbering.
+
+    The triples of all patches form one COO matrix, converted to CSR once;
+    exact zeros are dropped.
+    """
+    triples = []
     for patch, gmap in zip(domain.patches, domain.dof_maps):
         A = assemble_stiffness(patch.spaces, patch.geo, coeff, points_per_span, dirichlet=False).tocoo()
         rows = gmap[A.row]
         cols = gmap[A.col]
         keep = (rows >= 0) & (cols >= 0)
-        acc = acc + scipy.sparse.coo_matrix(
-            (A.data[keep], (rows[keep], cols[keep])), shape=(N, N)
-        ).tocsr()
-    acc.sum_duplicates()
-    return acc.tocsr()
+        triples.append((A.data[keep], rows[keep], cols[keep]))
+    data, rows, cols = (np.concatenate(t) for t in zip(*triples))
+    A = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(domain.N, domain.N)).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_multipatch_load(domain, f, points_per_span=None):

@@ -136,7 +136,7 @@ def test_03_adi_2d_count_and_error():
     """Square pencils at p=1, 1/h=512: planned J = 29 +- 1, final error <= 1e-8."""
     p, q = 1, 512
     pencils = list(pencils_for(p, q, 2))
-    brackets = [extreme_eigs(K, M, iters=10, seed=0) for K, M in pencils]
+    brackets = [extreme_eigs(K, M) for K, M in pencils]
     plan = wachspress_shifts(brackets[0][0], brackets[0][1], brackets[1][0], brackets[1][1], 1e-8)
     spaces = spaces_for(p, q, 2)
     b = assemble_load(spaces, identity_map(2), f_poisson(2))
@@ -168,7 +168,7 @@ def test_05_adi_preconditioned_parity():
     inners = []
     for p, q in QA_GRID:
         A, b = problem_for("quarter_annulus", p, q)
-        prec = ADIPreconditioner.setup_2d(list(pencils_for(p, q, 2)), eps=0.1, seed=0)
+        prec = ADIPreconditioner.setup_2d(list(pencils_for(p, q, 2)), eps=0.1)
         res = pcg(A, prec, b, tol=1e-8, maxit=3000)
         assert res.converged
         gap = res.iterations - fd_iterations("quarter_annulus", p, q)
@@ -191,9 +191,8 @@ def test_06_adi_preconditioner_conditioning_bound():
         P = KroneckerSum(pencils)
         kappa_exact = scipy.linalg.eigvalsh(A, P.toarray())
         kappa_exact = kappa_exact[-1] / kappa_exact[0]
-        brackets = [(pe.D[0], pe.D[-1]) for pe in (generalized_eig(K, M) for K, M in pencils)]
         for eps in (0.5, 0.1, 0.01):
-            prec = ADIPreconditioner.setup_2d(pencils, eps=eps, brackets=brackets)
+            prec = ADIPreconditioner.setup_2d(pencils, eps=eps)
             W = operator_to_dense(prec, P.n)
             kappa_J = dense_kappa(A, W)
             bound = (1 + eps) / (1 - eps) * kappa_exact
@@ -239,7 +238,7 @@ def test_09_adi_3d_counts():
     # the same univariate pencil serves all three directions of the cube
     K, M = assemble_pencil_1d(SplineSpace1D.uniform(1, 128))
     D = generalized_eig(K, M).D
-    plan = douglas_shifts_3d(D[0], D[-1], 1e-8, eigs=[D, D, D])
+    plan = douglas_shifts_3d([D, D, D], 1e-8)
     greedy = greedy_shifts_3d(D[0], D[-1], plan.J + 10, 1e-8, seed=0)
     reduction = 1.0 - greedy.J / plan.J
     ok = abs(plan.J - 57) <= 6 and 0.10 <= reduction <= 0.20
@@ -247,7 +246,7 @@ def test_09_adi_3d_counts():
     # full solve at 1/h = 32 reaches the tolerance
     pencils = list(pencils_for(1, 32, 3))
     eigs = [generalized_eig(Kl, Ml).D for Kl, Ml in pencils]
-    plan32 = douglas_shifts_3d(1.0, 1.0, 1e-8, eigs=eigs)
+    plan32 = douglas_shifts_3d(eigs, 1e-8)
     rng = np.random.default_rng(9)
     P = KroneckerSum(pencils)
     x = rng.standard_normal(P.n)
@@ -343,7 +342,7 @@ def test_13_oracle_equivalence():
             plan = wachspress_shifts(eigs[0][0], eigs[0][-1], eigs[1][0], eigs[1][-1], 1e-10)
             solve_adi = lambda r: adi_solve_2d(pencils, r, plan)
         else:
-            plan = douglas_shifts_3d(1.0, 1.0, 1e-10, eigs=eigs)
+            plan = douglas_shifts_3d(eigs, 1e-10)
             solve_adi = lambda r: adi_solve_3d(pencils, r, plan)
         Pd = P.toarray()
         for _ in range(5):

@@ -164,7 +164,7 @@ def test_every_solver_row_is_the_library_solve(domain, solver, mode, looked_up, 
         pencils = [assemble_pencil_1d(s) for s in spaces]
     prec = {
         "fd": lambda: fd_setup(KroneckerSum(pencils)),
-        "adi": lambda: ADIPreconditioner.setup_2d(pencils, eps=cfg.eps, seed=cfg.seed),
+        "adi": lambda: ADIPreconditioner.setup_2d(pencils, eps=cfg.eps),
         "ic": lambda: ic0_setup(A, reorder="rcm"),
         "schwarz_exact": lambda: schwarz_setup(dom, A, mode="exact"),
         "schwarz_fd": lambda: schwarz_setup(dom, A, mode="fd"),

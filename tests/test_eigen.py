@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igakron.assembly import assemble_pencil_1d
 from igakron.banded import BandedSymMatrix
-from igakron.bspline import SplineSpace1D
-from igakron.eigen import extreme_eigs, generalized_eig
+from igakron.bspline import KnotVector, SplineSpace1D
+from igakron.eigen import _BRACKET_RTOL, extreme_eigs, generalized_eig
 
 
 def random_banded_spd(rng, n, p):
@@ -87,8 +89,8 @@ def test_extreme_eigs_bracket_contains_spectrum(p, q):
     K, M = assemble_pencil_1d(s)
     a, b = extreme_eigs(K, M)
     pe = generalized_eig(K, M)
-    assert a * 0.99 <= pe.D[0]
-    assert b * 1.01 >= pe.D[-1]
+    assert a < pe.D[0]
+    assert b > pe.D[-1]
     assert a <= pe.D[0] * 1.05 + 1e-12
     assert b >= pe.D[-1] * 0.95 - 1e-12
 
@@ -100,3 +102,34 @@ def test_extreme_eigs_condition_vs_dense():
     pe = generalized_eig(K, M)
     kappa_true = pe.D[-1] / pe.D[0]
     assert abs(b / a - kappa_true) / kappa_true < 0.10
+
+
+@st.composite
+def random_open_space(draw):
+    """Spline space over an open knot vector on a 1/64 grid, repeated interior knots, n <= 64."""
+    p = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 60 // p))
+    breaks = sorted(draw(st.lists(st.integers(1, 63), min_size=k, max_size=k, unique=True)))
+    mult = draw(st.lists(st.integers(1, p), min_size=k, max_size=k))
+    interior = np.repeat(np.array(breaks) / 64.0, mult)
+    return SplineSpace1D(KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p))
+
+
+@settings(max_examples=60)
+@given(space=random_open_space())
+def test_extreme_eigs_certified_on_random_knots(space):
+    # the bracket encloses the spectrum strictly and is tight to 2 * _BRACKET_RTOL
+    K, M = assemble_pencil_1d(space)
+    a, b = extreme_eigs(K, M)
+    D = generalized_eig(K, M).D
+    assert a < D[0] <= a * (1 + 2 * _BRACKET_RTOL)
+    assert D[-1] < b <= D[-1] * (1 + 2 * _BRACKET_RTOL)
+
+
+@pytest.mark.parametrize("which", ["K", "M"])
+def test_extreme_eigs_rejects_indefinite_pencil(which):
+    # an indefinite matrix never factors, so bisection would not end
+    K, M = assemble_pencil_1d(SplineSpace1D.uniform(2, 12))
+    bad = K.combine(-2.0 * K.ab[-1].max(), BandedSymMatrix(np.ones((1, K.n))))
+    with pytest.raises(ValueError, match="positive definite"):
+        extreme_eigs(bad, M) if which == "K" else extreme_eigs(K, bad)

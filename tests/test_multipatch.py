@@ -126,6 +126,22 @@ def test_multipatch_matrix_symmetric_spd():
     assert np.linalg.eigvalsh(Ad).min() > 0
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_l_shape_matrix_is_the_sum_of_its_patches(p):
+    # every entry sums at most two patch entries, so the scatter is exact in
+    # any order; exact zeros are not stored
+    dom = l_shape_domain(p, 4)
+    want = np.zeros((dom.N, dom.N))
+    for patch, gmap in zip(dom.patches, dom.dof_maps):
+        Ak = assemble_stiffness(patch.spaces, patch.geo, dirichlet=False).toarray()
+        keep = np.flatnonzero(gmap >= 0)
+        np.add.at(want, np.ix_(gmap[keep], gmap[keep]), Ak[np.ix_(keep, keep)])
+    A = assemble_multipatch_stiffness(dom)
+    assert np.array_equal(A.toarray(), want)
+    assert A.nnz == np.count_nonzero(want)
+    assert A.has_sorted_indices
+
+
 def test_load_scatter_matches_rectangle():
     p, q = 2, 4
     dom = two_squares(p, q)
