@@ -20,10 +20,15 @@ touches it: no full-space intermediate is ever held.  The load vector goes
 through the same kernel with weighted value tables.  Quadrature points with
 a singular geometry Jacobian contribute zero (see the geometry module).
 
-The condition bound generates its sample points a chunk at a time from the
-per-direction axes, screens Q's extreme eigenvalues with closed forms (the
+The condition bound screens Q's extreme eigenvalues with closed forms (the
 hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
-``eigvalsh`` only on the points that may hold an extreme.
+``eigvalsh`` only on the points that may hold an extreme (BoundScreen).
+The stiffness pass adds the Q it forms for each plane of elements to a
+BoundScreen, so Q is evaluated once per quadrature point; condition_bound
+then evaluates only the 2^d corners of the parameter domain, which no Gauss
+point reaches, so that a map singular on the boundary gives the +inf
+sentinel.  Given per-direction axes, condition_bound generates the grid's
+points itself, a chunk at a time.
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
@@ -46,6 +51,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "condition_bound",
+    "BoundScreen",
     "ConditionBound",
     "quadrature_grid",
     "l2_error",
@@ -181,10 +187,11 @@ class _CSRRows:
     the full space.  Rows and columns are numbered in C order over the box;
     within a row the columns come in offset order, which is ascending.  Every
     in-box pair within the band is stored, so the pattern is that of the
-    Kronecker sum of the univariate pencils.  ``indptr`` and the arrays are
-    allocated up front; ``write(i, rows)`` fills the CSR rows of leading
-    basis function i from its band rows, with ``rows[o_1, i_2, o_2, ...,
-    i_d, o_d]`` = A[i, i + o - p] over the full trailing spaces.
+    Kronecker sum of the univariate pencils.  ``indptr`` and ``indices`` are
+    filled and ``data`` allocated up front; ``write(i, rows)`` fills the
+    values of the CSR rows of leading basis function i from its band rows,
+    with ``rows[o_1, i_2, o_2, ..., i_d, o_d]`` = A[i, i + o - p] over the
+    full trailing spaces.
     """
 
     def __init__(self, ms, ranges, p):
@@ -215,25 +222,39 @@ class _CSRRows:
         self.indptr, self.shape = indptr, (N, N)
         self.indices = np.empty(nnz, dtype=self.itype)
         self.data = np.empty(nnz)
-        # axes of one leading row: (rows of the tail, o_1, offsets of the tail)
-        self.tail_col = np.expand_dims(tail_col, d - 1)
-        self.tail_ok = np.expand_dims(tail_ok, d - 1)
-        self.cols0 = cols[0].reshape((ns[0],) + (1,) * (d - 1) + (2 * p + 1,) + (1,) * (d - 1))
-        self.band = [2 * p + 1] + [x for m in ms[1:] for x in (m, 2 * p + 1)]
-        self.box = (slice(None),) + tuple(s for lo, hi in ranges[1:] for s in (slice(lo, hi), slice(None)))
-        self.perm = [2 * k + 1 for k in range(d - 1)] + [2 * k for k in range(d)]
+        # the entries of one leading row, axes (rows of the tail, o_1, offsets
+        # of the tail): their flat index in ``rows`` and their column relative
+        # to the row's first, i_1 * n_tail
+        tail_col = np.expand_dims(tail_col, d - 1)
+        tail_ok = np.expand_dims(tail_ok, d - 1)
+        o1 = np.arange(-p, p + 1).reshape((1,) * (d - 1) + (2 * p + 1,) + (1,) * (d - 1))
+        band = [2 * p + 1] + [x for m in ms[1:] for x in (m, 2 * p + 1)]
+        box = (slice(None),) + tuple(s for lo, hi in ranges[1:] for s in (slice(lo, hi), slice(None)))
+        perm = [2 * k + 1 for k in range(d - 1)] + [2 * k for k in range(d)]
+        size = int(np.prod(band))
+        flat = np.arange(size, dtype=np.min_scalar_type(-size)).reshape(band)[box].transpose(perm)
+        rel = o1 * self.n_tail + tail_col
+        # a leading row keeps the offsets o_1 whose column is in the box, so
+        # rows within p of either end differ and all the others share one map
         self.lo, self.n_lead = ranges[0][0], ns[0]
+        maps = {}
+        self.takes = []
+        for i1, j in enumerate(cols[0]):
+            key = tuple(j >= 0)
+            if key not in maps:
+                ok = tail_ok & (j >= 0).reshape(o1.shape)
+                maps[key] = (flat[ok], rel[ok])
+            take, col = maps[key]
+            self.takes.append(take)
+            self.indices[indptr[i1 * self.n_tail] : indptr[(i1 + 1) * self.n_tail]] = col + i1 * self.n_tail
 
     def write(self, i, rows):
         i1 = i - self.lo
-        if not 0 <= i1 < self.n_lead:
-            return
-        j1 = self.cols0[i1]
-        ok = self.tail_ok & (j1 >= 0)
-        block = rows.reshape(self.band)[self.box]
-        a, b = self.indptr[i1 * self.n_tail], self.indptr[(i1 + 1) * self.n_tail]
-        self.data[a:b] = block.transpose(self.perm)[ok]
-        self.indices[a:b] = (j1 * self.n_tail + self.tail_col)[ok]
+        if 0 <= i1 < self.n_lead:
+            a, b = self.indptr[i1 * self.n_tail], self.indptr[(i1 + 1) * self.n_tail]
+            # the index is in range by construction; "clip" spares the
+            # buffered copy that take makes into ``out`` under "raise"
+            rows.take(self.takes[i1], out=self.data[a:b], mode="clip")
 
     def matrix(self):
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr.astype(self.itype)), shape=self.shape)
@@ -364,7 +385,7 @@ def _check_dim(spaces, geo):
     return d
 
 
-def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=True):
+def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=True, screen=None):
     """Galerkin stiffness matrix on a tensor-product spline space.
 
     Args:
@@ -373,6 +394,9 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
         coeff: CoefficientField; identity if omitted
         points_per_span: Gauss points per knot span per direction (default p+1)
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
+        screen: a BoundScreen that the Q of every quadrature point is added
+            to, so condition_bound can finish the bound over this grid
+            without evaluating Q there again
 
     Returns:
         scipy CSR matrix of order n^d (dirichlet) or m^d (full space).
@@ -388,7 +412,9 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     A = _CSRRows([s.m for s in spaces], ranges, p)
 
     def values(z):
-        Q, _ = eval_Q_masked(geo, coeff, z)
+        Q, singular = eval_Q_masked(geo, coeff, z)
+        if screen is not None:
+            screen.add(Q, singular)
         return Q.reshape(len(z), d * d).T
 
     _sum_factorize(rules, tables, values, A.write)
@@ -430,36 +456,89 @@ _BOUND_CHUNK = 2**16
 _SCREEN_TOL = 1e-5
 
 
-def _eig_screen(Q):
-    """Closed-form eigenvalue ranges of a batch of symmetric 2x2 or 3x3 Q.
+def _eig_screen(Qc):
+    """Closed-form eigenvalue estimates of a batch of symmetric 2x2 or 3x3 Q.
 
-    2D: mean -/+ hypot.  3D: the trigonometric formula of O. K. Smith (Comm.
-    ACM 4(4), 1961) on K = Q - m I with m = trace / 3.  Returns (N, 4):
-    lmin - slack, lmin + slack, lmax - slack, lmax + slack, where slack
-    covers the error of the formulas.
+    ``Qc`` holds the components (d, d, N).  2D: mean -/+ hypot.  3D: the
+    trigonometric formula of O. K. Smith (Comm. ACM 4(4), 1961) on
+    K = Q - m I with m = trace / 3.  Returns (lmin, lmax, slack), each of
+    shape (N,), where slack covers the error of the formulas.
     """
-    q = Q.reshape(len(Q), -1)
-    if Q.shape[-1] == 2:
-        m = 0.5 * (q[:, 0] + q[:, 3])
-        s = np.hypot(0.5 * (q[:, 0] - q[:, 3]), q[:, 1])
+    if len(Qc) == 2:
+        m = 0.5 * (Qc[0, 0] + Qc[1, 1])
+        s = np.hypot(0.5 * (Qc[0, 0] - Qc[1, 1]), Qc[0, 1])
         lmin, lmax = m - s, m + s
     else:
-        m = (q[:, 0] + q[:, 4] + q[:, 8]) / 3.0
-        a, b, c = q[:, 0] - m, q[:, 4] - m, q[:, 8] - m
-        d, e, f = q[:, 1], q[:, 5], q[:, 2]
+        m = (Qc[0, 0] + Qc[1, 1] + Qc[2, 2]) / 3.0
+        a, b, c = Qc[0, 0] - m, Qc[1, 1] - m, Qc[2, 2] - m
+        d, e, f = Qc[0, 1], Qc[1, 2], Qc[0, 2]
         dd, ee, ff = d * d, e * e, f * f
         p = (a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0
         h = 0.5 * (a * b * c + 2.0 * d * e * f - a * ee - b * ff - c * dd)  # det(K) / 2
         s = np.sqrt(p)
-        phi = np.arctan2(np.sqrt(np.maximum(p * p * p - h * h, 0.0)), h) / 3.0
-        cos, sin = np.cos(phi), np.sin(phi)
+        cos = np.cos(np.arctan2(np.sqrt(np.maximum(p * p * p - h * h, 0.0)), h) / 3.0)
+        # the angle lies in [0, pi / 3], so its sine is sqrt(1 - cos^2), to
+        # about sqrt(eps) near a double root like the rest of the formula
+        sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
         lmin = m - s * (cos + np.sqrt(3.0) * sin)
         lmax = m + 2.0 * s * cos
-    slack = _SCREEN_TOL * (np.abs(m) + s)
-    return np.column_stack((lmin - slack, lmin + slack, lmax - slack, lmax + slack))
+    return lmin, lmax, _SCREEN_TOL * (np.abs(m) + s)
 
 
-def condition_bound(geo, coeff, axes, extra=()):
+class BoundScreen:
+    """Running state of the condition bound over batches of Q.
+
+    ``add(Q, singular)`` takes a batch as eval_Q_masked returns it.  lo and
+    hi are the running certain bounds on inf lmin and sup lmax (from the
+    closed-form ranges of _eig_screen), and only the points whose range may
+    reach past them are kept, as components (d, d, M), with their reach
+    (lmin - slack, lmax + slack).  ``result()`` runs exact ``eigvalsh`` on
+    the kept points, so the bound is the one ``eigvalsh`` gives over every
+    point added, in any order and batching.  A singular point anywhere makes
+    the bound +inf.
+    """
+
+    def __init__(self):
+        self.lo, self.hi = np.inf, -np.inf
+        self.kept, self.reach = None, None
+        self.singular = False
+
+    def add(self, Q, singular):
+        if self.singular or singular.any():
+            self.singular = True
+            return
+        Qc = Q.transpose(1, 2, 0)
+        lmin, lmax, slack = _eig_screen(Qc)
+        self.lo = lo = min(self.lo, (lmin + slack).min())
+        self.hi = hi = max(self.hi, (lmax - slack).max())
+        reach = np.stack((lmin - slack, lmax + slack))
+        new = (reach[0] <= lo) | (reach[1] >= hi)
+        kept, reach = Qc[..., new], reach[:, new]
+        if self.kept is not None:
+            keep = (self.reach[0] <= lo) | (self.reach[1] >= hi)
+            kept = np.concatenate([self.kept[..., keep], kept], axis=-1)
+            reach = np.concatenate([self.reach[:, keep], reach], axis=-1)
+        if kept.shape[-1] > _BOUND_CHUNK:
+            # many points near an extreme (Q nearly constant): keep the exact extremes
+            ev = np.linalg.eigvalsh(kept.transpose(2, 0, 1))
+            pick = [ev[:, 0].argmin(), ev[:, -1].argmax()]
+            kept, reach = kept[..., pick], reach[:, pick]
+        self.kept, self.reach = kept, reach
+
+    def result(self):
+        """ConditionBound(bound, singular) over every point added."""
+        if self.singular:
+            return ConditionBound(np.inf, True)
+        if self.kept is None:
+            raise ValueError("the condition bound needs at least one sample point")
+        ev = np.linalg.eigvalsh(self.kept.transpose(2, 0, 1))
+        lo, hi = ev[:, 0].min(), ev[:, -1].max()
+        if lo <= 0.0:
+            return ConditionBound(np.inf, True)
+        return ConditionBound(float(hi / lo), False)
+
+
+def condition_bound(geo, coeff, axes, extra=(), screen=None):
     """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
 
     The points are the tensor grid of the 1D coordinates ``axes`` (C order,
@@ -470,12 +549,13 @@ def condition_bound(geo, coeff, axes, extra=()):
     identity coefficient.
 
     The points are generated and Q is evaluated _BOUND_CHUNK points at a
-    time, so memory does not grow with the number of points.  The
-    closed-form ranges of _eig_screen keep only the points that may hold an
-    extreme: lo and hi are the running certain bounds on inf lmin and sup
-    lmax, and a point whose range cannot reach past them is dropped.  The
-    kept points get exact ``eigvalsh``, so the bound is the one ``eigvalsh``
-    gives over all points.
+    time, so memory does not grow with the number of points, and screened by
+    a BoundScreen.  ``screen`` may be one that other points were added to
+    already: assemble_stiffness adds every quadrature point of its pass,
+    and bench._run_row then passes only the 2^d corners of the parameter
+    domain as ``extra`` (with empty axes), which no Gauss point reaches, so
+    that a parametrization singular on the boundary gives the +inf
+    sentinel.
 
     Returns:
         ConditionBound(bound, singular)
@@ -485,32 +565,16 @@ def condition_bound(geo, coeff, axes, extra=()):
     n_grid = int(np.prod(shape))
     extra = np.asarray(extra, dtype=float).reshape(-1, geo.dim)
     total = n_grid + len(extra)
-    lo, hi = np.inf, -np.inf
-    kept, reach = np.empty((0, geo.dim, geo.dim)), np.empty((0, 4))
+    screen = BoundScreen() if screen is None else screen
     for start in range(0, total, _BOUND_CHUNK):
+        if screen.singular:
+            break
         stop = min(start + _BOUND_CHUNK, total)
         idx = np.unravel_index(np.arange(start, min(stop, n_grid)), shape)
         grid = np.column_stack([a[i] for a, i in zip(axes, idx)])
         zeta = np.vstack([grid, extra[max(start - n_grid, 0) : max(stop - n_grid, 0)]])
-        Q, sing = eval_Q_masked(geo, coeff, zeta)
-        if sing.any():
-            return ConditionBound(np.inf, True)
-        r = _eig_screen(Q)
-        lo, hi = min(lo, r[:, 1].min()), max(hi, r[:, 2].max())
-        new = (r[:, 0] <= lo) | (r[:, 3] >= hi)
-        kept, reach = np.concatenate([kept, Q[new]]), np.concatenate([reach, r[new]])
-        keep = (reach[:, 0] <= lo) | (reach[:, 3] >= hi)
-        kept, reach = kept[keep], reach[keep]
-        if len(kept) > _BOUND_CHUNK:
-            # many points near an extreme (Q nearly constant): keep the exact extremes
-            ev = np.linalg.eigvalsh(kept)
-            pick = [ev[:, 0].argmin(), ev[:, -1].argmax()]
-            kept, reach = kept[pick], reach[pick]
-    ev = np.linalg.eigvalsh(kept)
-    lo, hi = ev[:, 0].min(), ev[:, -1].max()
-    if lo <= 0.0:
-        return ConditionBound(np.inf, True)
-    return ConditionBound(float(hi / lo), False)
+        screen.add(*eval_Q_masked(geo, coeff, zeta))
+    return screen.result()
 
 
 def _value_matrix(space, points):

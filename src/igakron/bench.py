@@ -11,8 +11,11 @@ around ``_problem`` (the one place that turns a domain into A, b, spaces,
 geometry, pencils or the multi-patch domain) and the solver's entry in
 ``SOLVERS`` (the one place that builds each preconditioner), then
 ``solve_s`` around CG, or around one application of the Kronecker solver in
-a direct row, and last the condition bound.  ``igakron export-matrix``
-builds its system through the same ``_problem``.
+a direct row, and last the condition bound.  The stiffness assembly in
+``_problem`` screens Q at every Gauss point for the bound as it goes, so the
+only bound work after ``solve_s`` stops is Q at the 2^d corners of the
+parameter domain and ``eigvalsh`` on the points the screen kept.
+``igakron export-matrix`` builds its system through the same ``_problem``.
 
 The library functions are looked up as globals of this module when a row
 calls them, never held in a table filled at import time, so a wrapper
@@ -28,11 +31,11 @@ import numpy as np
 
 from .adi import ADIPreconditioner
 from .assembly import (
+    BoundScreen,
     assemble_load,
     assemble_pencil_1d,
     assemble_stiffness,
     condition_bound,
-    gauss_rule,
 )
 from .bspline import SplineSpace1D
 from .fd import fd_setup
@@ -244,11 +247,12 @@ class _Problem:
     dom: object = None  # the multi-patch domain
 
 
-def _problem(cfg, h_inv, rng):
+def _problem(cfg, h_inv, rng, screen=None):
     """The linear system of one row of ``cfg`` at refinement ``h_inv``.
 
     The unit cube takes a standard normal right-hand side from ``rng``; every
-    other domain loads the Poisson source.
+    other domain loads the Poisson source.  A single-patch stiffness pass
+    adds its Q to the BoundScreen ``screen``, if one is given.
     """
     if cfg.domain == "l_shape":
         dom = l_shape_domain(cfg.p, h_inv)
@@ -258,7 +262,7 @@ def _problem(cfg, h_inv, rng):
     spaces = [SplineSpace1D.uniform(cfg.p, h_inv) for _ in range(geo.dim)]
     direct = cfg.mode == "direct"
     pencils = [assemble_pencil_1d(s) for s in spaces] if direct else None
-    A = None if direct else assemble_stiffness(spaces, geo)
+    A = None if direct else assemble_stiffness(spaces, geo, screen=screen)
     if cfg.domain == "unit_cube":
         b = rng.standard_normal(spaces[0].n ** geo.dim)
     else:
@@ -268,12 +272,14 @@ def _problem(cfg, h_inv, rng):
     return _Problem(A, b, spaces, geo, pencils)
 
 
-def _cond_bound_value(spaces, geo):
-    axes = [gauss_rule(s, s.p + 1).points.ravel() for s in spaces]
-    # the bound is a supremum over the closed domain: include the corners so
-    # boundary-singular parametrizations report the +inf sentinel
+def _cond_bound_value(geo, screen):
+    """The bound over the Gauss points ``screen`` holds from the stiffness pass and the corners.
+
+    The bound is a supremum over the closed domain: the corners are added
+    so boundary-singular parametrizations report the +inf sentinel.
+    """
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    return condition_bound(geo, None, axes, corners).bound
+    return condition_bound(geo, None, [()] * geo.dim, corners, screen).bound
 
 
 def _run_row(cfg, h_inv, rng):
@@ -283,7 +289,8 @@ def _run_row(cfg, h_inv, rng):
     if need > cfg.memory_cap:
         raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
     t0 = time.perf_counter()
-    pb = _problem(cfg, h_inv, rng)
+    screen = BoundScreen()
+    pb = _problem(cfg, h_inv, rng, screen)
     prec = SOLVERS[cfg.solver][1](cfg, pb)
     t1 = time.perf_counter()
     if direct:
@@ -300,7 +307,7 @@ def _run_row(cfg, h_inv, rng):
         residual = result.true_residual
         outer_iters = result.iterations
         converged = result.converged
-        cond_bound = float("nan") if pb.geo is None else _cond_bound_value(pb.spaces, pb.geo)
+        cond_bound = float("nan") if pb.geo is None else _cond_bound_value(pb.geo, screen)
         nnz = pb.A.nnz
     return ReportRow(
         domain=cfg.domain,

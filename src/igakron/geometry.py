@@ -2,8 +2,12 @@
 
 All maps are analytic closed forms: assembly only ever needs point values and
 Jacobians, so carrying control nets around would buy nothing.  Evaluation is
-batched: ``evaluate`` and ``jacobian`` take an (N, d) array of parametric
-points and return (N, d) and (N, d, d) arrays.
+batched: ``evaluate`` takes an (N, d) array of parametric points and returns
+the (N, d) physical points; ``jacobian`` takes the same points and returns
+the Jacobian as contiguous components, a (d, d, N) array with
+``J[i, k] = dx_i / dz_k``, so that every consumer (the cofactors of
+eval_Q_masked and abs_det_masked) reads each component as one contiguous row
+of length N without a copy.
 """
 
 import enum
@@ -32,7 +36,9 @@ class GeometryMap:
     Attributes:
         dim: spatial dimension (2 or 3)
         evaluate: callable, (N, dim) parametric points -> (N, dim) physical points
-        jacobian: callable, (N, dim) parametric points -> (N, dim, dim) Jacobians
+        jacobian: callable, (N, dim) parametric points -> (dim, dim, N)
+            components, ``J[i, k]`` = dx_i/dz_k at every point as one
+            contiguous row; any other shape is refused with a ValueError
     """
 
     def __init__(self, dim, evaluate, jacobian, name="custom"):
@@ -72,10 +78,8 @@ def identity_map(dim):
         return np.array(z, dtype=float, copy=True)
 
     def jacobian(z):
-        z = np.asarray(z)
-        J = np.zeros((z.shape[0], dim, dim))
-        idx = np.arange(dim)
-        J[:, idx, idx] = 1.0
+        J = np.zeros((dim, dim, len(z)))
+        J[range(dim), range(dim)] = 1.0
         return J
 
     return GeometryMap(dim, evaluate, jacobian, name="identity")
@@ -91,34 +95,34 @@ def affine_map(A, t, name="affine"):
         return np.asarray(z) @ A.T + t
 
     def jacobian(z):
-        z = np.asarray(z)
-        return np.broadcast_to(A, (z.shape[0], dim, dim)).copy()
+        return np.repeat(A[:, :, None], len(z), axis=2)
 
     return GeometryMap(dim, evaluate, jacobian, name=name)
 
 
-def _quarter_annulus_xy(z1, z2):
+def _polar(z):
     # radii [1, 2]; angle sweeps a quarter turn
-    r = 1.0 + z1
-    th = 0.5 * np.pi * z2
-    return r * np.cos(th), r * np.sin(th), r, th
+    return 1.0 + z[:, 0], 0.5 * np.pi * z[:, 1]
+
+
+def _annulus_block(z, J):
+    """Write the quarter annulus's Jacobian into the components J[:2, :2]."""
+    r, th = _polar(z)
+    c, s = np.cos(th), np.sin(th)
+    J[0, 0] = c
+    J[0, 1] = -0.5 * np.pi * r * s
+    J[1, 0] = s
+    J[1, 1] = 0.5 * np.pi * r * c
 
 
 def _quarter_annulus():
     def evaluate(z):
-        z = np.asarray(z)
-        x, y, _, _ = _quarter_annulus_xy(z[:, 0], z[:, 1])
-        return np.column_stack((x, y))
+        r, th = _polar(np.asarray(z))
+        return np.column_stack((r * np.cos(th), r * np.sin(th)))
 
     def jacobian(z):
-        z = np.asarray(z)
-        _, _, r, th = _quarter_annulus_xy(z[:, 0], z[:, 1])
-        c, s = np.cos(th), np.sin(th)
-        J = np.empty((z.shape[0], 2, 2))
-        J[:, 0, 0] = c
-        J[:, 0, 1] = -0.5 * np.pi * r * s
-        J[:, 1, 0] = s
-        J[:, 1, 1] = 0.5 * np.pi * r * c
+        J = np.empty((2, 2, len(z)))
+        _annulus_block(np.asarray(z), J)
         return J
 
     return GeometryMap(2, evaluate, jacobian, name="quarter_annulus")
@@ -142,9 +146,9 @@ def _stretched_square():
 
     def jacobian(z):
         z = np.asarray(z)
-        J = np.zeros((z.shape[0], 2, 2))
-        J[:, 0, 0] = _stretch_deriv(z[:, 0])
-        J[:, 1, 1] = _stretch_deriv(z[:, 1])
+        J = np.zeros((2, 2, len(z)))
+        J[0, 0] = _stretch_deriv(z[:, 0])
+        J[1, 1] = _stretch_deriv(z[:, 1])
         return J
 
     return GeometryMap(2, evaluate, jacobian, name="stretched_square")
@@ -158,10 +162,10 @@ def _collapsed_triangle():
 
     def jacobian(z):
         z = np.asarray(z)
-        J = np.zeros((z.shape[0], 2, 2))
-        J[:, 0, 0] = 1.0 - z[:, 1]
-        J[:, 0, 1] = -z[:, 0]
-        J[:, 1, 1] = 1.0
+        J = np.zeros((2, 2, len(z)))
+        J[0, 0] = 1.0 - z[:, 1]
+        J[0, 1] = -z[:, 0]
+        J[1, 1] = 1.0
         return J
 
     return GeometryMap(2, evaluate, jacobian, name="collapsed_triangle")
@@ -171,19 +175,13 @@ def _thick_quarter_ring():
     # quarter annulus cross-section, trivial third direction
     def evaluate(z):
         z = np.asarray(z)
-        x, y, _, _ = _quarter_annulus_xy(z[:, 0], z[:, 1])
-        return np.column_stack((x, y, z[:, 2]))
+        r, th = _polar(z)
+        return np.column_stack((r * np.cos(th), r * np.sin(th), z[:, 2]))
 
     def jacobian(z):
-        z = np.asarray(z)
-        _, _, r, th = _quarter_annulus_xy(z[:, 0], z[:, 1])
-        c, s = np.cos(th), np.sin(th)
-        J = np.zeros((z.shape[0], 3, 3))
-        J[:, 0, 0] = c
-        J[:, 0, 1] = -0.5 * np.pi * r * s
-        J[:, 1, 0] = s
-        J[:, 1, 1] = 0.5 * np.pi * r * c
-        J[:, 2, 2] = 1.0
+        J = np.zeros((3, 3, len(z)))
+        _annulus_block(np.asarray(z), J)
+        J[2, 2] = 1.0
         return J
 
     return GeometryMap(3, evaluate, jacobian, name="thick_quarter_ring")
@@ -194,33 +192,31 @@ def _revolved_quarter_ring():
     # through (-1, -1, -1) with direction (0, 1, 0); the sign of the rotation
     # is chosen so the map is orientation-preserving
     def _parts(z):
-        x, y, r, th = _quarter_annulus_xy(z[:, 0], z[:, 1])
+        r, th = _polar(z)
+        c, s = np.cos(th), np.sin(th)
         beta = 0.5 * np.pi * z[:, 2]
-        return x, y, r, th, beta, np.cos(beta), np.sin(beta)
+        # w = x + 1, the distance of the cross-section point from the axis
+        return r, c, s, r * c + 1.0, np.cos(beta), np.sin(beta)
 
     def evaluate(z):
         z = np.asarray(z)
-        x, y, _, _, _, cb, sb = _parts(z)
-        w = x + 1.0
-        return np.column_stack((-1.0 + w * cb - sb, y, -1.0 + w * sb + cb))
+        r, _, s, w, cb, sb = _parts(z)
+        return np.column_stack((-1.0 + w * cb - sb, r * s, -1.0 + w * sb + cb))
 
     def jacobian(z):
         z = np.asarray(z)
-        x, y, r, th, _, cb, sb = _parts(z)
-        c, s = np.cos(th), np.sin(th)
-        dx1, dx2 = c, -0.5 * np.pi * r * s
-        dy1, dy2 = s, 0.5 * np.pi * r * c
-        w = x + 1.0
-        J = np.empty((z.shape[0], 3, 3))
-        J[:, 0, 0] = dx1 * cb
-        J[:, 0, 1] = dx2 * cb
-        J[:, 0, 2] = 0.5 * np.pi * (-w * sb - cb)
-        J[:, 1, 0] = dy1
-        J[:, 1, 1] = dy2
-        J[:, 1, 2] = 0.0
-        J[:, 2, 0] = dx1 * sb
-        J[:, 2, 1] = dx2 * sb
-        J[:, 2, 2] = 0.5 * np.pi * (w * cb - sb)
+        r, c, s, w, cb, sb = _parts(z)
+        dx2, dy2 = -0.5 * np.pi * r * s, 0.5 * np.pi * r * c
+        J = np.empty((3, 3, len(z)))
+        J[0, 0] = c * cb
+        J[0, 1] = dx2 * cb
+        J[0, 2] = 0.5 * np.pi * (-w * sb - cb)
+        J[1, 0] = s
+        J[1, 1] = dy2
+        J[1, 2] = 0.0
+        J[2, 0] = c * sb
+        J[2, 1] = dx2 * sb
+        J[2, 2] = 0.5 * np.pi * (w * cb - sb)
         return J
 
     return GeometryMap(3, evaluate, jacobian, name="revolved_quarter_ring")
@@ -253,9 +249,16 @@ def builtin(domain):
     return _BUILDERS[domain]()
 
 
-def _components(J):
-    """A batch of Jacobians (N, d, d) as contiguous components (d, d, N)."""
-    return np.ascontiguousarray(np.moveaxis(J, 0, -1))
+def _jacobian(geo, zeta):
+    """geo's Jacobian components (d, d, N) at the (N, d) points zeta, shape checked."""
+    J = geo.jacobian(zeta)
+    want = (geo.dim, geo.dim, len(zeta))
+    if np.shape(J) != want:
+        raise ValueError(
+            "%r: jacobian must return the components J[i, k] = dx_i/dz_k as an array of "
+            "shape (d, d, N) = %s, got shape %s" % (geo, want, np.shape(J))
+        )
+    return J
 
 
 def _cofactor(J, r, c):
@@ -289,7 +292,7 @@ def abs_det_masked(geo, zeta):
     Returns:
         (absdet, singular_mask), both of shape (N,).
     """
-    J = _components(geo.jacobian(np.asarray(zeta, dtype=float)))
+    J = _jacobian(geo, np.asarray(zeta, dtype=float))
     return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
 
 
@@ -317,7 +320,7 @@ def eval_Q_masked(geo, coeff, zeta):
     """
     zeta = np.asarray(zeta, dtype=float)
     d = geo.dim
-    J = _components(geo.jacobian(zeta))
+    J = _jacobian(geo, zeta)
     # adj[i][j] = cofactor (j, i); its first column holds the row-0 cofactors
     adj = [[_cofactor(J, j, i) for j in range(d)] for i in range(d)]
     absdet, singular = _abs_det(J, [adj[c][0] for c in range(d)])

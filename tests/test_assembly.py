@@ -9,6 +9,7 @@ from scipy.interpolate import BSpline
 
 from igakron import assembly
 from igakron.assembly import (
+    BoundScreen,
     _CSRRows,
     assemble_load,
     assemble_pencil_1d,
@@ -25,6 +26,7 @@ from igakron.fd import fd_setup
 from igakron.geometry import (
     BuiltinDomain,
     CoefficientField,
+    GeometryMap,
     abs_det_masked,
     affine_map,
     builtin,
@@ -221,6 +223,11 @@ def test_condition_bound_singular_domain(monkeypatch):
         assert cb.singular and np.isinf(cb.bound)
 
 
+def test_condition_bound_without_points_raises():
+    with pytest.raises(ValueError, match="at least one sample point"):
+        condition_bound(builtin("quarter_annulus"), None, [(), ()])
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 143, 145, 1000])
 def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
     # every point once, in C order, chunk boundaries anywhere (the grid has 144)
@@ -254,7 +261,9 @@ def _dense_from_band(BB, ms, p):
     return A
 
 
-@pytest.mark.parametrize("ms,p", [((7, 6), 2), ((5, 6, 4), 1), ((6, 5, 7), 2)])
+# (4, 6) and (5, 4, 6) at p = 2, 3 leave at most 2p leading rows, each
+# within p of both ends of the box
+@pytest.mark.parametrize("ms,p", [((7, 6), 2), ((5, 6, 4), 1), ((6, 5, 7), 2), ((4, 6), 2), ((5, 4, 6), 3)])
 @pytest.mark.parametrize("dirichlet", [True, False])
 def test_band_to_csr_matches_dense_reference(ms, p, dirichlet):
     rng = np.random.default_rng(5)
@@ -445,6 +454,57 @@ def test_condition_bound_matches_eigvalsh(domain, corners, chunk, monkeypatch):
     assert abs(cb.bound - ref) <= 1e-12 * ref
 
 
+def _interior_singular_map(z_star):
+    # x = (z_1, (z_2 - z*)^3 / 3): det J = (z_2 - z*)^2 vanishes only on the
+    # line z_2 = z*, which holds Gauss points when z* is one of them
+    def evaluate(z):
+        z = np.asarray(z)
+        return np.column_stack((z[:, 0], (z[:, 1] - z_star) ** 3 / 3.0))
+
+    def jacobian(z):
+        J = np.zeros((2, 2, len(z)))
+        J[0, 0] = 1.0
+        J[1, 1] = (np.asarray(z)[:, 1] - z_star) ** 2
+        return J
+
+    return GeometryMap(2, evaluate, jacobian, name="interior_singular")
+
+
+def corners(d):
+    return np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+
+
+@pytest.mark.parametrize("domain", list(BuiltinDomain) + ["shear", "interior_singular"])
+@pytest.mark.parametrize("chunk", [None, 500])
+def test_stiffness_pass_bound_equals_grid_bound(domain, chunk, monkeypatch):
+    # the bound screened in the stiffness pass and finished with the corners
+    # is condition_bound over the whole Gauss grid plus the corners, bitwise;
+    # a chunk of 500 also collapses the 3D rings' thousands of candidates to
+    # the exact extremes on the way
+    if domain == "shear":
+        geo = affine_map([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.0])
+    elif domain == "interior_singular":
+        geo = _interior_singular_map(gauss_rule(SplineSpace1D.uniform(3, 9), 4).points[2, 1])
+    else:
+        geo = builtin(domain)
+    spaces = [SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)]
+    if chunk:
+        monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
+    screen = BoundScreen()
+    A = assemble_stiffness(spaces, geo, screen=screen)
+    # only the interior-singular map has a singular Gauss point
+    assert screen.singular == (domain == "interior_singular")
+    cb = condition_bound(geo, None, [()] * geo.dim, corners(geo.dim), screen)
+    ref = condition_bound(geo, None, gauss_axes(spaces), corners(geo.dim))
+    assert cb == ref
+    singular = domain in ("interior_singular", BuiltinDomain.COLLAPSED_TRIANGLE)
+    assert cb.singular == singular and np.isinf(cb.bound) == singular
+    # the screen leaves A as it is
+    A0 = assemble_stiffness(spaces, geo)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, attr), getattr(A0, attr))
+
+
 # ---------------------------------------------------------------------------
 # the pull-back orientation defect (ROADMAP item 1): expected to fail until
 # eval_Q_masked forms |det J| J^-1 K J^-T for J_ik = dx_i / dz_k
@@ -485,5 +545,31 @@ def test_quarter_annulus_manufactured_rate(p):
         sp = spaces_2d(p, h_inv)
         u = scipy.sparse.linalg.spsolve(assemble_stiffness(sp, geo).tocsc(), assemble_load(sp, geo, annulus_f))
         errs.append(l2_error(sp, geo, u, annulus_u))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(rates - (p + 1)) < 0.3), rates
+
+
+def ring_u(x):
+    s = x[:, 0] ** 2 + x[:, 1] ** 2
+    z = x[:, 2]
+    return x[:, 0] * x[:, 1] * z * (1.0 - z) * (s - 1.0) * (s - 4.0)
+
+
+def ring_f(x):
+    # -laplace(z (1 - z) w(x, y)) = z (1 - z) (-laplace w) + 2 w, w as annulus_u
+    s = x[:, 0] ** 2 + x[:, 1] ** 2
+    z = x[:, 2]
+    return x[:, 0] * x[:, 1] * (z * (1.0 - z) * (60.0 - 32.0 * s) + 2.0 * (s - 1.0) * (s - 4.0))
+
+
+@pytest.mark.xfail(strict=True, reason=PULLBACK_DEFECT)
+def test_thick_quarter_ring_manufactured_rate():
+    # u vanishes on the whole boundary of the thick quarter ring
+    geo = builtin("thick_quarter_ring")
+    p, errs = 2, []
+    for h_inv in (4, 8, 16):
+        sp = [SplineSpace1D.uniform(p, h_inv) for _ in range(3)]
+        u = scipy.sparse.linalg.spsolve(assemble_stiffness(sp, geo).tocsc(), assemble_load(sp, geo, ring_f))
+        errs.append(l2_error(sp, geo, u, ring_u))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - (p + 1)) < 0.3), rates

@@ -11,13 +11,19 @@ import scipy.io
 import igakron
 import igakron.bench
 from igakron.adi import ADIPreconditioner
-from igakron.assembly import assemble_load, assemble_pencil_1d, assemble_stiffness
+from igakron.assembly import (
+    BoundScreen,
+    assemble_load,
+    assemble_pencil_1d,
+    assemble_stiffness,
+    condition_bound,
+    gauss_rule,
+)
 from igakron.bench import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     MemoryLimitError,
-    _cond_bound_value,
     _estimate_bytes,
     emit_report,
     poisson_source,
@@ -26,7 +32,7 @@ from igakron.bench import (
 from igakron.bspline import SplineSpace1D
 from igakron.cli import _build_config, build_parser
 from igakron.fd import fd_setup
-from igakron.geometry import builtin
+from igakron.geometry import builtin, eval_Q_masked
 from igakron.ic import ic0_setup
 from igakron.kron import KroneckerSum
 from igakron.multipatch import (
@@ -214,7 +220,8 @@ def test_memory_estimate_covers_stiffness_assembly(domain, d, h_inv, p):
     spaces = [SplineSpace1D.uniform(p, h_inv) for _ in range(d)]
     tracemalloc.start()
     try:
-        assemble_stiffness(spaces, builtin(domain))
+        # as a precond row assembles it, screening the condition bound
+        assemble_stiffness(spaces, builtin(domain), screen=BoundScreen())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -235,8 +242,33 @@ def test_condition_bound_memory_does_not_grow(tracemalloc_peak):
     # the bound's sample points are generated chunk by chunk: 8x the points
     # (2.1 M at 1/h = 32) must not raise the peak
     geo = builtin("thick_quarter_ring")
-    peaks = [tracemalloc_peak(_cond_bound_value, [SplineSpace1D.uniform(3, h)] * 3, geo) for h in (16, 32)]
+    peaks = []
+    for h in (16, 32):
+        axes = [gauss_rule(s, s.p + 1).points.ravel() for s in [SplineSpace1D.uniform(3, h)] * 3]
+        peaks.append(tracemalloc_peak(condition_bound, geo, None, axes))
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("domain, d, h_inv", [("quarter_annulus", 2, 8), ("thick_quarter_ring", 3, 4)])
+def test_precond_row_evaluates_Q_once_per_point(domain, d, h_inv, monkeypatch):
+    # Q at every Gauss point once, in the stiffness pass, and then at the
+    # 2^d corners for the bound: (E q)^d + 2^d points
+    points = []
+
+    def counting(geo, coeff, zeta):
+        points.append(len(zeta))
+        return eval_Q_masked(geo, coeff, zeta)
+
+    monkeypatch.setattr(igakron.assembly, "eval_Q_masked", counting)
+    p = 2
+    row = run_experiment(ExperimentConfig(domain=domain, p=p, h_invs=(h_inv,), solver="fd")).rows[0]
+    monkeypatch.undo()
+    assert sum(points) == (h_inv * (p + 1)) ** d + 2**d
+    assert points[-1] == 2**d
+    spaces = [SplineSpace1D.uniform(p, h_inv)] * d
+    axes = [gauss_rule(s, p + 1).points.ravel() for s in spaces]
+    corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
+    assert row.cond_bound == condition_bound(builtin(domain), None, axes, corners).bound
 
 
 def test_default_memory_cap_within_physical_memory():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from igakron.assembly import assemble_load, assemble_stiffness, condition_bound
+from igakron.bspline import SplineSpace1D
 from igakron.geometry import (
     SINGULAR_TOL,
     BuiltinDomain,
     CoefficientField,
+    GeometryMap,
     abs_det_masked,
     builtin,
     eval_Q_masked,
@@ -87,13 +90,16 @@ def test_jacobian_consistency(domain):
     rng = np.random.default_rng(42)
     z = random_points(rng, 100, geo.dim, 0.05, 0.95)
     J = geo.jacobian(z)
+    assert J.shape == (geo.dim, geo.dim, len(z))
     h = 1e-6
     for k in range(geo.dim):
         dz = np.zeros(geo.dim)
         dz[k] = h
         fd = (geo.evaluate(z + dz) - geo.evaluate(z - dz)) / (2 * h)
-        scale = max(1.0, np.abs(J[:, :, k]).max())
-        np.testing.assert_allclose(J[:, :, k], fd, atol=1e-5 * scale)
+        # column k of every Jacobian, J[i, k] = dx_i/dz_k, as (N, d)
+        Jk = J[:, k].T
+        scale = max(1.0, np.abs(Jk).max())
+        np.testing.assert_allclose(Jk, fd, atol=1e-5 * scale)
 
 
 @pytest.mark.parametrize("domain", ALL_DOMAINS)
@@ -114,7 +120,7 @@ def test_orientation_preserving(domain):
     geo = builtin(domain)
     rng = np.random.default_rng(3)
     z = random_points(rng, 500, geo.dim)
-    det = np.linalg.det(geo.jacobian(z))
+    det = np.linalg.det(np.moveaxis(geo.jacobian(z), -1, 0))
     assert det.min() >= -1e-14
 
 
@@ -122,9 +128,28 @@ def test_unit_square_and_cube():
     sq = builtin("unit_square")
     z = np.array([[0.2, 0.8]])
     np.testing.assert_allclose(sq.evaluate(z), z)
-    np.testing.assert_allclose(sq.jacobian(z)[0], np.eye(2))
+    np.testing.assert_allclose(sq.jacobian(z)[:, :, 0], np.eye(2))
     cube = builtin("unit_cube")
     assert cube.dim == 3
+
+
+def test_point_major_jacobian_layout_is_refused():
+    # a custom map that still returns one (d, d) Jacobian per point, (N, d, d),
+    # fails with an error naming the expected layout, not with wrong numbers
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])
+    geo = GeometryMap(2, lambda z: np.asarray(z) @ A.T, lambda z: np.repeat(A[None], len(z), axis=0), name="old")
+    spaces = [SplineSpace1D.uniform(2, 4)] * 2
+    z = np.full((5, 2), 0.5)
+    calls = [
+        lambda: eval_Q_masked(geo, None, z),
+        lambda: abs_det_masked(geo, z),
+        lambda: assemble_stiffness(spaces, geo),
+        lambda: assemble_load(spaces, geo, lambda x: x[:, 0]),
+        lambda: condition_bound(geo, None, [np.linspace(0.1, 0.9, 3)] * 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"shape \(d, d, N\) = \(2, 2, \d+\), got shape \(\d+, 2, 2\)"):
+            call()
 
 
 def test_thick_ring_third_direction_trivial():
@@ -158,7 +183,7 @@ def _spd_coefficient(dim):
 def _Q_reference(geo, K, z):
     """|det J| J^{-T} K J^{-1} by batched inverse, zero where the Hadamard
     ratio |det J| / prod_k ||J e_k|| is at most SINGULAR_TOL."""
-    J = geo.jacobian(z)
+    J = np.moveaxis(geo.jacobian(z), -1, 0)
     det = np.linalg.det(J)
     singular = np.abs(det) <= SINGULAR_TOL * np.prod(np.linalg.norm(J, axis=1), axis=1)
     J[singular] = np.eye(geo.dim)
@@ -186,6 +211,6 @@ def test_closed_form_Q_matches_inverse_reference(domain):
         assert np.all(np.abs(Q - Qref) <= 1e-13 * np.maximum(scale, 1e-300))
         absdet, sing_det = abs_det_masked(geo, z)
         assert np.array_equal(sing_det, sing_ref)
-        np.testing.assert_allclose(absdet, np.where(sing_ref, 0.0, np.abs(np.linalg.det(geo.jacobian(z)))), rtol=1e-13)
+        np.testing.assert_allclose(absdet, np.where(sing_ref, 0.0, np.abs(np.linalg.det(np.moveaxis(geo.jacobian(z), -1, 0)))), rtol=1e-13)
     if domain == BuiltinDomain.COLLAPSED_TRIANGLE:
         assert sing.sum() == 10 and np.all(z[sing, 1] == 1.0)
