@@ -396,7 +396,9 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
         screen: a BoundScreen that the Q of every quadrature point is added
             to, so condition_bound can finish the bound over this grid
-            without evaluating Q there again
+            without evaluating Q there again; consecutive planes are added
+            together once they hold _BOUND_CHUNK points, since a small 2D
+            plane would pay the fixed cost of an add for few points
 
     Returns:
         scipy CSR matrix of order n^d (dirichlet) or m^d (full space).
@@ -410,14 +412,29 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
     ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
     A = _CSRRows([s.m for s in spaces], ranges, p)
+    planes = []
+
+    def add_planes():
+        Q, singular = planes[0]
+        if len(planes) > 1:
+            # each Q is a view of (d, d, N) components: join those along the points
+            Q = np.concatenate([Q.transpose(1, 2, 0) for Q, _ in planes], axis=-1).transpose(2, 0, 1)
+            singular = np.concatenate([singular for _, singular in planes])
+        # the planes are released before the screen makes its temporaries
+        planes.clear()
+        screen.add(Q, singular)
 
     def values(z):
         Q, singular = eval_Q_masked(geo, coeff, z)
         if screen is not None:
-            screen.add(Q, singular)
+            planes.append((Q, singular))
+            if sum(len(Q) for Q, _ in planes) >= _BOUND_CHUNK:
+                add_planes()
         return Q.reshape(len(z), d * d).T
 
     _sum_factorize(rules, tables, values, A.write)
+    if planes:
+        add_planes()
     return A.matrix()
 
 

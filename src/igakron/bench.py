@@ -16,6 +16,8 @@ a direct row, and last the condition bound.  The stiffness assembly in
 only bound work after ``solve_s`` stops is Q at the 2^d corners of the
 parameter domain and ``eigvalsh`` on the points the screen kept.
 ``igakron export-matrix`` builds its system through the same ``_problem``.
+After each row the freed heap is handed back to the system (``_trim_heap``),
+so a row's peak memory does not depend on what the row before it left.
 
 The library functions are looked up as globals of this module when a row
 calls them, never held in a table filled at import time, so a wrapper
@@ -23,6 +25,7 @@ installed on a module attribute (``perfbench/tracing.py`` does this) sees
 every call.
 """
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,6 +34,7 @@ import numpy as np
 
 from .adi import ADIPreconditioner
 from .assembly import (
+    _BOUND_CHUNK,
     BoundScreen,
     assemble_load,
     assemble_pencil_1d,
@@ -227,12 +231,16 @@ def _estimate_bytes(cfg, n, d, assembled):
             # copies: the element tables (d^3 of E q^3 entries) and, per plane
             # of elements, Q and its temporaries (about 400 B per point under
             # tracemalloc for p <= 3) and the d^2 trailing-direction sums of
-            # the q leading points plus their q^2-row GEMM result
+            # the q leading points plus their q^2-row GEMM result; the Q of
+            # the planes before it that wait to be screened together, up to
+            # _BOUND_CHUNK points, take about 24 d^2 B per point with the
+            # screen's temporaries
             q = cfg.p + 1
             E = n + 2 - cfg.p
             plane = q * (E * q) ** (d - 1)
+            batch = min(E * plane, -(-_BOUND_CHUNK // plane) * plane)
             rows = ((n + 2) * w) ** (d - 1)
-            kernel = 16 * d**3 * E * q**3 + 400 * plane + 8 * (d * d + q) * q * rows
+            kernel = 16 * d**3 * E * q**3 + 400 * plane + 24 * d * d * (batch - plane) + 8 * (d * d + q) * q * rows
             est += csr + q * w * rows * 8 + max(kernel, 4 * nnz // n * 8)
     return int(est)
 
@@ -325,6 +333,27 @@ def _run_row(cfg, h_inv, rng):
     )
 
 
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _MALLOC_TRIM = None
+
+
+def _trim_heap():
+    """Return the heap memory freed by a finished row to the system (glibc).
+
+    glibc keeps a free top of its heap resident up to a trim threshold it
+    raises to twice the largest array it has unmapped, here tens of MB.
+    Whether the temporaries of one row stayed resident then turned on a few
+    MB of heap layout, and SuperLU, which maps its factor storage fresh,
+    stacked the next row's factors on top of them or not: the l_shape
+    schwarz_exact row after the quarter_annulus rows peaked about 20 MB
+    higher in some processes than in others.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def run_experiment(cfg):
     """Run one experiment over all requested refinements.
 
@@ -336,6 +365,7 @@ def run_experiment(cfg):
     rng = np.random.default_rng(cfg.seed)
     for h_inv in cfg.h_invs:
         report.rows.append(_run_row(cfg, h_inv, rng))
+        _trim_heap()
     return report
 
 

@@ -10,14 +10,19 @@ A bracket of the spectrum of M^{-1} K needs no eigenvalues: by Sylvester's
 law of inertia K - s M is positive definite iff s < lambda_min, and M - K / s
 iff s > lambda_max (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), so a
 banded Cholesky factorization decides on which side of an end s lies.
+
+A per-direction setup (a decomposition, a bracket, shifted factors) depends
+on its pencil alone, so ``per_distinct_pencil`` runs it once for each pencil
+that is distinct by value and shares the result among equal directions.
 """
 
+import functools
 import math
 
 import numpy as np
 import scipy.linalg
 
-__all__ = ["PencilEigen", "generalized_eig", "extreme_eigs"]
+__all__ = ["PencilEigen", "generalized_eig", "extreme_eigs", "per_distinct_pencil"]
 
 # relative width to which each end of the bracket is bisected
 _BRACKET_RTOL = 1e-3
@@ -39,6 +44,11 @@ class PencilEigen:
     def n(self):
         return self.D.size
 
+    @functools.cached_property
+    def Ut(self):
+        """U^T as a C-contiguous copy, made on first use."""
+        return self.U.T.copy()
+
 
 def _asdense(A):
     return A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)
@@ -56,6 +66,26 @@ def generalized_eig(K, M):
     if D[0] <= 0.0:
         raise ValueError("pencil is not positive definite (min eigenvalue %g)" % D[0])
     return PencilEigen(U=U, D=D)
+
+
+def _same_pencil(P, Q):
+    # banded matrices compare by their bands, dense ones as they are
+    return all(np.array_equal(getattr(A, "ab", A), getattr(B, "ab", B)) for A, B in zip(P, Q))
+
+
+def per_distinct_pencil(fn, pencils):
+    """``[fn(K, M) for K, M in pencils]``, calling fn once per distinct pencil.
+
+    Two pencils are equal when their K bands and their M bands (dense K and
+    M for dense pencils) have the same shape and entries.  A direction takes the result of the first
+    direction whose pencil equals its own, so equal directions share one
+    object: an isotropic cube costs one call.
+    """
+    out = []
+    for i, pencil in enumerate(pencils):
+        j = next((j for j in range(i) if _same_pencil(pencils[j], pencil)), i)
+        out.append(out[j] if j < i else fn(*pencil))
+    return out
 
 
 def _definite(A):

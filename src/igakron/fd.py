@@ -7,12 +7,14 @@ by U_l^T M_l U_l = I, the Kronecker sum factorizes as
 
 so a solve is: multiply by the transposed eigenvector Kronecker factor, scale
 by the precomputed reciprocal eigenvalue sums, multiply back.  Setup is done
-once; applications are pure and reentrant.
+once, with one eigendecomposition (and one transposed copy of its
+eigenvectors) per distinct pencil: directions with equal pencils share them.
+Applications are pure and reentrant.
 """
 
 import numpy as np
 
-from .eigen import generalized_eig
+from .eigen import generalized_eig, per_distinct_pencil
 from .kron import kron_matvec
 
 __all__ = ["FDPreconditioner", "fd_setup"]
@@ -23,7 +25,7 @@ class FDPreconditioner:
 
     Attributes:
         d: dimension (2 or 3)
-        eigs: per-direction PencilEigen
+        eigs: per-direction PencilEigen (one object for equal directions)
         inv_diag: reciprocal of the additively combined eigenvalues, length N
     """
 
@@ -38,7 +40,7 @@ class FDPreconditioner:
             raise ValueError("combined eigenvalue sums must be positive")
         self.diag = diag
         self.inv_diag = 1.0 / diag
-        self._Ut = [pe.U.T.copy() for pe in self.eigs]
+        self._Ut = [pe.Ut for pe in self.eigs]
         self._U = [pe.U for pe in self.eigs]
 
     @property
@@ -57,4 +59,4 @@ class FDPreconditioner:
 
 def fd_setup(P):
     """Build the fast-diagonalization solver for a KroneckerSum."""
-    return FDPreconditioner(generalized_eig(K, M) for K, M in P.factors)
+    return FDPreconditioner(per_distinct_pencil(generalized_eig, P.factors))

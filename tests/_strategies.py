@@ -1,0 +1,20 @@
+"""Hypothesis strategies shared by the property tests."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from igakron.bspline import KnotVector, SplineSpace1D
+
+
+@st.composite
+def random_open_space(draw, max_n=64):
+    """Spline space over an open knot vector on a 1/64 grid, repeated interior knots, n <= max_n.
+
+    The degree is 1..5; ``max_n`` is at least 9, so every degree fits.
+    """
+    p = draw(st.integers(1, 5))
+    k = draw(st.integers(1, (max_n - 4) // p))
+    breaks = sorted(draw(st.lists(st.integers(1, 63), min_size=k, max_size=k, unique=True)))
+    mult = draw(st.lists(st.integers(1, p), min_size=k, max_size=k))
+    interior = np.repeat(np.array(breaks) / 64.0, mult)
+    return SplineSpace1D(KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p))

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igakron import adi
 from igakron.adi import (
     ADIPreconditioner,
     adi_iteration_count,
@@ -11,6 +14,7 @@ from igakron.adi import (
     douglas_shifts_3d,
     greedy_shifts_3d,
     m_norm,
+    rho_prefix_3d,
     wachspress_shifts,
     _best_point_shift,
     _douglas_factor,
@@ -182,6 +186,56 @@ def test_rho_monotone_for_ladder():
     assert (np.diff(plan.rho_values) <= 1e-12).all()
     assert plan.rho_values[-1] <= 1e-6
     assert plan.J <= plan.J0
+
+
+def rho_full_grid(omegas, lams):
+    """rho_prefix_3d's reference: the maximum over the whole Cartesian product."""
+    L1, L2, L3 = np.ix_(*lams)
+    P = np.ones((L1.size, L2.size, L3.size))
+    out = []
+    for w in omegas:
+        P = P * (1.0 - 2.0 * w * w * (L1 + L2 + L3) / ((w + L1) * (w + L2) * (w + L3)))
+        out.append(np.abs(P).max())
+    return np.array(out)
+
+
+def eigenvalue_array(size):
+    """Positive values in [1, 1e3], repeats allowed, in no particular order."""
+    pool = st.lists(st.floats(1.0, 1e3), min_size=1, max_size=size)
+    return pool.flatmap(lambda v: st.lists(st.sampled_from(v), min_size=1, max_size=size)).map(np.array)
+
+
+# The plan is evaluated on unordered triples of equal arrays only; the greedy
+# plan (greedy_shifts_3d, _maximize_error_product) keeps its full 32^3 grid
+# and _TRIPLE_CAP stays 128, both deliberately: a change to the greedy grid
+# would move criterion 9's greedy seeds, and a larger cap changes the plans
+# for n > 128.
+@pytest.mark.parametrize("layout", ["aaa", "aab", "aba", "baa", "abc"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_symmetric_plan_matches_full_grid(layout, data):
+    arrays = {c: data.draw(eigenvalue_array(40), label=c) for c in sorted(set(layout))}
+    # equal by value, not by identity
+    lams = [arrays[c].copy() for c in layout]
+    omegas = np.geomspace(0.5, 4e3, data.draw(st.integers(1, 12), label="J"))
+    ref = rho_full_grid(omegas, lams)
+    np.testing.assert_allclose(rho_prefix_3d(omegas, lams), ref, rtol=1e-14, atol=0)
+    eps = data.draw(st.sampled_from([0.3, 1e-3]), label="eps")
+    plans = []
+    for rho in (rho_prefix_3d, rho_full_grid):
+        with mock.patch.object(adi, "rho_prefix_3d", rho):
+            try:
+                plans.append(douglas_shifts_3d(lams, eps))
+            except ArithmeticError as err:
+                # on a narrow spectrum the a-priori count J0 can fall short
+                plans.append(str(err))
+    plan, ref_plan = plans
+    if isinstance(ref_plan, str):
+        assert plan == ref_plan
+        return
+    assert (plan.J, plan.J0) == (ref_plan.J, ref_plan.J0)
+    assert np.array_equal(plan.omegas, ref_plan.omegas)
+    np.testing.assert_allclose(plan.rho_values, ref_plan.rho_values, rtol=1e-14, atol=0)
 
 
 def test_greedy_first_shift_degenerate():

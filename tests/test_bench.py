@@ -286,6 +286,21 @@ def test_reproducibility():
     assert it1 == it2
 
 
+def test_heap_trimmed_after_every_row(monkeypatch):
+    # each row starts from a trimmed heap, not from what the row before it left
+    events = []
+    run_row = igakron.bench._run_row
+
+    def recording_row(*args):
+        events.append("row")
+        return run_row(*args)
+
+    monkeypatch.setattr(igakron.bench, "_run_row", recording_row)
+    monkeypatch.setattr(igakron.bench, "_trim_heap", lambda: events.append("trim"))
+    run_experiment(ExperimentConfig(domain="unit_square", p=2, h_invs=(8, 16), solver="fd", mode="direct"))
+    assert events == ["row", "trim", "row", "trim"]
+
+
 def test_empty_refinements_header_only_csv(tmp_path):
     cfg = ExperimentConfig(domain="unit_square", p=2, h_invs=(), solver="fd", mode="direct")
     rep = run_experiment(cfg)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
-from hypothesis import strategies as st
+
+from _strategies import random_open_space
 
 from igakron.assembly import assemble_pencil_1d
 from igakron.banded import BandedSymMatrix
-from igakron.bspline import KnotVector, SplineSpace1D
+from igakron.bspline import SplineSpace1D
 from igakron.eigen import _BRACKET_RTOL, extreme_eigs, generalized_eig
 
 
@@ -102,17 +103,6 @@ def test_extreme_eigs_condition_vs_dense():
     pe = generalized_eig(K, M)
     kappa_true = pe.D[-1] / pe.D[0]
     assert abs(b / a - kappa_true) / kappa_true < 0.10
-
-
-@st.composite
-def random_open_space(draw):
-    """Spline space over an open knot vector on a 1/64 grid, repeated interior knots, n <= 64."""
-    p = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 60 // p))
-    breaks = sorted(draw(st.lists(st.integers(1, 63), min_size=k, max_size=k, unique=True)))
-    mult = draw(st.lists(st.integers(1, p), min_size=k, max_size=k))
-    interior = np.repeat(np.array(breaks) / 64.0, mult)
-    return SplineSpace1D(KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p))
 
 
 @settings(max_examples=60)

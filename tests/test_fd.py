@@ -1,9 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _strategies import random_open_space
+
+from igakron import adi, fd
+from igakron.adi import ADIPreconditioner
 from igakron.assembly import assemble_pencil_1d, assemble_stiffness
 from igakron.banded import BandedSymMatrix
-from igakron.bspline import SplineSpace1D
+from igakron.bspline import KnotVector, SplineSpace1D
+from igakron.eigen import generalized_eig
 from igakron.fd import fd_setup
 from igakron.geometry import identity_map
 from igakron.kron import KroneckerSum
@@ -87,3 +96,48 @@ def test_fd_apply_is_symmetric_operator():
     lhs = r @ prec.apply(t)
     rhs = t @ prec.apply(r)
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs))
+
+
+# directions of each example, from a space a, a copy a2 of it, its warp b
+# (the same n and multiplicities, other knots) and an independent space c
+LAYOUTS = {
+    2: [("a", "a2"), ("a", "b"), ("a", "c")],
+    3: [("a", "b", "a2"), ("a", "a2", "c"), ("c", "a", "b"), ("a", "b", "c")],
+}
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_fd_matches_dense_solve_on_random_knots(data):
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    max_n = 24 if d == 2 else 9
+    a, c = data.draw(random_open_space(max_n), label="a"), data.draw(random_open_space(max_n), label="c")
+    pool = {
+        "a": a,
+        "a2": SplineSpace1D(KnotVector(a.kv.knots.copy(), a.p)),
+        "b": SplineSpace1D(KnotVector(a.kv.knots**2, a.p)),
+        "c": c,
+    }
+    spaces = [pool[k] for k in data.draw(st.sampled_from(LAYOUTS[d]), label="layout")]
+    P = KroneckerSum([assemble_pencil_1d(s) for s in spaces])
+    prec = fd_setup(P)
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal(P.n)
+    ref = np.linalg.solve(P.toarray(), r)
+    assert np.linalg.norm(prec.apply(r) - ref) <= 1e-9 * np.linalg.norm(ref)
+    # equal spaces share one eigendecomposition; a and b, of the same n, do not
+    for i, j in itertools.combinations(range(d), 2):
+        assert (prec.eigs[i] is prec.eigs[j]) == (spaces[i] == spaces[j])
+
+
+@pytest.mark.parametrize("spans, calls", [((8, 8, 8), 1), ((8, 16, 8), 2)])
+def test_one_eigendecomposition_per_distinct_pencil(spans, calls, monkeypatch):
+    # p = 2 has n = spans, so the second case has sizes (n, 2n, n)
+    pencils = [assemble_pencil_1d(SplineSpace1D.uniform(2, q)) for q in spans]
+    seen = []
+    counting = lambda K, M: seen.append(K.n) or generalized_eig(K, M)
+    monkeypatch.setattr(fd, "generalized_eig", counting)
+    monkeypatch.setattr(adi, "generalized_eig", counting)
+    fd_setup(KroneckerSum(pencils))
+    assert len(seen) == calls
+    ADIPreconditioner.setup(pencils, eps=0.1)
+    assert len(seen) == 2 * calls
