@@ -42,7 +42,7 @@ from .adi import (
     greedy_shifts_3d,
     wachspress_shifts,
 )
-from .pcg import IndefiniteOperatorError, LinearOperator, PCGResult, lanczos_condition_estimate, pcg
+from .pcg import IndefiniteOperatorError, PCGResult, lanczos_condition_estimate, pcg
 from .ic import ICFactor, ic0_setup
 from .multipatch import (
     ConformityError,

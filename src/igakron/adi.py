@@ -9,17 +9,24 @@ contraction function
 
     rho_J = max |prod_j (1 - 2 w_j^2 (l1+l2+l3) / ((w_j+l1)(w_j+l2)(w_j+l3)))|
 
-over eigenvalue triples, plus a greedy alternative that alternates between
-maximizing the current error product and minimizing the new factor at the
-maximizer.  rho is symmetric in (l1, l2, l3), so among directions with equal
-eigenvalue arrays only unordered triples are evaluated: about a sixth of the
-Cartesian product when all three are equal.  The 2D plan takes the certified
-brackets of ``extreme_eigs``, the 3D plans the pencils' eigenvalues.  Every
-bracket, eigendecomposition and shifted factor is computed once per distinct
-pencil (``per_distinct_pencil``) and shared by the equal directions.  With a
-zero initial guess and a fixed plan, a J-sweep application is a fixed
-symmetric positive definite operator, so it is a valid CG preconditioner;
-the conditioning penalty is (1+eps)/(1-eps).
+over eigenvalue triples.  rho is symmetric in (l1, l2, l3), so among
+directions with equal eigenvalue arrays only unordered triples are
+evaluated: about a sixth of the Cartesian product when all three are equal.
+The 2D plan takes the certified brackets of ``extreme_eigs``, the 3D plan
+the pencils' eigenvalues.  Every bracket, eigendecomposition and shifted
+factor is computed once per distinct pencil (``per_distinct_pencil``) and
+shared by the equal directions.  With a zero initial guess and a fixed plan,
+a J-sweep application is a fixed symmetric positive definite operator, so
+it is a valid CG preconditioner; the conditioning penalty is
+(1+eps)/(1-eps).
+
+``ADIPreconditioner(pencils, plan)`` is the one place that builds the
+banded factors of a plan; ``adi_solve_2d``/``adi_solve_3d`` take them as an
+argument.  ``greedy_shifts_3d`` is a second 3D plan, which alternates
+between maximizing the current error product over the bracket cube and
+minimizing the new factor at the maximizer; it is printed by
+``igakron shifts --strategy greedy`` and compared with the ladder by
+acceptance criterion 9, and the preconditioner runs the ladder.
 """
 
 import math
@@ -106,38 +113,35 @@ class ShiftPlan2D:
     Attributes:
         J: number of double sweeps
         omegas: per-sweep shifts, the same in both directions
-        interval1, interval2: the spectral brackets the plan certifies
         bound: numerically realized contraction bound (<= requested eps)
     """
 
-    def __init__(self, J, omegas, interval1, interval2, bound):
+    def __init__(self, J, omegas, bound):
         self.J = J
         self.omegas = np.asarray(omegas, dtype=float)
-        self.interval1 = interval1
-        self.interval2 = interval2
         self.bound = bound
 
 
-def _one_sided_sup(shifts, interval, npts=20001):
-    """sup over the interval of prod_j |x - shifts_j| / (x + shifts_j)."""
+def _one_sided_sup(shifts, interval):
+    """sup over the interval of prod_j |x - shifts_j| / (x + shifts_j), on 20001 log-spaced points."""
     lo, hi = interval
     if hi <= lo * (1 + 1e-14):
         x = np.array([lo])
     else:
-        x = np.geomspace(lo, hi, npts)
+        x = np.geomspace(lo, hi, 20001)
     logp = np.zeros_like(x)
     for w in shifts:
         logp += np.log(np.abs(x - w) + 1e-300) - np.log(x + w)
     return float(np.exp(logp.max()))
 
 
-def adi_bound_2d(omegas, interval1, interval2, npts=20001):
+def adi_bound_2d(omegas, interval1, interval2):
     """Contraction bound of the 2D sweep, evaluated numerically.
 
     The two-variable maximum factors into two one-variable suprema, which are
     evaluated on dense logarithmic grids.
     """
-    return _one_sided_sup(omegas, interval1, npts) * _one_sided_sup(omegas, interval2, npts)
+    return _one_sided_sup(omegas, interval1) * _one_sided_sup(omegas, interval2)
 
 
 def wachspress_shifts(a, b, c, d, eps):
@@ -155,13 +159,13 @@ def wachspress_shifts(a, b, c, d, eps):
     lo, hi = min(a, c), max(b, d)
     if hi <= lo * (1 + 1e-12):
         shifts = np.array([lo])
-        return ShiftPlan2D(1, shifts, (a, b), (c, d), adi_bound_2d(shifts, (a, b), (c, d)))
+        return ShiftPlan2D(1, shifts, adi_bound_2d(shifts, (a, b), (c, d)))
     J = adi_iteration_count(lo, hi, eps)
     for _ in range(3):
         shifts = _elliptic_shifts(lo, hi, J)
         bound = adi_bound_2d(shifts, (a, b), (c, d))
         if bound <= eps:
-            return ShiftPlan2D(J, shifts, (a, b), (c, d), bound)
+            return ShiftPlan2D(J, shifts, bound)
         J += 1
     raise ArithmeticError("shift construction failed to reach the requested bound")
 
@@ -185,19 +189,18 @@ class _Sweep2DFactors:
         self.m1 = pencils[0][1].cholesky()
 
 
-def adi_solve_2d(pencils, r, plan, factors=None):
+def adi_solve_2d(pencils, r, plan, factors):
     """Run the 2D double sweeps for the Kronecker-sum system P s = r.
 
     Works in the transformed variables (mass-scaled halves), so each sweep
     costs two banded multiplications and two banded solves; the mass of
     direction 1 is solved off at the end.  The initial guess is zero.
     Direction 2 works along axis 1 of the (n1, n2) array, and every solve
-    but the first runs in place on its right-hand side.
+    but the first runs in place on its right-hand side.  ``factors`` are
+    the plan's _Sweep2DFactors.
     """
     (K1, _), (K2, _) = pencils
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n)
-    if factors is None:
-        factors = _Sweep2DFactors(pencils, plan)
     for j in range(plan.J):
         # the zero initial guess leaves R as the first right-hand side
         Rj = R if j == 0 else R - factors.col_minus[j].matmat(St, axis=1)
@@ -287,21 +290,18 @@ class ShiftPlan3D:
     """Shift plan for the 3D sweep.
 
     Attributes:
-        J0: a-priori iteration bound 1.16 ln(b/a) ln(1/eps)
+        J0: a-priori iteration bound 1.16 ln(b/a) ln(1/eps), at least the
+            count ln(eps) / ln(1/9) of a point spectrum
         omegas: the J shifts actually used
         J: effective sweep count (rho_values[-1] <= eps)
         rho_values: per-prefix contraction values of the final shift sequence
-        interval: spectral bracket (a, b)
-        eps: requested tolerance
     """
 
-    def __init__(self, J0, omegas, rho_values, interval, eps):
+    def __init__(self, J0, omegas, rho_values):
         self.J0 = J0
         self.omegas = np.asarray(omegas, dtype=float)
         self.J = len(self.omegas)
         self.rho_values = np.asarray(rho_values, dtype=float)
-        self.interval = interval
-        self.eps = eps
 
 
 def _geometric_ladder(lo, hi, J):
@@ -361,9 +361,12 @@ def douglas_shifts_3d(eigs, eps):
         omegas = np.full(J, w)
         rho = rho_prefix_3d(omegas, lams)
         J0 = max(1, J)
-        return ShiftPlan3D(J0, omegas, rho, (a, b), eps)
+        return ShiftPlan3D(J0, omegas, rho)
 
-    J0 = max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
+    # a near-point spectrum contracts like a point, by at best 1/9 a sweep,
+    # so J0 is at least the point count; on a wide spectrum the log term is larger
+    J_point = math.ceil(math.log(eps) / math.log(1.0 / 9.0))
+    J0 = max(1, J_point, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
     lo_J, hi_J = 1, J0
 
     def ladder(J):
@@ -380,7 +383,7 @@ def douglas_shifts_3d(eigs, eps):
             hi_J, rho = mid, rho_mid
         else:
             lo_J = mid
-    return ShiftPlan3D(J0, ladder(hi_J), rho, (a, b), eps)
+    return ShiftPlan3D(J0, ladder(hi_J), rho)
 
 
 def _maximize_error_product(omegas, a, b, rng, ngrid=32, nrandom=24):
@@ -455,7 +458,7 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
         else:
             _, val = _maximize_error_product(omegas, a, b, rng)
         rho_values.append(val)
-    return ShiftPlan3D(J_max, np.asarray(omegas), np.asarray(rho_values), (a, b), eps)
+    return ShiftPlan3D(J_max, np.asarray(omegas), np.asarray(rho_values))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +476,7 @@ class _Sweep3DFactors:
         self.m1_twice = BandedSymMatrix(2.0 * M1.ab)
 
 
-def adi_solve_3d(pencils, r, plan, factors=None):
+def adi_solve_3d(pencils, r, plan, factors):
     """Run the 3D Douglas sweeps for P s = r with zero initial guess.
 
     Implements the rearranged per-sweep updates in which the two mass-scaled
@@ -481,12 +484,11 @@ def adi_solve_3d(pencils, r, plan, factors=None):
     v_{j+1} = b_j - w_j s_j instead of a fresh solve.  Every solve but the
     two that must keep their right-hand side runs in place on the product it
     follows, and the updates are made in place on the arrays the solves
-    return, in the same order of operations as the formulas.
+    return, in the same order of operations as the formulas.  ``factors``
+    are the plan's _Sweep3DFactors.
     """
     (K1, _), (K2, M2), (K3, M3) = pencils
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n, K3.n)
-    if factors is None:
-        factors = _Sweep3DFactors(pencils, plan)
     rt = factors.m3.solve(factors.m2.solve(R, 1), 2, overwrite_b=True)
     rt *= 2.0
     for j, w in enumerate(plan.omegas):
@@ -531,46 +533,32 @@ class ADIPreconditioner:
     definite.
     """
 
-    def __init__(self, pencils, plan, factors):
+    def __init__(self, pencils, plan):
         self.pencils = pencils
         self.plan = plan
         self.d = len(pencils)
-        self._factors = factors
+        self._factors = (_Sweep2DFactors if self.d == 2 else _Sweep3DFactors)(pencils, plan)
         self.n = int(np.prod([K.n for K, _ in pencils]))
 
     shape = property(lambda self: (self.n, self.n))
 
-    @property
-    def inner_iterations(self):
-        return self.plan.J
-
     @classmethod
     def setup_2d(cls, pencils, eps=0.1):
         (a1, b1), (a2, b2) = per_distinct_pencil(extreme_eigs, pencils)
-        plan = wachspress_shifts(a1, b1, a2, b2, eps)
-        return cls(pencils, plan, _Sweep2DFactors(pencils, plan))
+        return cls(pencils, wachspress_shifts(a1, b1, a2, b2, eps))
 
     @classmethod
-    def setup_3d(cls, pencils, eps=0.1, shifts="douglas", seed=0):
+    def setup_3d(cls, pencils, eps=0.1):
         eigs = [pe.D for pe in per_distinct_pencil(generalized_eig, pencils)]
-        if shifts == "douglas":
-            plan = douglas_shifts_3d(eigs, eps)
-        elif shifts == "greedy":
-            a = min(e.min() for e in eigs)
-            b = max(e.max() for e in eigs)
-            cap = max(1, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
-            plan = greedy_shifts_3d(a, b, cap, eps, seed=seed)
-        else:
-            raise ValueError("unknown 3D shift strategy %r" % shifts)
-        return cls(pencils, plan, _Sweep3DFactors(pencils, plan))
+        return cls(pencils, douglas_shifts_3d(eigs, eps))
 
     @classmethod
-    def setup(cls, pencils, eps=0.1, shifts="douglas", seed=0):
-        """The preconditioner for 2 or 3 pencils; ``shifts`` and ``seed`` choose the 3D plan."""
+    def setup(cls, pencils, eps=0.1):
+        """The preconditioner for 2 or 3 pencils."""
         if len(pencils) == 2:
             return cls.setup_2d(pencils, eps)
         if len(pencils) == 3:
-            return cls.setup_3d(pencils, eps, shifts, seed)
+            return cls.setup_3d(pencils, eps)
         raise ValueError("only 2D and 3D pencils are supported")
 
     def apply(self, r):

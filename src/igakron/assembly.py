@@ -5,20 +5,22 @@ The stiffness matrix is
     A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = |det J| J^{-T} K J^{-1},
 
 assembled by tensor-product Gauss quadrature, with Q from the closed-form
-pull-back of the geometry module.  Both dimensions go through one
-sum-factorized kernel (_sum_factorize).  Each trailing direction has, per
-component (c, e) of Q, a CSR "pair table" whose row (i, o) holds the
-weighted product F_c(B_i) F_e(B_{i+o-p}) at every quadrature point of that
-direction, so the element overlap-add is part of the product.  Q is
-evaluated once per plane of elements in the leading direction and the
-trailing tables are applied one axis at a time; one GEMM with the plane's
-leading-direction tables then gives the band rows of the plane's p + 1
-basis functions.  Those are summed in a ring of p + 1 rows, and each
-leading basis function is written into the CSR, allocated up front over
-the interior (Dirichlet) or full index range, as soon as no later element
-touches it: no full-space intermediate is ever held.  The load vector goes
-through the same kernel with weighted value tables.  Quadrature points with
-a singular geometry Jacobian contribute zero (see the geometry module).
+pull-back of the geometry module.  The rule is fixed: p + 1 points per knot
+span for the stiffness, the load and the univariate pencils, p + 2 for
+l2_error.  Both dimensions go through one sum-factorized kernel
+(_sum_factorize).  Each trailing direction has, per component (c, e) of Q, a
+CSR "pair table" whose row (i, o) holds the weighted product F_c(B_i)
+F_e(B_{i+o-p}) at every quadrature point of that direction, so the element
+overlap-add is part of the product.  Q is evaluated once per plane of
+elements in the leading direction and the trailing tables are applied one
+axis at a time; one GEMM with the plane's leading-direction tables then
+gives the band rows of the plane's p + 1 basis functions.  Those are summed
+in a ring of p + 1 rows, and each leading basis function is written into the
+CSR, allocated up front over the interior (Dirichlet) or full index range,
+as soon as no later element touches it: no full-space intermediate is ever
+held.  The load vector goes through the same kernel with weighted value
+tables.  Quadrature points with a singular geometry Jacobian contribute zero
+(see the geometry module).
 
 The condition bound screens Q's extreme eigenvalues with closed forms (the
 hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
@@ -120,10 +122,6 @@ def _direction_tables(space, rule):
     return first, vals.reshape(E, q, kv.p + 1), ders.reshape(E, q, kv.p + 1)
 
 
-def _default_q(space):
-    return space.p + 1
-
-
 def _interior_band(ab, m):
     """Restrict full-space band storage to the interior basis functions."""
     p = ab.shape[0] - 1
@@ -134,15 +132,15 @@ def _interior_band(ab, m):
     return BandedSymMatrix(abi)
 
 
-def assemble_pencil_1d(space, points_per_span=None):
+def assemble_pencil_1d(space):
     """Univariate stiffness/mass pencil over the interior basis functions.
 
     Returns:
         (K, M): BandedSymMatrix pair of order n = m - 2 and bandwidth p with
-        K[i,j] = int B_i' B_j' dz and M[i,j] = int B_i B_j dz.
+        K[i,j] = int B_i' B_j' dz and M[i,j] = int B_i B_j dz, by the p + 1
+        point Gauss rule.
     """
-    q = points_per_span or _default_q(space)
-    rule = gauss_rule(space, q)
+    rule = gauss_rule(space, space.p + 1)
     first, vals, ders = _direction_tables(space, rule)
     p, m = space.p, space.m
     a = p + 1
@@ -168,7 +166,7 @@ def quadrature_grid(spaces, points_per_span=None):
         (rules, zeta, w): the 1D rules, the (Ntot, d) array of tensor points
         (C order, last direction fastest) and the corresponding weights.
     """
-    rules = [gauss_rule(s, points_per_span or _default_q(s)) for s in spaces]
+    rules = [gauss_rule(s, points_per_span or s.p + 1) for s in spaces]
     axes = [r.points.ravel() for r in rules]
     wts = [r.weights.ravel() for r in rules]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -385,14 +383,13 @@ def _check_dim(spaces, geo):
     return d
 
 
-def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=True, screen=None):
-    """Galerkin stiffness matrix on a tensor-product spline space.
+def assemble_stiffness(spaces, geo, coeff=None, dirichlet=True, screen=None):
+    """Galerkin stiffness matrix on a tensor-product spline space, by the p + 1 point Gauss rule.
 
     Args:
         spaces: per-direction SplineSpace1D (all with the same degree)
         geo: GeometryMap of matching dimension
         coeff: CoefficientField; identity if omitted
-        points_per_span: Gauss points per knot span per direction (default p+1)
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
         screen: a BoundScreen that the Q of every quadrature point is added
             to, so condition_bound can finish the bound over this grid
@@ -407,8 +404,7 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     if len({s.p for s in spaces}) != 1:
         raise ValueError("all directions must use the same spline degree")
     p = spaces[0].p
-    q = points_per_span or _default_q(spaces[0])
-    rules = [gauss_rule(s, q) for s in spaces]
+    rules = [gauss_rule(s, p + 1) for s in spaces]
     tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
     ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
     A = _CSRRows([s.m for s in spaces], ranges, p)
@@ -438,14 +434,13 @@ def assemble_stiffness(spaces, geo, coeff=None, points_per_span=None, dirichlet=
     return A.matrix()
 
 
-def assemble_load(spaces, geo, f, points_per_span=None, dirichlet=True):
+def assemble_load(spaces, geo, f, dirichlet=True):
     """Load vector b_i = int f(F(z)) B_i(z) |det J| dz by the same quadrature.
 
     ``f`` maps an (N, d) array of physical points to N values.
     """
     _check_dim(spaces, geo)
-    q = points_per_span or _default_q(spaces[0])
-    rules = [gauss_rule(s, q) for s in spaces]
+    rules = [gauss_rule(s, spaces[0].p + 1) for s in spaces]
     ms = tuple(s.m for s in spaces)
     b = np.empty(ms)
 
@@ -604,19 +599,16 @@ def _value_matrix(space, points):
     return V
 
 
-def l2_error(spaces, geo, coefs, u_exact, points_per_span=None):
-    """L2 norm of (u_h - u) over the physical domain.
+def l2_error(spaces, geo, coefs, u_exact):
+    """L2 norm of (u_h - u) over the physical domain, by the p + 2 point Gauss rule.
 
     Args:
         spaces: per-direction spaces
         geo: geometry map
         coefs: interior coefficient vector of u_h (Dirichlet layout)
         u_exact: callable on (N, d) physical points
-        points_per_span: quadrature order (default p+2 for safety)
     """
-    d = len(spaces)
-    q = points_per_span or (spaces[0].p + 2)
-    rules, zeta, w = quadrature_grid(spaces, q)
+    rules, zeta, w = quadrature_grid(spaces, spaces[0].p + 2)
     ms = tuple(s.m for s in spaces)
     C = np.zeros(ms)
     C[tuple(slice(1, m - 1) for m in ms)] = np.asarray(coefs).reshape([s.n for s in spaces])

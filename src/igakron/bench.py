@@ -65,18 +65,11 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-DOMAINS_2D = {"unit_square", "quarter_annulus", "stretched_square", "collapsed_triangle"}
-DOMAINS_3D = {"unit_cube", "thick_quarter_ring", "revolved_quarter_ring"}
-
-
 # solver -> (the kinds of row it runs in, its preconditioner builder taking the
 # config and the _problem); the builders name library functions at call time
 SOLVERS = {
     "fd": (("direct", "single-patch"), lambda cfg, pb: fd_setup(KroneckerSum(pb.pencils))),
-    "adi": (
-        ("direct", "single-patch"),
-        lambda cfg, pb: ADIPreconditioner.setup(pb.pencils, cfg.eps, cfg.adi_shifts, cfg.seed),
-    ),
+    "adi": (("direct", "single-patch"), lambda cfg, pb: ADIPreconditioner.setup(pb.pencils, cfg.eps)),
     "ic": (("single-patch", "multi-patch"), lambda cfg, pb: ic0_setup(pb.A, reorder="rcm")),
     "schwarz_exact": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="exact")),
     "schwarz_fd": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="fd")),
@@ -127,10 +120,9 @@ class ExperimentConfig:
     seed: int = 42
     maxit: int = 3000
     memory_cap: int = field(default_factory=_default_memory_cap)
-    adi_shifts: str = "douglas"
 
     def validate(self):
-        if self.domain not in DOMAINS_2D | DOMAINS_3D | {"l_shape"}:
+        if self.domain not in [d.value for d in BuiltinDomain] + ["l_shape"]:
             raise ConfigError("unknown domain %r" % self.domain)
         if self.solver not in SOLVERS:
             raise ConfigError("unknown solver %r" % self.solver)
@@ -157,8 +149,6 @@ class ExperimentConfig:
         if kind not in SOLVERS[self.solver][0]:
             allowed = ", ".join(s for s, (kinds, _) in SOLVERS.items() if kind in kinds)
             raise ConfigError("solver %r does not run in %s rows, which take %s" % (self.solver, kind, allowed))
-        if self.adi_shifts not in ("douglas", "greedy"):
-            raise ConfigError("adi_shifts must be 'douglas' or 'greedy'")
         return self
 
 
@@ -251,7 +241,7 @@ class _Problem:
     b: np.ndarray
     spaces: list = None  # single-patch domains only
     geo: object = None
-    pencils: list = None  # direct rows and the Kronecker solvers only
+    pencils: list = None  # the Kronecker solvers (fd, adi) only
     dom: object = None  # the multi-patch domain
 
 
@@ -269,14 +259,12 @@ def _problem(cfg, h_inv, rng, screen=None):
     geo = builtin(BuiltinDomain(cfg.domain))
     spaces = [SplineSpace1D.uniform(cfg.p, h_inv) for _ in range(geo.dim)]
     direct = cfg.mode == "direct"
-    pencils = [assemble_pencil_1d(s) for s in spaces] if direct else None
     A = None if direct else assemble_stiffness(spaces, geo, screen=screen)
     if cfg.domain == "unit_cube":
         b = rng.standard_normal(spaces[0].n ** geo.dim)
     else:
         b = assemble_load(spaces, geo, poisson_source(geo.dim))
-    if not direct and cfg.solver in ("fd", "adi"):
-        pencils = [assemble_pencil_1d(s) for s in spaces]
+    pencils = [assemble_pencil_1d(s) for s in spaces] if cfg.solver in ("fd", "adi") else None
     return _Problem(A, b, spaces, geo, pencils)
 
 
@@ -292,7 +280,7 @@ def _cond_bound_value(geo, screen):
 
 def _run_row(cfg, h_inv, rng):
     direct = cfg.mode == "direct"
-    d = 3 if cfg.domain in DOMAINS_3D else 2
+    d = 2 if cfg.domain == "l_shape" else builtin(cfg.domain).dim
     need = _estimate_bytes(cfg, h_inv + cfg.p - 2, d, assembled=not direct)
     if need > cfg.memory_cap:
         raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
@@ -323,7 +311,7 @@ def _run_row(cfg, h_inv, rng):
         h_inv=h_inv,
         solver=cfg.solver,
         outer_iters=outer_iters,
-        inner_iters=prec.inner_iterations if cfg.solver == "adi" else 0,
+        inner_iters=prec.plan.J if cfg.solver == "adi" else 0,
         setup_s=t1 - t0,
         solve_s=t2 - t1,
         residual=float(residual),

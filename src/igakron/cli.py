@@ -101,7 +101,7 @@ def _cmd_shifts(args):
                 raise ValueError("need 0 < a <= b")
             # only the bracket is known: the plan is checked on 64-point log grids of it
             plan = douglas_shifts_3d([np.geomspace(args.a, args.b, 64)] * 3, args.eps)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         raise ConfigError(str(err)) from err
     if args.dim == 2:
         print("J = %d  (realized bound %.3e <= %.3e)" % (plan.J, plan.bound, args.eps))
@@ -131,7 +131,6 @@ def build_parser():
     run.add_argument("--seed", type=int)
     run.add_argument("--maxit", type=int)
     run.add_argument("--memory-cap", dest="memory_cap", type=int, help="refuse runs above this many bytes")
-    run.add_argument("--adi-shifts", dest="adi_shifts", choices=["douglas", "greedy"])
     run.add_argument("--out", help="write the report to this path")
     run.add_argument("--format", choices=["csv", "text"], default="csv")
     run.set_defaults(func=_cmd_run)

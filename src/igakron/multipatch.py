@@ -168,7 +168,7 @@ def build_multipatch(patches, interfaces):
     return MultiPatchDomain(patches, list(interfaces), dof_maps, int(keep_roots.size))
 
 
-def assemble_multipatch_stiffness(domain, coeff=None, points_per_span=None):
+def assemble_multipatch_stiffness(domain, coeff=None):
     """Scatter per-patch Galerkin matrices into the global numbering.
 
     The triples of all patches form one COO matrix, converted to CSR once;
@@ -176,7 +176,7 @@ def assemble_multipatch_stiffness(domain, coeff=None, points_per_span=None):
     """
     triples = []
     for patch, gmap in zip(domain.patches, domain.dof_maps):
-        A = assemble_stiffness(patch.spaces, patch.geo, coeff, points_per_span, dirichlet=False).tocoo()
+        A = assemble_stiffness(patch.spaces, patch.geo, coeff, dirichlet=False).tocoo()
         rows = gmap[A.row]
         cols = gmap[A.col]
         keep = (rows >= 0) & (cols >= 0)
@@ -187,11 +187,11 @@ def assemble_multipatch_stiffness(domain, coeff=None, points_per_span=None):
     return A
 
 
-def assemble_multipatch_load(domain, f, points_per_span=None):
+def assemble_multipatch_load(domain, f):
     """Scatter per-patch load vectors into the global numbering."""
     b = np.zeros(domain.N)
     for patch, gmap in zip(domain.patches, domain.dof_maps):
-        bk = assemble_load(patch.spaces, patch.geo, f, points_per_span, dirichlet=False)
+        bk = assemble_load(patch.spaces, patch.geo, f, dirichlet=False)
         keep = gmap >= 0
         np.add.at(b, gmap[keep], bk[keep])
     return b
@@ -304,9 +304,9 @@ def schwarz_setup(domain, A, mode="exact"):
     return SchwarzPreconditioner(subdomains, domain.N)
 
 
-def _unit_square_patch(p, num_spans, offset, scale=(1.0, 1.0)):
+def _unit_square_patch(p, num_spans, offset):
     spaces = [SplineSpace1D.uniform(p, num_spans) for _ in range(2)]
-    geo = affine_map(np.diag(scale), offset, name="patch@%s" % (offset,))
+    geo = affine_map(np.eye(2), offset, name="patch@%s" % (offset,))
     return Patch(spaces, geo)
 
 

@@ -10,24 +10,11 @@ Lanczos tridiagonal matrix.
 import numpy as np
 import scipy.linalg
 
-__all__ = ["LinearOperator", "PCGResult", "IndefiniteOperatorError", "pcg", "lanczos_condition_estimate"]
+__all__ = ["PCGResult", "IndefiniteOperatorError", "pcg", "lanczos_condition_estimate"]
 
 
 class IndefiniteOperatorError(RuntimeError):
     """Raised when CG detects a nonpositive curvature or preconditioner energy."""
-
-
-class LinearOperator:
-    """Minimal matrix-free operator: an order and an apply callable."""
-
-    def __init__(self, n, apply):
-        self.n = n
-        self.apply = apply
-
-    shape = property(lambda self: (self.n, self.n))
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 def as_apply(op):

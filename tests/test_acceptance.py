@@ -13,8 +13,6 @@ import scipy.linalg
 from _acceptance_log import report
 from igakron.adi import (
     ADIPreconditioner,
-    adi_solve_2d,
-    adi_solve_3d,
     douglas_shifts_3d,
     greedy_shifts_3d,
     m_norm,
@@ -141,7 +139,7 @@ def test_03_adi_2d_count_and_error():
     spaces = spaces_for(p, q, 2)
     b = assemble_load(spaces, identity_map(2), f_poisson(2))
     s_exact = fd_for(p, q, 2).apply(b)
-    s_adi = adi_solve_2d(pencils, b, plan)
+    s_adi = ADIPreconditioner(pencils, plan).apply(b)
     err = m_norm(pencils, s_adi - s_exact) / m_norm(pencils, s_exact)
     ok = abs(plan.J - 29) <= 1 and err <= 1e-8
     assert report("3", ok, "J = %d, M-norm error %.2e" % (plan.J, err))
@@ -173,7 +171,7 @@ def test_05_adi_preconditioned_parity():
         assert res.converged
         gap = res.iterations - fd_iterations("quarter_annulus", p, q)
         worst_gap = max(worst_gap, gap)
-        inners.append(prec.inner_iterations)
+        inners.append(prec.plan.J)
     ok = worst_gap <= 3 and all(4 <= J <= 8 for J in inners)
     assert report("5", ok, "max outer gap %+d, inner J %s" % (worst_gap, sorted(set(inners))))
 
@@ -251,7 +249,7 @@ def test_09_adi_3d_counts():
     P = KroneckerSum(pencils)
     x = rng.standard_normal(P.n)
     r = P.matvec(x)
-    err = m_norm(pencils, adi_solve_3d(pencils, r, plan32) - x) / m_norm(pencils, x)
+    err = m_norm(pencils, ADIPreconditioner(pencils, plan32).apply(r) - x) / m_norm(pencils, x)
     ok = ok and err <= 1e-8
     assert report(
         "9",
@@ -340,10 +338,10 @@ def test_13_oracle_equivalence():
         eigs = [generalized_eig(K, M).D for K, M in pencils]
         if d == 2:
             plan = wachspress_shifts(eigs[0][0], eigs[0][-1], eigs[1][0], eigs[1][-1], 1e-10)
-            solve_adi = lambda r: adi_solve_2d(pencils, r, plan)
+            solve_adi = ADIPreconditioner(pencils, plan).apply
         else:
             plan = douglas_shifts_3d(eigs, 1e-10)
-            solve_adi = lambda r: adi_solve_3d(pencils, r, plan)
+            solve_adi = ADIPreconditioner(pencils, plan).apply
         Pd = P.toarray()
         for _ in range(5):
             r = rng.standard_normal(P.n)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _strategies import random_open_space
 from igakron import adi
 from igakron.adi import (
     ADIPreconditioner,
     adi_iteration_count,
-    adi_solve_2d,
-    adi_solve_3d,
     douglas_shifts_3d,
     greedy_shifts_3d,
     m_norm,
@@ -105,7 +104,7 @@ def test_single_shift_annihilates_point_spectrum():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(M.n * M.n)
     r = KroneckerSum(pencils).matvec(x)
-    got = adi_solve_2d(pencils, r, plan)
+    got = ADIPreconditioner(pencils, plan).apply(r)
     assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-10
 
 
@@ -118,7 +117,7 @@ def test_adi_solve_2d_reaches_tolerance(p, q):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(P.n)
     r = P.matvec(x)
-    got = adi_solve_2d(pencils, r, plan)
+    got = ADIPreconditioner(pencils, plan).apply(r)
     err = m_norm(pencils, got - x) / m_norm(pencils, x)
     assert 1e-13 <= err <= 1e-8
 
@@ -132,7 +131,7 @@ def test_adi_matches_fd_within_tolerance():
     rng = np.random.default_rng(2)
     r = rng.standard_normal(P.n)
     s_fd = prec.apply(r)
-    s_adi = adi_solve_2d(pencils, r, plan)
+    s_adi = ADIPreconditioner(pencils, plan).apply(r)
     assert m_norm(pencils, s_adi - s_fd) <= 1e-8 * m_norm(pencils, s_fd)
 
 
@@ -176,6 +175,15 @@ def test_point_spectrum_plan():
     assert plan.J == 1
     assert plan.rho_values[-1] <= 0.2
     np.testing.assert_allclose(plan.omegas, [2.0], rtol=1e-3)
+
+
+def test_near_point_spectrum_plan():
+    # one dof per direction with slightly different eigenvalues (p = 1 hats
+    # with their knot at 32/64, 30/64, 28/64): one sweep contracts a
+    # near-point spectrum by at best about 1/9, so eps = 0.1 needs two
+    plan = douglas_shifts_3d([np.array([12.0]), np.array([12.047]), np.array([12.19])], 0.1)
+    assert plan.J == plan.J0 == 2
+    assert plan.rho_values[-1] <= 0.1
 
 
 def test_rho_monotone_for_ladder():
@@ -265,7 +273,7 @@ def test_identity_pencils_single_shift():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(64)
     r = 3.0 * x  # P = 3I
-    got = adi_solve_3d(pencils, r, plan)
+    got = ADIPreconditioner(pencils, plan).apply(r)
     err = np.linalg.norm(got - x) / np.linalg.norm(x)
     # one sweep contracts by the certified factor, not to zero
     assert err <= plan.rho_values[-1] + 1e-12
@@ -281,7 +289,7 @@ def test_adi_solve_3d_reaches_tolerance():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(P.n)
     r = P.matvec(x)
-    got = adi_solve_3d(pencils, r, plan)
+    got = ADIPreconditioner(pencils, plan).apply(r)
     err = m_norm(pencils, got - x) / m_norm(pencils, x)
     assert err <= 1e-8
     s_fd = prec.apply(r)
@@ -327,10 +335,11 @@ def test_3d_stopping_soundness():
     eigs = [generalized_eig(K, M).D for K, M in pencils]
     plan = douglas_shifts_3d(eigs, 1e-3)
     rng = np.random.default_rng(7)
+    prec = ADIPreconditioner(pencils, plan)
     for _ in range(20):
         x = rng.standard_normal(P.n)
         r = P.matvec(x)
-        got = adi_solve_3d(pencils, r, plan)
+        got = prec.apply(r)
         err = m_norm(pencils, got - x) / m_norm(pencils, x)
         assert err <= plan.rho_values[-1] * (1 + 1e-9)
 
@@ -368,3 +377,17 @@ def test_adi_operator_symmetric_on_random_spaces(d, data):
     Pr, Pt = prec.apply(r), prec.apply(t)
     scale = np.linalg.norm(r) * np.linalg.norm(Pt) + np.linalg.norm(t) * np.linalg.norm(Pr)
     assert abs(r @ Pt - t @ Pr) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_adi_operator_spd_on_random_knots(d, data):
+    # every direction its own open knot vector: p = 1..5, repeated interior knots
+    max_n = 24 if d == 2 else 9
+    spaces = [data.draw(random_open_space(max_n), label="space%d" % k) for k in range(d)]
+    prec = ADIPreconditioner.setup([assemble_pencil_1d(s) for s in spaces], eps=0.1)
+    # the dense operator, column by column
+    W = np.column_stack([prec.apply(e) for e in np.eye(prec.n)])
+    assert np.abs(W - W.T).max() <= 1e-10 * np.abs(W).max()
+    assert np.linalg.eigvalsh(0.5 * (W + W.T))[0] > 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+from _strategies import random_open_space
 from igakron import assembly
 from igakron.assembly import (
     BoundScreen,
@@ -392,6 +393,22 @@ def test_kernel_matches_dense_quadrature(d, data):
     b = assemble_load(spaces, geo, f, dirichlet=dirichlet)
     np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12 * np.abs(A_ref).max())
     np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_stiffness_spd_and_kronecker_identity_on_random_knots(d, data):
+    # one degree per example, every direction its own open knot vector and n
+    p = data.draw(st.integers(1, 5), label="p")
+    max_n = 24 if d == 2 else 9
+    spaces = [data.draw(random_open_space(max_n, p), label="space%d" % k) for k in range(d)]
+    A = assemble_stiffness(spaces, identity_map(d)).toarray()
+    P = KroneckerSum([assemble_pencil_1d(s) for s in spaces]).toarray()
+    assert np.abs(A - P).max() <= 1e-13 * np.abs(P).max()
+    A = assemble_stiffness(spaces, builtin("quarter_annulus" if d == 2 else "revolved_quarter_ring")).toarray()
+    assert np.abs(A - A.T).max() <= 1e-13 * np.abs(A).max()
+    assert np.linalg.eigvalsh(A)[0] > 0
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -98,7 +98,7 @@ def test_direct_adi_row_is_the_preconditioner_apply(domain, d, h_inv, monkeypatc
 
     spaces = [SplineSpace1D.uniform(2, h_inv) for _ in range(d)]
     pencils = [assemble_pencil_1d(s) for s in spaces]
-    prec = ADIPreconditioner.setup(pencils, eps=cfg.eps, seed=cfg.seed)
+    prec = ADIPreconditioner.setup(pencils, eps=cfg.eps)
     N = prec.n
     if d == 2:
         b = assemble_load(spaces, builtin(domain), poisson_source(2))
@@ -418,11 +418,17 @@ def test_cli_shifts(tmp_path):
         (("run", "--domain", "unit_square", "--h-inv", "8", "--maxit", "0"), "configuration error"),
         (("export-matrix", "--domain", "quarter_annulus", "--p", "2", "--h-inv", "8", "--seed", "-1"), "configuration error"),
         (("shifts", "--a", "1", "--b", "5", "--eps", "0.1", "--dim", "3", "--strategy", "greedy", "--j-max", "0"), "configuration error"),
+        # a narrow spectrum the a-priori shift count cannot certify
+        (("shifts", "--a", "2", "--b", "3", "--eps", "1e-6", "--dim", "3"), "configuration error: a-priori shift count"),
+        # the 3D run plan is the Douglas ladder; there is no setting to choose another
+        (("run", "--domain", "unit_cube", "--h-inv", "8", "--solver", "adi", "--adi-shifts", "greedy"), "unrecognized arguments"),
+        (("run", "--config", "greedy.cfg"), "unknown key 'adi_shifts'"),
     ],
 )
 def test_cli_bad_input_exits_2(args, message, tmp_path):
     (tmp_path / "bad.cfg").write_text("domain=quarter_annulus\np=abc\n")
-    args = [str(tmp_path / a) if a == "bad.cfg" else a for a in args]
+    (tmp_path / "greedy.cfg").write_text("domain=unit_cube\nsolver=adi\nadi_shifts=greedy\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
     if args[0] == "export-matrix":
         args += ["--out", str(tmp_path / "sys")]
     cp = run_cli(*args)

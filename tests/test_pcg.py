@@ -7,7 +7,7 @@ from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
 from igakron.geometry import builtin, identity_map
 from igakron.kron import KroneckerSum
-from igakron.pcg import IndefiniteOperatorError, LinearOperator, lanczos_condition_estimate, pcg
+from igakron.pcg import IndefiniteOperatorError, lanczos_condition_estimate, pcg
 
 
 def test_exact_preconditioner_one_iteration():
@@ -52,7 +52,7 @@ def test_indefinite_system_detected():
 
 def test_indefinite_preconditioner_detected():
     A = np.eye(3)
-    Pinv = LinearOperator(3, lambda x: -x)
+    Pinv = lambda x: -x
     with pytest.raises(IndefiniteOperatorError, match="preconditioner"):
         pcg(A, Pinv, np.ones(3), tol=1e-8)
 
