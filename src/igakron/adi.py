@@ -20,6 +20,23 @@ a J-sweep application is a fixed symmetric positive definite operator, so
 it is a valid CG preconditioner; the conditioning penalty is
 (1+eps)/(1-eps).
 
+The 3D apply allocates its five full-size work arrays once per call and
+runs each Douglas sweep as two stages over chunks of about ``_CHUNK``
+doubles, small enough for a core's L2 cache.  Stage A takes column chunks of
+the (n1, n2 n3) view: it gathers one input at a time into contiguous
+per-task buffers and does the direction-1 work (the residual r*, the row
+solve, the scaling by w and the addition of u), writing s*.  Stage B takes
+slabs of whole i1-planes, which are contiguous, and does the direction-2 and
+direction-3 work in place in the work arrays: the col and dep solves, the
+recurrence for v and the next sweep's u.  Chunks write disjoint parts of
+their outputs, so the chunks of a stage are dealt round-robin to one task per
+CPU the process may use, on a module-level thread pool made on first use; a
+stage of one chunk runs inline.  Each chunk's arithmetic does not depend on
+the thread that runs it, so results are bitwise reproducible; an array
+that fits in one chunk is swept in whole-array operations.  The workers call
+only ``banded.along`` and ``BandedCholesky._sweep``, so every function that
+``perfbench/tracing.py`` wraps is called from the calling thread.
+
 ``ADIPreconditioner(pencils, plan)`` is the one place that builds the
 banded factors of a plan; ``adi_solve_2d``/``adi_solve_3d`` take them as an
 argument.  ``greedy_shifts_3d`` is a second 3D plan, which alternates
@@ -29,14 +46,17 @@ minimizing the new factor at the maximizer; it is printed by
 acceptance criterion 9, and the preconditioner runs the ladder.
 """
 
+import concurrent.futures
+import functools
 import math
+import os
 
 import numpy as np
 import scipy.optimize
 
-from .banded import BandedSymMatrix
+from .banded import BandedSymMatrix, along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
-from .kron import apply_along_axis, kron_matvec
+from .kron import kron_matvec
 
 __all__ = [
     "ShiftPlan2D",
@@ -49,6 +69,7 @@ __all__ = [
     "douglas_shifts_3d",
     "greedy_shifts_3d",
     "adi_solve_3d",
+    "adi_work_bytes_3d",
     "ADIPreconditioner",
     "m_norm",
 ]
@@ -290,8 +311,10 @@ class ShiftPlan3D:
     """Shift plan for the 3D sweep.
 
     Attributes:
-        J0: a-priori iteration bound 1.16 ln(b/a) ln(1/eps), at least the
-            count ln(eps) / ln(1/9) of a point spectrum
+        J0: a-priori iteration count 1.16 ln(b/a) ln(1/eps) of the bracket
+            [a, b], at least the count ln(eps) / ln(1/9) of a point spectrum
+            (_a_priori_count_3d); the ladder exceeds it only where it falls
+            short, the greedy plan wherever its J_max allows
         omegas: the J shifts actually used
         J: effective sweep count (rho_values[-1] <= eps)
         rho_values: per-prefix contraction values of the final shift sequence
@@ -334,6 +357,20 @@ def _best_point_shift(a):
     return math.exp(x), v
 
 
+def _a_priori_count_3d(a, b, eps):
+    """J0 = 1.16 ln(b/a) ln(1/eps), at least the count ln(eps) / ln(1/9) of a point spectrum.
+
+    A near-point spectrum contracts like a point, by at best 1/9 a sweep; on
+    a wide spectrum the log term is larger.
+    """
+    J_point = math.ceil(math.log(eps) / math.log(1.0 / 9.0))
+    return max(1, J_point, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
+
+
+# a ladder longer than J0 is tried up to this multiple of it
+_J_GROWTH = 2
+
+
 def douglas_shifts_3d(eigs, eps):
     """Geometric-ladder shift plan for the 3D sweep.
 
@@ -341,7 +378,10 @@ def douglas_shifts_3d(eigs, eps):
     grids of a bracket [a, b]); a and b are their extremes.  The ladder spans
     [a, 4b] (the top padding protects the corner triple (b, b, b), which is
     otherwise the slowest-damped point) and its length is the smallest J whose
-    complete contraction value meets eps, capped by the a-priori bound J0.
+    complete contraction value meets eps, searched up to the a-priori bound
+    J0.  When the ladder of J0 shifts falls short, as on a narrow spectrum at
+    a tight eps, where the top padding wastes shifts, the first longer ladder
+    that meets eps is taken, up to _J_GROWTH * J0 shifts.
     The contraction is evaluated on the triples of the eigenvalues,
     log-subsampled to _TRIPLE_CAP per direction, that are distinct up to the
     symmetry of rho: unordered triples among directions whose subsampled
@@ -363,10 +403,7 @@ def douglas_shifts_3d(eigs, eps):
         J0 = max(1, J)
         return ShiftPlan3D(J0, omegas, rho)
 
-    # a near-point spectrum contracts like a point, by at best 1/9 a sweep,
-    # so J0 is at least the point count; on a wide spectrum the log term is larger
-    J_point = math.ceil(math.log(eps) / math.log(1.0 / 9.0))
-    J0 = max(1, J_point, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
+    J0 = _a_priori_count_3d(a, b, eps)
     lo_J, hi_J = 1, J0
 
     def ladder(J):
@@ -374,7 +411,14 @@ def douglas_shifts_3d(eigs, eps):
 
     rho = rho_prefix_3d(ladder(hi_J), lams)
     if rho[-1] > eps:
-        raise ArithmeticError("a-priori shift count does not certify the tolerance")
+        for J in range(J0 + 1, _J_GROWTH * J0 + 1):
+            rho = rho_prefix_3d(ladder(J), lams)
+            if rho[-1] <= eps:
+                return ShiftPlan3D(J0, ladder(J), rho)
+        raise ArithmeticError(
+            "a-priori shift count does not certify the tolerance, nor does a ladder of up to %d shifts"
+            % (_J_GROWTH * J0)
+        )
     # bisect the smallest certified ladder length
     while lo_J + 1 < hi_J:
         mid = (lo_J + hi_J) // 2
@@ -425,10 +469,13 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
     coarse grid, the 8 corners, and 24 random points) and choosing the next
     shift as the minimizer of the new factor at that triple (golden section
     on the logarithmic shift axis).  Stops when the maximized product meets
-    eps or after J_max shifts.
+    eps or after J_max shifts.  The plan's J0 is the ladder's a-priori count
+    for [a, b], not J_max.
     """
     if not (0.0 < a <= b):
         raise ValueError("need 0 < a <= b")
+    if not (0.0 < eps < 1.0):
+        raise ValueError("tolerance must lie in (0, 1)")
     if J_max < 1:
         raise ValueError("J_max must be >= 1, got %r" % (J_max,))
     rng = np.random.default_rng(seed)
@@ -458,22 +505,77 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
         else:
             _, val = _maximize_error_product(omegas, a, b, rng)
         rho_values.append(val)
-    return ShiftPlan3D(J_max, np.asarray(omegas), np.asarray(rho_values))
+    return ShiftPlan3D(_a_priori_count_3d(a, b, eps), np.asarray(omegas), np.asarray(rho_values))
 
 
 # ---------------------------------------------------------------------------
 # 3D sweep
 
 class _Sweep3DFactors:
-    """Banded factorizations and negatively shifted bands for a fixed 3D plan."""
+    """Banded factorizations and the row blocks of the band products for a fixed 3D plan.
+
+    The products are held as ``banded.along`` block lists, so the sweep's
+    worker threads apply them without calling ``BandedSymMatrix.matmat``.
+    """
 
     def __init__(self, pencils, plan):
-        K1, M1 = pencils[0]
+        (K1, M1), (K2, M2), (_, M3) = pencils
         self.m2, self.m3 = per_distinct_pencil(lambda K, M: M.cholesky(), pencils[1:])
         self.row, self.col, self.dep = per_distinct_pencil(lambda K, M: _shifted_factors(K, M, plan), pencils)
-        self.row_minus = [K1.combine(-w, M1) for w in plan.omegas]
+        self.row_minus = [K1.combine(-w, M1)._blocks for w in plan.omegas]
         # 2 M1, which scales every product by 2 exactly
-        self.m1_twice = BandedSymMatrix(2.0 * M1.ab)
+        self.m1_twice = BandedSymMatrix(2.0 * M1.ab)._blocks
+        self.k2, self.mass2, self.mass3 = K2._blocks, M2._blocks, M3._blocks
+
+
+# doubles per chunk of the 3D sweep: about 1 MB, so a chunk's slices of the
+# arrays a stage touches stay in a core's L2 cache (see docs/decisions.md)
+_CHUNK = 2**17
+
+
+@functools.cache
+def _pool():
+    """The sweep's thread pool, one worker per CPU this process may use; made on first use."""
+    return concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="igakron-adi")
+
+
+def _tasks(nchunks):
+    """Into how many tasks ``_each_chunk`` deals nchunks chunks: at most one per CPU and one per chunk."""
+    return min(len(os.sched_getaffinity(0)), nchunks)
+
+
+def _each_chunk(work, nchunks):
+    """Call ``work(task, chunks)`` so that every chunk in range(nchunks) is done once.
+
+    One chunk runs inline on the calling thread; more are dealt round-robin
+    to _tasks(nchunks) tasks on the pool.
+    """
+    tasks = _tasks(nchunks)
+    if tasks == 1:
+        work(0, range(nchunks))
+        return
+    for f in [_pool().submit(work, t, range(t, nchunks, tasks)) for t in range(tasks)]:
+        f.result()
+
+
+def _layout(n1, n23):
+    """Stage-A column ranges of the (n1, n23) view and stage-B i1-plane slices, about _CHUNK doubles each."""
+    width, planes = min(n23, max(1, _CHUNK // n1)), min(n1, max(1, _CHUNK // n23))
+    return [(c, min(c + width, n23)) for c in range(0, n23, width)], [slice(i, i + planes) for i in range(0, n1, planes)]
+
+
+def adi_work_bytes_3d(dims):
+    """Bytes a 3D apply on an array of shape ``dims`` allocates at most.
+
+    Its five full-size work arrays; per task, four chunks: the three stage-A
+    buffers and the copy of a block's rows that numpy makes when
+    ``banded.along`` works in place; and 32 KiB for the chunk lists and the
+    pool's futures.
+    """
+    n1, n23 = dims[0], dims[1] * dims[2]
+    cols, slabs = _layout(n1, n23)
+    chunk = max(n1 * (cols[0][1] - cols[0][0]), n23 * (slabs[0].stop - slabs[0].start))
+    return 8 * (5 * n1 * n23 + 4 * _tasks(max(len(cols), len(slabs))) * chunk) + 2**15
 
 
 def adi_solve_3d(pencils, r, plan, factors):
@@ -481,44 +583,71 @@ def adi_solve_3d(pencils, r, plan, factors):
 
     Implements the rearranged per-sweep updates in which the two mass-scaled
     products u_j and v_j are formed once, and v is advanced by the recurrence
-    v_{j+1} = b_j - w_j s_j instead of a fresh solve.  Every solve but the
-    two that must keep their right-hand side runs in place on the product it
-    follows, and the updates are made in place on the arrays the solves
-    return, in the same order of operations as the formulas.  ``factors``
-    are the plan's _Sweep3DFactors.
+    v_{j+1} = b_j - w_j s_j instead of a fresh solve.  The apply allocates
+    its five full-size work arrays (rt, s, v, u and s*) once and returns s.
+    Each sweep is two stages over chunks of about _CHUNK doubles (see the
+    module docstring), the updates made in place in the same order of
+    operations as the formulas.  ``factors`` are the plan's _Sweep3DFactors.
     """
-    (K1, _), (K2, M2), (K3, M3) = pencils
-    R = np.asarray(r, dtype=float).reshape(K1.n, K2.n, K3.n)
+    (K1, _), (K2, _), (K3, _) = pencils
+    n1, n23 = K1.n, K2.n * K3.n
+    R = np.asarray(r, dtype=float).reshape(n1, K2.n, K3.n)
     rt = factors.m3.solve(factors.m2.solve(R, 1), 2, overwrite_b=True)
     rt *= 2.0
+    s, v, u, sstar = (np.empty_like(rt) for _ in range(4))
+    cols, slabs = _layout(n1, n23)
+    # per task, the three stage-A buffers of one column chunk
+    bufs = [np.empty((3, n1 * (cols[0][1] - cols[0][0]))) for _ in range(_tasks(len(cols)))]
+    rt2, s2, v2, u2, sstar2 = (a.reshape(n1, n23) for a in (rt, s, v, u, sstar))
+
+    def stage_a(j, w, task, chunks):
+        # r* = rt - (K1 - w M1) s - 2 M1 (u + v), then s* = w row^-1 r* + u;
+        # g gathers one input at a time, as ufuncs on strided operands
+        # would allocate buffers of their own
+        for c in chunks:
+            lo, hi = cols[c]
+            g, y, t = (b[: n1 * (hi - lo)].reshape(n1, hi - lo) for b in bufs[task])
+            if j == 0:
+                # zero initial guess: s = v = u = 0 and r* = rt
+                np.copyto(y, rt2[:, lo:hi])
+            else:
+                np.copyto(g, u2[:, lo:hi])
+                np.copyto(y, v2[:, lo:hi])
+                np.add(g, y, out=y)
+                along(factors.m1_twice, y, 0, t)
+                np.copyto(g, s2[:, lo:hi])
+                along(factors.row_minus[j], g, 0, y)
+                np.copyto(g, rt2[:, lo:hi])
+                np.subtract(g, y, out=y)
+                y -= t
+            factors.row[j]._sweep(y, 0)
+            y *= w
+            if j:
+                np.copyto(g, u2[:, lo:hi])
+                y += g
+            sstar2[:, lo:hi] = y
+
+    def stage_b(j, w, task, chunks):
+        # b_j = w col^-1 M2 s* + v (held in u), s = dep^-1 M3 b_j,
+        # v = b_j - w s and the next sweep's u = M2^-1 K2 s
+        for c in chunks:
+            ss, uu, vv, sn = sstar[slabs[c]], u[slabs[c]], v[slabs[c]], s[slabs[c]]
+            along(factors.mass2, ss, 1, uu)
+            factors.col[j]._sweep(uu, 1)
+            uu *= w
+            if j:
+                uu += vv
+            along(factors.mass3, uu, 2, sn)
+            factors.dep[j]._sweep(sn, 2)
+            np.multiply(w, sn, out=ss)
+            np.subtract(uu, ss, out=vv)
+            if j + 1 < plan.J:
+                along(factors.k2, sn, 1, uu)
+                factors.m2._sweep(uu, 1)
+
     for j, w in enumerate(plan.omegas):
-        if j == 0:
-            # zero initial guess: s = v = u = 0 and r* = rt
-            sstar = factors.row[0].solve(rt)
-            sstar *= w
-        else:
-            u = factors.m2.solve(apply_along_axis(K2, s, 1), 1, overwrite_b=True)
-            # r* = rt - (K1 - w M1) s - 2 M1 (u + v)
-            rstar = apply_along_axis(factors.row_minus[j], s, 0)
-            np.subtract(rt, rstar, out=rstar)
-            rstar -= apply_along_axis(factors.m1_twice, u + v, 0)
-            # u + w s*
-            sstar = factors.row[j].solve(rstar, overwrite_b=True)
-            sstar *= w
-            sstar += u
-            # free what the rest of the sweep does not read: it then holds
-            # at most 7 full-size arrays
-            del u, rstar
-        # b_j = v + w s**
-        bj = factors.col[j].solve(apply_along_axis(M2, sstar, 1), 1, overwrite_b=True)
-        del sstar
-        bj *= w
-        if j:
-            bj += v
-        s = factors.dep[j].solve(apply_along_axis(M3, bj, 2), 2, overwrite_b=True)
-        # v = b_j - w s
-        bj -= w * s
-        v = bj
+        _each_chunk(functools.partial(stage_a, j, w), len(cols))
+        _each_chunk(functools.partial(stage_b, j, w), len(slabs))
     return s.reshape(-1)
 
 

@@ -183,6 +183,10 @@ class BandedCholesky:
         W = np.ascontiguousarray(b, dtype=float) if overwrite_b else np.array(b, dtype=float, order="C")
         if W.shape[axis] != self.n:
             raise ValueError("right-hand side of shape %r does not match order %d" % (W.shape, self.n))
+        return self._sweep(W, axis)
+
+    def _sweep(self, W, axis):
+        """Both sweeps in place on W, a C-contiguous float array, along ``axis``; no checks."""
         along(self._fwd, W, axis, W)
         return along(self._bwd, W, axis, W)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adi import ADIPreconditioner
+from .adi import ADIPreconditioner, adi_work_bytes_3d
 from .assembly import (
     _BOUND_CHUNK,
     BoundScreen,
@@ -204,9 +204,10 @@ def _estimate_bytes(cfg, n, d, assembled):
     if cfg.domain == "l_shape":
         N = 3 * N
     dense_u = d * n * n * 8
-    # full-size vectors: CG's, or in a direct row b and the sweep's own (the
-    # 3D ADI apply holds at most 7, its result among them)
-    vec = 12 * N * 8
+    # full-size vectors: CG's six (b, x, r, z, p, Ap), or a direct row's b,
+    # result and residual check, and one preconditioner apply's work, the
+    # largest being the 3D ADI apply's five arrays and its chunk buffers
+    vec = 6 * N * 8 + (adi_work_bytes_3d((n,) * 3) if d == 3 else 5 * N * 8)
     est = dense_u + vec
     if assembled:
         w = 2 * cfg.p + 1

@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -391,3 +395,177 @@ def test_adi_operator_spd_on_random_knots(d, data):
     W = np.column_stack([prec.apply(e) for e in np.eye(prec.n)])
     assert np.abs(W - W.T).max() <= 1e-10 * np.abs(W).max()
     assert np.linalg.eigvalsh(0.5 * (W + W.T))[0] > 0
+
+
+# ------------------------------------------------------------------ 3D chunked sweep
+
+# chunk sizes at which a 1/h = 16 cube (n = 17) runs many chunks on the
+# pool, and one chunk inline
+SMALL_CHUNK, HUGE_CHUNK = 2**9, 2**40
+
+
+def cube_16():
+    prec = ADIPreconditioner.setup(pencils_for(3, 16, 3), eps=0.1)
+    return prec, np.random.default_rng(9).standard_normal(prec.n)
+
+
+def test_chunked_3d_sweep_matches_one_chunk(monkeypatch):
+    prec, r = cube_16()
+    results = {}
+    for chunk in (SMALL_CHUNK, HUGE_CHUNK):
+        monkeypatch.setattr(adi, "_CHUNK", chunk)
+        cols, slabs = adi._layout(17, 17 * 17)
+        assert (len(cols) > 1 and len(slabs) > 1) == (chunk == SMALL_CHUNK)
+        runs = [prec.apply(r) for _ in range(3)]
+        assert all(np.array_equal(runs[0], x) for x in runs[1:])
+        results[chunk] = runs[0]
+    small, one = results[SMALL_CHUNK], results[HUGE_CHUNK]
+    assert np.abs(small - one).max() <= 1e-13 * np.abs(one).max()
+
+
+def whole_array_sweep_3d(pencils, r, plan, factors):
+    """The 3D Douglas sweeps in whole-array operations: the reference for the chunked apply."""
+    (K1, M1), (K2, M2), (K3, M3) = pencils
+    m1_twice = BandedSymMatrix(2.0 * M1.ab)
+    rt = factors.m3.solve(factors.m2.solve(r.reshape(K1.n, K2.n, K3.n), 1), 2, overwrite_b=True)
+    rt *= 2.0
+    for j, w in enumerate(plan.omegas):
+        if j == 0:
+            sstar = factors.row[0].solve(rt)
+            sstar *= w
+        else:
+            u = factors.m2.solve(K2.matmat(s, 1), 1, overwrite_b=True)
+            rstar = K1.combine(-w, M1).matmat(s, 0)
+            np.subtract(rt, rstar, out=rstar)
+            rstar -= m1_twice.matmat(u + v, 0)
+            sstar = factors.row[j].solve(rstar, overwrite_b=True)
+            sstar *= w
+            sstar += u
+        bj = factors.col[j].solve(M2.matmat(sstar, 1), 1, overwrite_b=True)
+        bj *= w
+        if j:
+            bj += v
+        s = factors.dep[j].solve(M3.matmat(bj, 2), 2, overwrite_b=True)
+        bj -= w * s
+        v = bj
+    return s.reshape(-1)
+
+
+@pytest.mark.parametrize("q", [16, 32])
+def test_one_chunk_apply_equals_whole_array_sweep(q):
+    # n = 17 and n = 33 (ring3d's size) fit in one chunk: the same arithmetic
+    # as the whole-array sweep, bit for bit; many chunks agree to roundoff
+    prec = ADIPreconditioner.setup(pencils_for(3, q, 3), eps=0.1)
+    r = np.random.default_rng(12).standard_normal(prec.n)
+    ref = whole_array_sweep_3d(prec.pencils, r, prec.plan, prec._factors)
+    assert np.array_equal(prec.apply(r), ref)
+    with mock.patch.object(adi, "_CHUNK", 2**9):
+        got = prec.apply(r)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        test_adi_solve_3d_reaches_tolerance,
+        test_v_recurrence_consistency,
+        test_3d_stopping_soundness,
+        test_adi_preconditioner_3d_operator,
+    ],
+)
+def test_3d_adi_tests_pass_with_small_chunks(test, monkeypatch):
+    monkeypatch.setattr(adi, "_CHUNK", 2**6)
+    test()
+
+
+@pytest.mark.parametrize("test", [test_adi_operator_symmetric_on_random_spaces, test_adi_operator_spd_on_random_knots])
+def test_3d_adi_properties_hold_with_small_chunks(test, monkeypatch):
+    monkeypatch.setattr(adi, "_CHUNK", 2**6)
+    test(d=3)
+
+
+def test_ring3d_sized_apply_runs_inline(monkeypatch):
+    # n = 33 fits in one chunk: the apply never touches the pool
+    prec = ADIPreconditioner.setup(pencils_for(3, 32, 3), eps=0.1)
+
+    def no_pool():
+        raise AssertionError("the pool was used")
+
+    monkeypatch.setattr(adi, "_pool", no_pool)
+    got = prec.apply(np.random.default_rng(10).standard_normal(prec.n))
+    assert np.all(np.isfinite(got))
+
+
+def cube_32_in_small_chunks(monkeypatch):
+    # n = 33 in 18 column chunks and 33 slabs: one full-size array (287 KB)
+    # is more than the charge for the chunks and the bookkeeping
+    monkeypatch.setattr(adi, "_CHUNK", 2**11)
+    prec = ADIPreconditioner.setup(pencils_for(3, 32, 3), eps=0.1)
+    r = np.random.default_rng(11).standard_normal(prec.n)
+    prec.apply(r)  # warm: the pool's threads are up
+    charged = adi.adi_work_bytes_3d((33, 33, 33))
+    assert 5 * 8 * prec.n < charged < 6 * 8 * prec.n
+    return prec, r
+
+
+def test_warm_3d_apply_peak_within_charged_bytes(monkeypatch, tracemalloc_peak):
+    prec, r = cube_32_in_small_chunks(monkeypatch)
+    assert tracemalloc_peak(prec.apply, r) <= adi.adi_work_bytes_3d((33, 33, 33))
+
+
+def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
+    # the sweeps allocate no full-size array: each stage's scratch is a few
+    # chunks, and only the result is held after the apply
+    prec, r = cube_32_in_small_chunks(monkeypatch)
+    full = 8 * prec.n
+    each_chunk, stage_peaks = adi._each_chunk, []
+
+    def measured(work, nchunks):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        each_chunk(work, nchunks)
+        stage_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(adi, "_each_chunk", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = prec.apply(r)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert got.size == prec.n
+    assert len(stage_peaks) == 2 * prec.plan.J
+    assert max(stage_peaks) < full / 2
+    assert full <= held < full + full / 8
+
+
+def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
+    # the benchmark's tracer keeps one span stack, so every lookup point it
+    # wraps must be called from the thread that runs the apply; the pool's
+    # workers call only banded.along and BandedCholesky._sweep
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    monkeypatch.setattr(adi, "_CHUNK", SMALL_CHUNK)
+    prec, r = cube_16()
+    calls, along_threads = [], set()
+    tracer = tracing.Tracer()
+
+    def call(name, fn, args, kwargs=None):
+        calls.append((name, threading.get_ident()))
+        return fn(*args, **(kwargs or {}))
+
+    def along(*args):
+        along_threads.add(threading.get_ident())
+        return banded_along(*args)
+
+    banded_along = adi.along
+    monkeypatch.setattr(tracer, "call", call)
+    monkeypatch.setattr(adi, "along", along)
+    with tracer.installed():
+        prec.apply(r)
+    assert {"adi.apply", "banded.chol_solve"} <= {name for name, _ in calls}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    if len(os.sched_getaffinity(0)) > 1:
+        assert along_threads - {threading.get_ident()}

@@ -405,6 +405,25 @@ def test_cli_shifts(tmp_path):
     assert "omega" in cp3.stdout
 
 
+@pytest.mark.parametrize("a, b, J", [("2", "3", 9), ("1", "1.3", 8)])
+def test_cli_shifts_narrow_spectrum_tight_eps(a, b, J):
+    # the ladder of the a-priori count J0 = 7 falls short of 1e-6 on these
+    # brackets; a longer one certifies
+    cp = run_cli("shifts", "--a", a, "--b", b, "--eps", "1e-6", "--dim", "3")
+    assert cp.returncode == 0, cp.stderr
+    header = cp.stdout.splitlines()[0]
+    assert header.startswith("J = %d of a-priori 7  (contraction " % J)
+    assert float(header.split("contraction ")[1].split()[0]) <= 1e-6
+    assert len(cp.stdout.splitlines()) == 1 + J
+
+
+def test_cli_greedy_shifts_header():
+    # J0 is the ladder's a-priori count for [1, 100] at 1e-4, not the --j-max cap
+    cp = run_cli("shifts", "--dim", "3", "--strategy", "greedy", "--a", "1", "--b", "100", "--eps", "1e-4", "--j-max", "30")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[0].startswith("J = 14 of a-priori 50  (contraction ")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -418,8 +437,7 @@ def test_cli_shifts(tmp_path):
         (("run", "--domain", "unit_square", "--h-inv", "8", "--maxit", "0"), "configuration error"),
         (("export-matrix", "--domain", "quarter_annulus", "--p", "2", "--h-inv", "8", "--seed", "-1"), "configuration error"),
         (("shifts", "--a", "1", "--b", "5", "--eps", "0.1", "--dim", "3", "--strategy", "greedy", "--j-max", "0"), "configuration error"),
-        # a narrow spectrum the a-priori shift count cannot certify
-        (("shifts", "--a", "2", "--b", "3", "--eps", "1e-6", "--dim", "3"), "configuration error: a-priori shift count"),
+        (("shifts", "--a", "1", "--b", "5", "--eps", "1.5", "--dim", "3", "--strategy", "greedy"), "configuration error: tolerance"),
         # the 3D run plan is the Douglas ladder; there is no setting to choose another
         (("run", "--domain", "unit_cube", "--h-inv", "8", "--solver", "adi", "--adi-shifts", "greedy"), "unrecognized arguments"),
         (("run", "--config", "greedy.cfg"), "unknown key 'adi_shifts'"),
