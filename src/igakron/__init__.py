@@ -12,10 +12,8 @@ from .banded import BandedSymMatrix, BandedCholesky
 from .kron import KroneckerSum, kron_matvec
 from .geometry import (
     BuiltinDomain,
-    CoefficientField,
     GeometryMap,
     builtin,
-    identity_coefficient,
     identity_map,
     affine_map,
 )

@@ -56,7 +56,8 @@ import scipy.optimize
 
 from .banded import BandedSymMatrix, along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
-from .kron import kron_matvec
+# not called here: the layer tracer of perfbench/ looks kron_matvec up in this module
+from .kron import kron_matvec  # noqa: F401
 
 __all__ = [
     "ShiftPlan2D",
@@ -71,17 +72,21 @@ __all__ = [
     "adi_solve_3d",
     "adi_work_bytes_3d",
     "ADIPreconditioner",
-    "m_norm",
 ]
 
 
 # ---------------------------------------------------------------------------
 # shift counts and elliptic machinery
 
+def _check_bracket(a, b):
+    """Refuse a spectral bracket [a, b] unless 0 < a <= b < inf (NaN fails too)."""
+    if not 0.0 < a <= b < math.inf:
+        raise ValueError("a spectral bracket [a, b] needs 0 < a <= b < inf, got [%g, %g]" % (a, b))
+
+
 def adi_iteration_count(a, b, eps):
     """A-priori Peaceman-Rachford iteration count for a bracket [a, b]."""
-    if not (0.0 < a <= b):
-        raise ValueError("need 0 < a <= b")
+    _check_bracket(a, b)
     if not (0.0 < eps < 1.0):
         raise ValueError("tolerance must lie in (0, 1)")
     return max(1, math.ceil(math.log(4.0 * b / a) * math.log(4.0 / eps) / math.pi**2))
@@ -173,8 +178,8 @@ def wachspress_shifts(a, b, c, d, eps):
     contraction bound is evaluated numerically and must meet eps, with one
     round-off fallback that adds a sweep.
     """
-    if not (0.0 < a <= b and 0.0 < c <= d):
-        raise ValueError("brackets must be positive")
+    _check_bracket(a, b)
+    _check_bracket(c, d)
     if not (0.0 < eps < 1.0):
         raise ValueError("tolerance must lie in (0, 1)")
     lo, hi = min(a, c), max(b, d)
@@ -392,8 +397,7 @@ def douglas_shifts_3d(eigs, eps):
     lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
     a = min(l.min() for l in lams)
     b = max(l.max() for l in lams)
-    if not a > 0.0:
-        raise ValueError("eigenvalues must be positive")
+    _check_bracket(a, b)
 
     if b <= a * (1 + 1e-9):
         w, v = _best_point_shift(a)
@@ -472,8 +476,7 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
     eps or after J_max shifts.  The plan's J0 is the ladder's a-priori count
     for [a, b], not J_max.
     """
-    if not (0.0 < a <= b):
-        raise ValueError("need 0 < a <= b")
+    _check_bracket(a, b)
     if not (0.0 < eps < 1.0):
         raise ValueError("tolerance must lie in (0, 1)")
     if J_max < 1:
@@ -696,9 +699,3 @@ class ADIPreconditioner:
         return adi_solve_3d(self.pencils, r, self.plan, self._factors)
 
     __call__ = apply
-
-
-def m_norm(pencils, v):
-    """Mass norm sqrt(v^T (M1 (x) ... (x) Md) v)."""
-    masses = [M for _, M in pencils]
-    return float(np.sqrt(abs(np.dot(v, kron_matvec(masses, v)))))

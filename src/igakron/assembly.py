@@ -2,7 +2,7 @@
 
 The stiffness matrix is
 
-    A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = |det J| J^{-T} K J^{-1},
+    A[i, j] = int (grad B_i)^T Q grad B_j dz,    Q = |det J| J^{-T} J^{-1},
 
 assembled by tensor-product Gauss quadrature, with Q from the closed-form
 pull-back of the geometry module.  The rule is fixed: p + 1 points per knot
@@ -159,14 +159,14 @@ def assemble_pencil_1d(space):
     return _interior_band(abK, m), _interior_band(abM, m)
 
 
-def quadrature_grid(spaces, points_per_span=None):
-    """Tensor quadrature grid: per-direction rules plus the flattened points.
+def quadrature_grid(spaces, points_per_span):
+    """Tensor quadrature grid of points_per_span Gauss points per span in each direction.
 
     Returns:
         (rules, zeta, w): the 1D rules, the (Ntot, d) array of tensor points
         (C order, last direction fastest) and the corresponding weights.
     """
-    rules = [gauss_rule(s, points_per_span or s.p + 1) for s in spaces]
+    rules = [gauss_rule(s, points_per_span) for s in spaces]
     axes = [r.points.ravel() for r in rules]
     wts = [r.weights.ravel() for r in rules]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -383,13 +383,12 @@ def _check_dim(spaces, geo):
     return d
 
 
-def assemble_stiffness(spaces, geo, coeff=None, dirichlet=True, screen=None):
+def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
     """Galerkin stiffness matrix on a tensor-product spline space, by the p + 1 point Gauss rule.
 
     Args:
         spaces: per-direction SplineSpace1D (all with the same degree)
         geo: GeometryMap of matching dimension
-        coeff: CoefficientField; identity if omitted
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
         screen: a BoundScreen that the Q of every quadrature point is added
             to, so condition_bound can finish the bound over this grid
@@ -421,7 +420,7 @@ def assemble_stiffness(spaces, geo, coeff=None, dirichlet=True, screen=None):
         screen.add(Q, singular)
 
     def values(z):
-        Q, singular = eval_Q_masked(geo, coeff, z)
+        Q, singular = eval_Q_masked(geo, zeta=z)
         if screen is not None:
             planes.append((Q, singular))
             if sum(len(Q) for Q, _ in planes) >= _BOUND_CHUNK:
@@ -550,15 +549,14 @@ class BoundScreen:
         return ConditionBound(float(hi / lo), False)
 
 
-def condition_bound(geo, coeff, axes, extra=(), screen=None):
+def condition_bound(geo, axes, extra=(), screen=None):
     """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
 
     The points are the tensor grid of the 1D coordinates ``axes`` (C order,
     last direction fastest) followed by the rows of the (k, d) array
     ``extra``.  This bounds the spectral condition number of the
     preconditioned system.  If any sample point has a singular Jacobian the
-    bound is +inf and the ``singular`` flag is set.  ``coeff=None`` is the
-    identity coefficient.
+    bound is +inf and the ``singular`` flag is set.
 
     The points are generated and Q is evaluated _BOUND_CHUNK points at a
     time, so memory does not grow with the number of points, and screened by
@@ -585,7 +583,7 @@ def condition_bound(geo, coeff, axes, extra=(), screen=None):
         idx = np.unravel_index(np.arange(start, min(stop, n_grid)), shape)
         grid = np.column_stack([a[i] for a, i in zip(axes, idx)])
         zeta = np.vstack([grid, extra[max(start - n_grid, 0) : max(stop - n_grid, 0)]])
-        screen.add(*eval_Q_masked(geo, coeff, zeta))
+        screen.add(*eval_Q_masked(geo, zeta=zeta))
     return screen.result()
 
 

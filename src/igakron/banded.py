@@ -112,11 +112,6 @@ class BandedSymMatrix:
         self.p, self.n = ab.shape[0] - 1, ab.shape[1]
         self.shape = (self.n, self.n)
 
-    @classmethod
-    def from_dense(cls, A, bandwidth):
-        A = np.asarray(A, dtype=float)
-        return cls([np.pad(np.diagonal(A, k), (k, 0))[: len(A)] for k in range(bandwidth, -1, -1)])
-
     def toarray(self):
         # the product with the identity copies every entry exactly
         return self.matmat(np.eye(self.n))

@@ -70,7 +70,7 @@ __all__ = [
 SOLVERS = {
     "fd": (("direct", "single-patch"), lambda cfg, pb: fd_setup(KroneckerSum(pb.pencils))),
     "adi": (("direct", "single-patch"), lambda cfg, pb: ADIPreconditioner.setup(pb.pencils, cfg.eps)),
-    "ic": (("single-patch", "multi-patch"), lambda cfg, pb: ic0_setup(pb.A, reorder="rcm")),
+    "ic": (("single-patch", "multi-patch"), lambda cfg, pb: ic0_setup(pb.A)),
     "schwarz_exact": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="exact")),
     "schwarz_fd": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="fd")),
     "none": (("single-patch", "multi-patch"), lambda cfg, pb: None),
@@ -276,7 +276,7 @@ def _cond_bound_value(geo, screen):
     so boundary-singular parametrizations report the +inf sentinel.
     """
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    return condition_bound(geo, None, [()] * geo.dim, corners, screen).bound
+    return condition_bound(geo, [()] * geo.dim, corners, screen).bound
 
 
 def _run_row(cfg, h_inv, rng):

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .adi import douglas_shifts_3d, greedy_shifts_3d, wachspress_shifts
+from .adi import _check_bracket, douglas_shifts_3d, greedy_shifts_3d, wachspress_shifts
 from .assembly import write_matrix_market
 from .bench import SOLVERS, ConfigError, ExperimentConfig, _problem, emit_report, run_experiment
 
@@ -97,8 +97,7 @@ def _cmd_shifts(args):
         elif args.strategy == "greedy":
             plan = greedy_shifts_3d(args.a, args.b, args.j_max, args.eps, seed=args.seed)
         else:
-            if not 0.0 < args.a <= args.b:
-                raise ValueError("need 0 < a <= b")
+            _check_bracket(args.a, args.b)
             # only the bracket is known: the plan is checked on 64-point log grids of it
             plan = douglas_shifts_3d([np.geomspace(args.a, args.b, 64)] * 3, args.eps)
     except (ValueError, ArithmeticError) as err:

@@ -1,4 +1,4 @@
-"""Geometry maps, diffusion coefficients and the benchmark domains.
+"""Geometry maps, the geometry pull-back Q and the benchmark domains.
 
 All maps are analytic closed forms: assembly only ever needs point values and
 Jacobians, so carrying control nets around would buy nothing.  Evaluation is
@@ -16,12 +16,10 @@ import numpy as np
 
 __all__ = [
     "GeometryMap",
-    "CoefficientField",
     "BuiltinDomain",
     "builtin",
     "identity_map",
     "affine_map",
-    "identity_coefficient",
     "eval_Q_masked",
     "abs_det_masked",
 ]
@@ -49,28 +47,6 @@ class GeometryMap:
 
     def __repr__(self):
         return "GeometryMap(%s, dim=%d)" % (self.name, self.dim)
-
-
-class CoefficientField:
-    """Symmetric positive definite diffusion coefficient K(x).
-
-    Attributes:
-        evaluate: callable, (N, d) physical points -> (N, d, d) SPD matrices
-    """
-
-    def __init__(self, evaluate):
-        self.evaluate = evaluate
-
-
-def identity_coefficient(dim):
-    def evaluate(x):
-        x = np.asarray(x)
-        K = np.zeros((x.shape[0], dim, dim))
-        idx = np.arange(dim)
-        K[:, idx, idx] = 1.0
-        return K
-
-    return CoefficientField(evaluate)
 
 
 def identity_map(dim):
@@ -296,19 +272,18 @@ def abs_det_masked(geo, zeta):
     return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
 
 
-def eval_Q_masked(geo, coeff, zeta):
-    """The pulled-back diffusion tensor |det J| J^{-T} K J^{-1} at many points.
+def eval_Q_masked(geo, *, zeta):
+    """The geometry pull-back |det J| J^{-T} J^{-1} at many points.
 
     Computed in closed form from the adjugate, adj(J) = det(J) J^{-1}:
 
-        Q = adj(J)^T K adj(J) / |det J|,
+        Q = adj(J)^T adj(J) / |det J|,
 
     with det J and adj(J) taken once from the components of J (2D and 3D).
     The absolute value keeps Q positive definite on orientation-reversing
     maps; assemble_load, l2_error and condition_bound use the same |det J|
-    (see abs_det_masked).  ``coeff=None`` stands for the identity
-    coefficient: Q = adj(J)^T adj(J) / |det J| is then formed without
-    evaluating the map or K.
+    (see abs_det_masked).  ``zeta`` is keyword-only because the benchmark's
+    layer tracer reads the points from the call as the keyword ``zeta``.
 
     Singular points (see _abs_det) are flagged in the returned mask and
     their Q is set to zero (the assembly policy is that such quadrature points
@@ -326,15 +301,8 @@ def eval_Q_masked(geo, coeff, zeta):
     absdet, singular = _abs_det(J, [adj[c][0] for c in range(d)])
     inv = np.divide(1.0, absdet, out=np.zeros_like(absdet), where=~singular)
     Qc = np.empty((d, d, zeta.shape[0]))
-    Q = Qc.transpose(2, 0, 1)
-    if coeff is None:
-        for i in range(d):
-            for l in range(i, d):
-                Qc[i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
-                Qc[l, i] = Qc[i, l]
-    else:
-        A = np.stack([np.stack(row, axis=-1) for row in adj], axis=1)
-        K = coeff.evaluate(geo.evaluate(zeta))
-        np.matmul(np.swapaxes(A, 1, 2), K @ A, out=Q)
-        Q *= inv[:, None, None]
-    return Q, singular
+    for i in range(d):
+        for l in range(i, d):
+            Qc[i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
+            Qc[l, i] = Qc[i, l]
+    return Qc.transpose(2, 0, 1), singular

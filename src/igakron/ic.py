@@ -41,7 +41,7 @@ class ICFactor:
     """Incomplete Cholesky data: permutation and sparse triangular factor.
 
     Attributes:
-        perm: the (reverse Cuthill-McKee or identity) permutation applied
+        perm: the permutation applied (reverse Cuthill-McKee in ic0_setup)
         L: CSR lower-triangular factor with pattern(L) = pattern(tril(P A P^T))
         shift: the diagonal shift that was needed (0.0 normally)
     """
@@ -145,28 +145,8 @@ def _ic0_lower(low, sigma):
     return scipy.sparse.csr_matrix((lvals, cols, indptr), shape=(n, n))
 
 
-def ic0_setup(A, reorder="rcm"):
-    """IC(0) factorization of A, optionally after RCM reordering.
-
-    Args:
-        A: SPD matrix in CSR format
-        reorder: "rcm" or "none"
-
-    Returns:
-        ICFactor
-
-    Raises:
-        ValueError: if reorder is unknown or a diagonal entry is structurally zero
-        ICBreakdownError: if no shift up to 0.512 gives positive pivots
-    """
-    A = A.tocsr()
-    n = A.shape[0]
-    if reorder == "rcm":
-        perm = np.asarray(scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True))
-    elif reorder == "none":
-        perm = np.arange(n)
-    else:
-        raise ValueError("unknown reordering %r" % reorder)
+def _factor(A, perm):
+    """IC(0) of the CSR matrix A in the order perm, with shifted restarts."""
     Ap = A[perm][:, perm].tocsr()
     Ap.sort_indices()
     low = _lower_pattern(Ap)
@@ -177,3 +157,20 @@ def ic0_setup(A, reorder="rcm"):
             continue
         return ICFactor(perm, L, sigma)
     raise ICBreakdownError("incomplete Cholesky broke down even with shift %g" % _SHIFTS[-1])
+
+
+def ic0_setup(A):
+    """IC(0) factorization of A after reverse Cuthill-McKee reordering.
+
+    Args:
+        A: SPD matrix in CSR format
+
+    Returns:
+        ICFactor
+
+    Raises:
+        ValueError: if a diagonal entry is structurally zero
+        ICBreakdownError: if no shift up to 0.512 gives positive pivots
+    """
+    A = A.tocsr()
+    return _factor(A, np.asarray(scipy.sparse.csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)))

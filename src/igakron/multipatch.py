@@ -79,10 +79,6 @@ class MultiPatchDomain:
         self.dof_maps = dof_maps
         self.N = N
 
-    @property
-    def num_patches(self):
-        return len(self.patches)
-
 
 def _check_conforming(pa, pb, side_a, side_b):
     ax_a, end_a = side_a
@@ -168,7 +164,7 @@ def build_multipatch(patches, interfaces):
     return MultiPatchDomain(patches, list(interfaces), dof_maps, int(keep_roots.size))
 
 
-def assemble_multipatch_stiffness(domain, coeff=None):
+def assemble_multipatch_stiffness(domain):
     """Scatter per-patch Galerkin matrices into the global numbering.
 
     The triples of all patches form one COO matrix, converted to CSR once;
@@ -176,7 +172,7 @@ def assemble_multipatch_stiffness(domain, coeff=None):
     """
     triples = []
     for patch, gmap in zip(domain.patches, domain.dof_maps):
-        A = assemble_stiffness(patch.spaces, patch.geo, coeff, dirichlet=False).tocoo()
+        A = assemble_stiffness(patch.spaces, patch.geo, dirichlet=False).tocoo()
         rows = gmap[A.row]
         cols = gmap[A.col]
         keep = (rows >= 0) & (cols >= 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dense import banded_from_dense, m_norm
 from _strategies import random_open_space
 from igakron import adi
 from igakron.adi import (
@@ -16,7 +17,6 @@ from igakron.adi import (
     adi_iteration_count,
     douglas_shifts_3d,
     greedy_shifts_3d,
-    m_norm,
     rho_prefix_3d,
     wachspress_shifts,
     _best_point_shift,
@@ -36,7 +36,7 @@ def pencils_for(p, q, d):
 
 
 def identity_pencils(n, d):
-    I = BandedSymMatrix.from_dense(np.eye(n), 0)
+    I = banded_from_dense(np.eye(n), 0)
     return [(I, I)] * d
 
 

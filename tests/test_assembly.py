@@ -26,13 +26,11 @@ from igakron.bspline import KnotVector, SplineSpace1D
 from igakron.fd import fd_setup
 from igakron.geometry import (
     BuiltinDomain,
-    CoefficientField,
     GeometryMap,
     abs_det_masked,
     affine_map,
     builtin,
     eval_Q_masked,
-    identity_coefficient,
     identity_map,
 )
 from igakron.kron import KroneckerSum
@@ -74,6 +72,12 @@ def test_gauss_rule_properties():
     breaks = s.kv.breakpoints()
     for e in range(rule.num_elements):
         assert (rule.points[e] > breaks[e]).all() and (rule.points[e] < breaks[e + 1]).all()
+
+
+def test_quadrature_grid_needs_a_point_per_span():
+    # zero points per span is refused, as by gauss_rule, not replaced by p + 1
+    with pytest.raises(ValueError, match="at least one quadrature point"):
+        quadrature_grid(spaces_2d(2, 4), 0)
 
 
 def test_pencil_p1_uniform_rows():
@@ -201,49 +205,49 @@ def test_manufactured_solution_exact_for_p2():
 
 def test_condition_bound_identity_and_annulus(monkeypatch):
     axes = gauss_axes(spaces_2d(2, 8))
-    cb = condition_bound(identity_map(2), identity_coefficient(2), axes)
+    cb = condition_bound(identity_map(2), axes)
     assert not cb.singular and abs(cb.bound - 1.0) < 1e-10
-    cb2 = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), axes)
+    cb2 = condition_bound(builtin("quarter_annulus"), axes)
     assert abs(cb2.bound - np.pi**2) < 0.05 * np.pi**2
     # chunked evaluation gives the single-shot value
     for chunk in (7, 24, 100):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("quarter_annulus"), identity_coefficient(2), axes)
+        cb = condition_bound(builtin("quarter_annulus"), axes)
         assert not cb.singular and cb.bound == cb2.bound
 
 
 def test_condition_bound_singular_domain(monkeypatch):
     axes = gauss_axes(spaces_2d(2, 6))
     edge = [[0.5, 1.0]]  # force a point on the collapsed edge
-    cb = condition_bound(builtin("collapsed_triangle"), identity_coefficient(2), axes, edge)
+    cb = condition_bound(builtin("collapsed_triangle"), axes, edge)
     assert cb.singular and np.isinf(cb.bound)
     # the only singular point alone in the last chunk still gives the sentinel
     for chunk in (18, len(axes[0]) * len(axes[1])):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("collapsed_triangle"), None, axes, edge)
+        cb = condition_bound(builtin("collapsed_triangle"), axes, edge)
         assert cb.singular and np.isinf(cb.bound)
 
 
 def test_condition_bound_without_points_raises():
     with pytest.raises(ValueError, match="at least one sample point"):
-        condition_bound(builtin("quarter_annulus"), None, [(), ()])
+        condition_bound(builtin("quarter_annulus"), [(), ()])
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 143, 145, 1000])
 def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
     # every point once, in C order, chunk boundaries anywhere (the grid has 144)
     spaces = [SplineSpace1D.uniform(2, 3), SplineSpace1D.uniform(3, 4)]
-    _, z, _ = quadrature_grid(spaces)
+    z = np.column_stack([g.ravel() for g in np.meshgrid(*gauss_axes(spaces), indexing="ij")])
     extra = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     seen = []
 
-    def record(geo, coeff, zeta):
+    def record(geo, *, zeta):
         seen.append(np.array(zeta))
-        return eval_Q_masked(geo, coeff, zeta)
+        return eval_Q_masked(geo, zeta=zeta)
 
     monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
     monkeypatch.setattr(assembly, "eval_Q_masked", record)
-    cb = condition_bound(builtin("quarter_annulus"), None, gauss_axes(spaces), extra)
+    cb = condition_bound(builtin("quarter_annulus"), gauss_axes(spaces), extra)
     assert not cb.singular
     assert all(len(c) <= chunk for c in seen)
     assert np.array_equal(np.vstack(seen), np.vstack([z, extra]))
@@ -333,18 +337,7 @@ def open_knot_vector(draw, p, max_breaks, max_mult):
     return KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)
 
 
-def anisotropic_coefficient(d):
-    """A rotated, position-dependent SPD diffusion tensor."""
-    R = np.linalg.qr(np.arange(1.0, d * d + 1).reshape(d, d) + np.eye(d))[0]
-    K0 = R @ np.diag(np.arange(1.0, d + 1) ** 2) @ R.T
-
-    def evaluate(x):
-        return K0 * (1.0 + 0.5 * np.sin(3.0 * x[:, :1]))[:, :, None]
-
-    return CoefficientField(evaluate)
-
-
-def dense_quadrature(spaces, geo, coeff, f):
+def dense_quadrature(spaces, geo, f):
     """Dense A and b by Gauss quadrature over every nonempty span.
 
     Basis values and derivatives come from scipy's BSpline, the tensor
@@ -364,7 +357,7 @@ def dense_quadrature(spaces, geo, coeff, f):
         D.append(spline.derivative()(z))
     zeta = np.column_stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")])
     w = reduce(np.multiply.outer, wts).ravel()
-    Q, _ = eval_Q_masked(geo, coeff, zeta)
+    Q, _ = eval_Q_masked(geo, zeta=zeta)
     G = [reduce(np.kron, [D[k] if k == c else V[k] for k in range(d)]) for c in range(d)]
     A = sum(G[c].T @ ((w * Q[:, c, e])[:, None] * G[e]) for c in range(d) for e in range(d))
     absdet, _ = abs_det_masked(geo, zeta)
@@ -381,15 +374,14 @@ def test_kernel_matches_dense_quadrature(d, data):
     max_breaks, max_mult = (3, p) if d == 2 else (2, min(p, 2))
     spaces = [SplineSpace1D(data.draw(open_knot_vector(p, max_breaks, max_mult))) for _ in range(d)]
     geo = builtin("quarter_annulus" if d == 2 else "revolved_quarter_ring")
-    coeff = data.draw(st.sampled_from([None, anisotropic_coefficient(d)]), label="coeff")
     dirichlet = data.draw(st.booleans(), label="dirichlet")
     f = lambda x: np.cos(x[:, 0]) + x[:, -1] ** 2
-    A_ref, b_ref = dense_quadrature(spaces, geo, coeff, f)
+    A_ref, b_ref = dense_quadrature(spaces, geo, f)
     if dirichlet:
         inner = [np.arange(1, s.m - 1) for s in spaces]
         keep = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inner, indexing="ij")], [s.m for s in spaces])
         A_ref, b_ref = A_ref[np.ix_(keep, keep)], b_ref[keep]
-    A = assemble_stiffness(spaces, geo, coeff, dirichlet=dirichlet).toarray()
+    A = assemble_stiffness(spaces, geo, dirichlet=dirichlet).toarray()
     b = assemble_load(spaces, geo, f, dirichlet=dirichlet)
     np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12 * np.abs(A_ref).max())
     np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
@@ -420,14 +412,13 @@ def test_kernel_leading_knot_of_multiplicity_p(d, dirichlet):
     lead = KnotVector(np.r_[np.zeros(p + 1), 0.25, [0.5] * p, 0.75, np.ones(p + 1)], p)
     spaces = [SplineSpace1D(lead)] + [SplineSpace1D.uniform(p, 2 + k) for k in range(d - 1)]
     geo = builtin("quarter_annulus" if d == 2 else "revolved_quarter_ring")
-    coeff = anisotropic_coefficient(d)
     f = lambda x: np.cos(x[:, 0]) + x[:, -1] ** 2
-    A_ref, b_ref = dense_quadrature(spaces, geo, coeff, f)
+    A_ref, b_ref = dense_quadrature(spaces, geo, f)
     if dirichlet:
         inner = [np.arange(1, s.m - 1) for s in spaces]
         keep = np.ravel_multi_index([g.ravel() for g in np.meshgrid(*inner, indexing="ij")], [s.m for s in spaces])
         A_ref, b_ref = A_ref[np.ix_(keep, keep)], b_ref[keep]
-    A = assemble_stiffness(spaces, geo, coeff, dirichlet=dirichlet).toarray()
+    A = assemble_stiffness(spaces, geo, dirichlet=dirichlet).toarray()
     b = assemble_load(spaces, geo, f, dirichlet=dirichlet)
     np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-12 * np.abs(A_ref).max())
     np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12 * np.abs(b_ref).max())
@@ -441,7 +432,7 @@ def test_scaled_map_is_not_singular():
     A = assemble_stiffness(spaces, geo)
     A0 = assemble_stiffness(spaces, identity_map(3))
     assert abs(A - 1e-5 * A0).max() <= 1e-12 * 1e-5 * abs(A0).max()
-    cb = condition_bound(geo, None, gauss_axes(spaces))
+    cb = condition_bound(geo, gauss_axes(spaces))
     assert not cb.singular and cb.bound == 1.0
 
 
@@ -453,15 +444,15 @@ def test_condition_bound_matches_eigvalsh(domain, corners, chunk, monkeypatch):
     # the closed-form screen is least accurate
     geo = builtin(domain)
     spaces = [SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)]
-    _, z, _ = quadrature_grid(spaces)
+    _, z, _ = quadrature_grid(spaces, 4)
     extra = np.zeros((0, geo.dim))
     if corners:
         extra = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
     z = np.vstack([z, extra])
     if chunk:
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-    cb = condition_bound(geo, None, gauss_axes(spaces), extra)
-    Q, sing = eval_Q_masked(geo, None, z)
+    cb = condition_bound(geo, gauss_axes(spaces), extra)
+    Q, sing = eval_Q_masked(geo, zeta=z)
     if sing.any():
         assert cb.singular and np.isinf(cb.bound)
         return
@@ -511,8 +502,8 @@ def test_stiffness_pass_bound_equals_grid_bound(domain, chunk, monkeypatch):
     A = assemble_stiffness(spaces, geo, screen=screen)
     # only the interior-singular map has a singular Gauss point
     assert screen.singular == (domain == "interior_singular")
-    cb = condition_bound(geo, None, [()] * geo.dim, corners(geo.dim), screen)
-    ref = condition_bound(geo, None, gauss_axes(spaces), corners(geo.dim))
+    cb = condition_bound(geo, [()] * geo.dim, corners(geo.dim), screen)
+    ref = condition_bound(geo, gauss_axes(spaces), corners(geo.dim))
     assert cb == ref
     singular = domain in ("interior_singular", BuiltinDomain.COLLAPSED_TRIANGLE)
     assert cb.singular == singular and np.isinf(cb.bound) == singular
@@ -524,9 +515,9 @@ def test_stiffness_pass_bound_equals_grid_bound(domain, chunk, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the pull-back orientation defect (ROADMAP item 1): expected to fail until
-# eval_Q_masked forms |det J| J^-1 K J^-T for J_ik = dx_i / dz_k
+# eval_Q_masked forms |det J| J^-1 J^-T for J_ik = dx_i / dz_k
 
-PULLBACK_DEFECT = "ROADMAP item 1: eval_Q_masked pulls K back in the transposed orientation"
+PULLBACK_DEFECT = "ROADMAP item 1: eval_Q_masked forms the pull-back in the transposed orientation"
 
 
 @pytest.mark.xfail(strict=True, reason=PULLBACK_DEFECT)

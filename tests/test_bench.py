@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ SINGLE = {"assemble_stiffness", "assemble_load", "condition_bound", "pcg"}
 MULTI = {"assemble_multipatch_stiffness", "assemble_multipatch_load", "pcg"}
 
 
+def test_every_workload_row_runs_under_the_layer_trace(monkeypatch):
+    # the benchmark's tracer wraps program functions by name and reads some of
+    # their arguments (eval_Q_masked's zeta by keyword): every row of every
+    # workload, at the warm-up size, must run traced and show its spans
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    import workloads
+
+    for name, wl in workloads.WORKLOADS.items():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            for row in wl["rows"]:
+                kwargs = workloads.config_kwargs(row, 1, workloads.WARMUP_H_INV)
+                assert run_experiment(ExperimentConfig(**kwargs)).rows[0].converged, (name, row)
+        counts = tracer.span_counts()
+        assert [s for s in wl["spans"] if not counts[s]] == [], name
+
+
 @pytest.mark.parametrize(
     "domain, solver, mode, looked_up",
     [
@@ -171,7 +190,7 @@ def test_every_solver_row_is_the_library_solve(domain, solver, mode, looked_up, 
     prec = {
         "fd": lambda: fd_setup(KroneckerSum(pencils)),
         "adi": lambda: ADIPreconditioner.setup_2d(pencils, eps=cfg.eps),
-        "ic": lambda: ic0_setup(A, reorder="rcm"),
+        "ic": lambda: ic0_setup(A),
         "schwarz_exact": lambda: schwarz_setup(dom, A, mode="exact"),
         "schwarz_fd": lambda: schwarz_setup(dom, A, mode="fd"),
         "none": lambda: None,
@@ -245,7 +264,7 @@ def test_condition_bound_memory_does_not_grow(tracemalloc_peak):
     peaks = []
     for h in (16, 32):
         axes = [gauss_rule(s, s.p + 1).points.ravel() for s in [SplineSpace1D.uniform(3, h)] * 3]
-        peaks.append(tracemalloc_peak(condition_bound, geo, None, axes))
+        peaks.append(tracemalloc_peak(condition_bound, geo, axes))
     assert peaks[1] <= 1.25 * peaks[0]
 
 
@@ -255,9 +274,9 @@ def test_precond_row_evaluates_Q_once_per_point(domain, d, h_inv, monkeypatch):
     # 2^d corners for the bound: (E q)^d + 2^d points
     points = []
 
-    def counting(geo, coeff, zeta):
+    def counting(geo, *, zeta):
         points.append(len(zeta))
-        return eval_Q_masked(geo, coeff, zeta)
+        return eval_Q_masked(geo, zeta=zeta)
 
     monkeypatch.setattr(igakron.assembly, "eval_Q_masked", counting)
     p = 2
@@ -268,7 +287,7 @@ def test_precond_row_evaluates_Q_once_per_point(domain, d, h_inv, monkeypatch):
     spaces = [SplineSpace1D.uniform(p, h_inv)] * d
     axes = [gauss_rule(s, p + 1).points.ravel() for s in spaces]
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T
-    assert row.cond_bound == condition_bound(builtin(domain), None, axes, corners).bound
+    assert row.cond_bound == condition_bound(builtin(domain), axes, corners).bound
 
 
 def test_default_memory_cap_within_physical_memory():
@@ -424,6 +443,9 @@ def test_cli_greedy_shifts_header():
     assert cp.stdout.splitlines()[0].startswith("J = 14 of a-priori 50  (contraction ")
 
 
+BRACKET = "configuration error: a spectral bracket [a, b] needs 0 < a <= b < inf, "
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -441,6 +463,12 @@ def test_cli_greedy_shifts_header():
         # the 3D run plan is the Douglas ladder; there is no setting to choose another
         (("run", "--domain", "unit_cube", "--h-inv", "8", "--solver", "adi", "--adi-shifts", "greedy"), "unrecognized arguments"),
         (("run", "--config", "greedy.cfg"), "unknown key 'adi_shifts'"),
+        # one bracket check for every plan: a reversed or infinite bracket is
+        # refused before any arithmetic on it
+        (("shifts", "--a", "5", "--b", "1", "--eps", "0.1"), BRACKET + "got [5, 1]"),
+        (("shifts", "--a", "1", "--b", "inf", "--eps", "0.1"), BRACKET + "got [1, inf]"),
+        (("shifts", "--a", "1", "--b", "inf", "--eps", "0.1", "--dim", "3"), BRACKET + "got [1, inf]"),
+        (("shifts", "--a", "1", "--b", "inf", "--eps", "0.1", "--dim", "3", "--strategy", "greedy"), BRACKET + "got [1, inf]"),
     ],
 )
 def test_cli_bad_input_exits_2(args, message, tmp_path):
@@ -453,4 +481,5 @@ def test_cli_bad_input_exits_2(args, message, tmp_path):
     assert cp.returncode == 2
     assert message in cp.stderr
     assert "Traceback" not in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr
     assert not list(tmp_path.glob("sys*"))

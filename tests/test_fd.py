@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dense import banded_from_dense
 from _strategies import random_open_space
 
 from igakron import adi, fd
 from igakron.adi import ADIPreconditioner
 from igakron.assembly import assemble_pencil_1d, assemble_stiffness
-from igakron.banded import BandedSymMatrix
 from igakron.bspline import KnotVector, SplineSpace1D
 from igakron.eigen import generalized_eig
 from igakron.fd import fd_setup
@@ -24,7 +24,7 @@ def pencil_ksum(p, q, d):
 
 
 def identity_ksum(n, d):
-    I = BandedSymMatrix.from_dense(np.eye(n), 0)
+    I = banded_from_dense(np.eye(n), 0)
     return KroneckerSum([(I, I)] * d)
 
 
@@ -41,7 +41,7 @@ def test_diag_is_all_pairwise_sums():
 
     def random_spd_banded(n):
         X = rng.standard_normal((n, n))
-        return BandedSymMatrix.from_dense(X @ X.T + n * np.eye(n), n - 1)
+        return banded_from_dense(X @ X.T + n * np.eye(n), n - 1)
 
     K1, M1 = random_spd_banded(4), random_spd_banded(4)
     K2, M2 = random_spd_banded(4), random_spd_banded(4)

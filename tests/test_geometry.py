@@ -6,12 +6,10 @@ from igakron.bspline import SplineSpace1D
 from igakron.geometry import (
     SINGULAR_TOL,
     BuiltinDomain,
-    CoefficientField,
     GeometryMap,
     abs_det_masked,
     builtin,
     eval_Q_masked,
-    identity_coefficient,
     identity_map,
     affine_map,
 )
@@ -25,9 +23,8 @@ def random_points(rng, n, dim, lo=0.0, hi=1.0):
 
 def test_identity_map_Q_is_identity():
     geo = identity_map(2)
-    K = identity_coefficient(2)
     z = np.array([[0.3, 0.7], [0.1, 0.9]])
-    Q, sing = eval_Q_masked(geo, K, z)
+    Q, sing = eval_Q_masked(geo, zeta=z)
     assert not sing.any()
     np.testing.assert_allclose(Q, np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-14)
 
@@ -35,8 +32,7 @@ def test_identity_map_Q_is_identity():
 def test_affine_stretch_Q():
     a, b = 2.0, 0.5
     geo = affine_map(np.diag([a, b]), [0.0, 0.0])
-    K = identity_coefficient(2)
-    Q, sing = eval_Q_masked(geo, K, np.array([[0.4, 0.6]]))
+    Q, sing = eval_Q_masked(geo, zeta=np.array([[0.4, 0.6]]))
     assert not sing.any()
     np.testing.assert_allclose(Q[0], np.diag([b / a, a / b]), rtol=1e-14)
 
@@ -50,10 +46,9 @@ def test_quarter_annulus_map_corners():
 
 def test_quarter_annulus_Q_eigenvalues():
     geo = builtin("quarter_annulus")
-    K = identity_coefficient(2)
     rng = np.random.default_rng(0)
     z = random_points(rng, 50, 2)
-    Q, sing = eval_Q_masked(geo, K, z)
+    Q, sing = eval_Q_masked(geo, zeta=z)
     assert not sing.any()
     ev = np.sort(np.linalg.eigvalsh(Q), axis=1)
     r = 1.0 + z[:, 0]
@@ -63,10 +58,9 @@ def test_quarter_annulus_Q_eigenvalues():
 
 def test_quarter_annulus_conditioning_ratio():
     geo = builtin("quarter_annulus")
-    K = identity_coefficient(2)
     g = np.linspace(0.0, 1.0, 50)
     zz = np.column_stack([a.ravel() for a in np.meshgrid(g, g, indexing="ij")])
-    Q, sing = eval_Q_masked(geo, K, zz)
+    Q, sing = eval_Q_masked(geo, zeta=zz)
     assert not sing.any()
     ev = np.linalg.eigvalsh(Q)
     ratio = ev[:, -1].max() / ev[:, 0].min()
@@ -78,7 +72,7 @@ def test_collapsed_triangle_edge():
     for t in (0.0, 0.3, 0.8, 1.0):
         x = geo.evaluate(np.array([[t, 1.0]]))
         np.testing.assert_allclose(x[0], [0.0, 1.0], atol=1e-14)
-    Q, sing = eval_Q_masked(geo, identity_coefficient(2), np.array([[0.5, 1.0], [0.5, 0.5]]))
+    Q, sing = eval_Q_masked(geo, zeta=np.array([[0.5, 1.0], [0.5, 0.5]]))
     assert sing[0] and not sing[1]
     # a singular point contributes nothing: its Q is zero
     assert not Q[0].any() and Q[1].any()
@@ -107,7 +101,7 @@ def test_Q_spd_on_random_points(domain):
     geo = builtin(domain)
     rng = np.random.default_rng(7)
     z = random_points(rng, 1000, geo.dim)
-    Q, sing = eval_Q_masked(geo, identity_coefficient(geo.dim), z)
+    Q, sing = eval_Q_masked(geo, zeta=z)
     ok = ~sing
     ev = np.linalg.eigvalsh(Q[ok])
     assert ev[:, 0].min() > 0
@@ -141,11 +135,11 @@ def test_point_major_jacobian_layout_is_refused():
     spaces = [SplineSpace1D.uniform(2, 4)] * 2
     z = np.full((5, 2), 0.5)
     calls = [
-        lambda: eval_Q_masked(geo, None, z),
+        lambda: eval_Q_masked(geo, zeta=z),
         lambda: abs_det_masked(geo, z),
         lambda: assemble_stiffness(spaces, geo),
         lambda: assemble_load(spaces, geo, lambda x: x[:, 0]),
-        lambda: condition_bound(geo, None, [np.linspace(0.1, 0.9, 3)] * 2),
+        lambda: condition_bound(geo, [np.linspace(0.1, 0.9, 3)] * 2),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"shape \(d, d, N\) = \(2, 2, \d+\), got shape \(\d+, 2, 2\)"):
@@ -170,26 +164,15 @@ def test_revolved_ring_start_section():
     np.testing.assert_allclose(x, [xy[0], xy[1], 0.0], atol=1e-13)
 
 
-def _spd_coefficient(dim):
-    # K(x) = (1 + x_0^2) I + v v^T with v = (cos x_k + sin x_{k+1})_k: SPD, not diagonal
-    def evaluate(x):
-        x = np.asarray(x)
-        v = np.cos(x) + np.sin(np.roll(x, -1, axis=1))
-        return (1.0 + x[:, :1, None] ** 2) * np.eye(dim) + v[:, :, None] * v[:, None, :]
-
-    return CoefficientField(evaluate)
-
-
-def _Q_reference(geo, K, z):
-    """|det J| J^{-T} K J^{-1} by batched inverse, zero where the Hadamard
+def _Q_reference(geo, z):
+    """|det J| J^{-T} J^{-1} by batched inverse, zero where the Hadamard
     ratio |det J| / prod_k ||J e_k|| is at most SINGULAR_TOL."""
     J = np.moveaxis(geo.jacobian(z), -1, 0)
     det = np.linalg.det(J)
     singular = np.abs(det) <= SINGULAR_TOL * np.prod(np.linalg.norm(J, axis=1), axis=1)
     J[singular] = np.eye(geo.dim)
     Jinv = np.linalg.inv(J)
-    Kx = K.evaluate(geo.evaluate(z))
-    Q = np.abs(det)[:, None, None] * np.einsum("nji,njk,nkl->nil", Jinv, Kx, Jinv)
+    Q = np.abs(det)[:, None, None] * np.einsum("nji,njl->nil", Jinv, Jinv)
     Q[singular] = 0.0
     return Q, singular
 
@@ -203,14 +186,13 @@ def test_closed_form_Q_matches_inverse_reference(domain):
     for k in range(geo.dim):
         z[20 * k : 20 * k + 10, k] = 0.0
         z[20 * k + 10 : 20 * k + 20, k] = 1.0
-    for K in (None, _spd_coefficient(geo.dim)):
-        Q, sing = eval_Q_masked(geo, K, z)
-        Qref, sing_ref = _Q_reference(geo, K or identity_coefficient(geo.dim), z)
-        assert np.array_equal(sing, sing_ref)
-        scale = np.abs(Qref).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(Q - Qref) <= 1e-13 * np.maximum(scale, 1e-300))
-        absdet, sing_det = abs_det_masked(geo, z)
-        assert np.array_equal(sing_det, sing_ref)
-        np.testing.assert_allclose(absdet, np.where(sing_ref, 0.0, np.abs(np.linalg.det(np.moveaxis(geo.jacobian(z), -1, 0)))), rtol=1e-13)
+    Q, sing = eval_Q_masked(geo, zeta=z)
+    Qref, sing_ref = _Q_reference(geo, z)
+    assert np.array_equal(sing, sing_ref)
+    scale = np.abs(Qref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(Q - Qref) <= 1e-13 * np.maximum(scale, 1e-300))
+    absdet, sing_det = abs_det_masked(geo, z)
+    assert np.array_equal(sing_det, sing_ref)
+    np.testing.assert_allclose(absdet, np.where(sing_ref, 0.0, np.abs(np.linalg.det(np.moveaxis(geo.jacobian(z), -1, 0)))), rtol=1e-13)
     if domain == BuiltinDomain.COLLAPSED_TRIANGLE:
         assert sing.sum() == 10 and np.all(z[sing, 1] == 1.0)

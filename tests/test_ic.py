@@ -6,7 +6,7 @@ from igakron.assembly import assemble_stiffness
 from igakron.bspline import SplineSpace1D
 from igakron.geometry import builtin
 from igakron import ic
-from igakron.ic import ICBreakdownError, ic0_setup
+from igakron.ic import ICBreakdownError, _factor, ic0_setup
 
 
 def annulus_matrix(p, q):
@@ -16,7 +16,7 @@ def annulus_matrix(p, q):
 
 def test_diagonal_matrix_exact_sqrt():
     A = scipy.sparse.diags([4.0, 9.0, 16.0]).tocsr()
-    f = ic0_setup(A, reorder="none")
+    f = _factor(A, np.arange(A.shape[0]))
     np.testing.assert_allclose(f.L.toarray(), np.diag([2.0, 3.0, 4.0]))
     np.testing.assert_allclose(f.apply(np.array([4.0, 9.0, 16.0])), np.ones(3))
 
@@ -26,13 +26,13 @@ def test_dense_pattern_equals_exact_cholesky():
     X = rng.standard_normal((3, 3))
     Ad = X @ X.T + 3 * np.eye(3)
     A = scipy.sparse.csr_matrix(Ad)
-    f = ic0_setup(A, reorder="none")
+    f = _factor(A, np.arange(A.shape[0]))
     np.testing.assert_allclose(f.L.toarray(), np.linalg.cholesky(Ad), rtol=1e-12)
 
 
 def test_residual_vanishes_on_pattern():
     A = annulus_matrix(2, 10)
-    f = ic0_setup(A, reorder="rcm")
+    f = ic0_setup(A)
     Ap = A[f.perm][:, f.perm].tocsr()
     R = (Ap - f.L @ f.L.T).tocsr()
     Lpat = f.L.tocoo()
@@ -42,7 +42,7 @@ def test_residual_vanishes_on_pattern():
 
 def test_rcm_is_bijection_and_recovers_banded_structure():
     A = annulus_matrix(2, 12)
-    f = ic0_setup(A, reorder="rcm")
+    f = ic0_setup(A)
     assert np.array_equal(np.sort(f.perm), np.arange(A.shape[0]))
 
     def bandwidth(M):
@@ -55,7 +55,7 @@ def test_rcm_is_bijection_and_recovers_banded_structure():
     rng = np.random.default_rng(0)
     scramble = rng.permutation(A.shape[0])
     As = A[scramble][:, scramble].tocsr()
-    fs = ic0_setup(As, reorder="rcm")
+    fs = ic0_setup(As)
     Ap = As[fs.perm][:, fs.perm]
     assert bandwidth(Ap) <= bandwidth(As)
     assert bandwidth(Ap) <= 2 * bandwidth(A)
@@ -79,7 +79,7 @@ def test_quarter_annulus_benchmark_iteration_window():
     geo = builtin("quarter_annulus")
     A = assemble_stiffness(spaces, geo)
     b = assemble_load(spaces, geo, lambda x: 2 * (x[:, 0] ** 2 - x[:, 0]) + 2 * (x[:, 1] ** 2 - x[:, 1]))
-    f = ic0_setup(A, reorder="rcm")
+    f = ic0_setup(A)
     res = pcg(A, f, b, tol=1e-8, maxit=500)
     assert res.converged
     assert 50 <= res.iterations <= 80
@@ -97,7 +97,7 @@ def test_shift_restart_on_indefinite_leaning_matrix():
         ]
     )
     A = A + 1.4 * np.eye(4)  # SPD overall
-    f = ic0_setup(scipy.sparse.csr_matrix(A), reorder="none")
+    f = _factor(scipy.sparse.csr_matrix(A), np.arange(len(A)))
     assert f.shift >= 0.0
     x = f.apply(np.ones(4))
     assert np.all(np.isfinite(x))
@@ -116,7 +116,7 @@ def test_shift_restart_reaches_positive_pivots():
         ]
     )
     assert np.linalg.eigvalsh(A).min() > 0.2
-    f = ic0_setup(scipy.sparse.csr_matrix(A), reorder="none")
+    f = _factor(scipy.sparse.csr_matrix(A), np.arange(len(A)))
     assert f.shift == 0.032
     B = A + f.shift * np.diag(np.diag(A))
     L = f.L.toarray()
@@ -126,13 +126,13 @@ def test_shift_restart_reaches_positive_pivots():
 def test_indefinite_matrix_raises_breakdown_naming_last_shift():
     A = scipy.sparse.csr_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
     with pytest.raises(ICBreakdownError, match="shift 0.512"):
-        ic0_setup(A, reorder="none")
+        _factor(A, np.arange(A.shape[0]))
 
 
 def test_structurally_zero_diagonal_fails_at_setup():
     A = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="structurally zero diagonal"):
-        ic0_setup(A, reorder="none")
+        _factor(A, np.arange(A.shape[0]))
 
 
 def _dense_ic0(B, pattern):
@@ -156,7 +156,7 @@ def test_factor_and_apply_match_dense_reference(p, ordering, chunk, monkeypatch)
     if ordering == "scrambled":
         scramble = np.random.default_rng(p).permutation(A.shape[0])
         A = A[scramble][:, scramble].tocsr()
-    f = ic0_setup(A, reorder="rcm" if ordering == "rcm" else "none")
+    f = ic0_setup(A) if ordering == "rcm" else _factor(A, np.arange(A.shape[0]))
     Ap = A[f.perm][:, f.perm].tocsr()
     pattern = scipy.sparse.tril(Ap).toarray() != 0
     Bd = Ap.toarray() + f.shift * np.diag(Ap.diagonal())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from igakron.banded import BandedSymMatrix
+from _dense import banded_from_dense
 from igakron.kron import KroneckerSum, kron_matvec
 
 
@@ -60,15 +60,11 @@ def test_nesting_order_consistency():
 def test_kron_solve_singular_factor_raises():
     import scipy.linalg
 
-    from igakron.banded import BandedCholesky, BandedSymMatrix
+    from igakron.banded import BandedCholesky
 
-    singular = BandedSymMatrix.from_dense(np.diag([1.0, 0.0, 1.0]), 0)
+    singular = banded_from_dense(np.diag([1.0, 0.0, 1.0]), 0)
     with pytest.raises(scipy.linalg.LinAlgError):
         BandedCholesky(singular)
-
-
-def banded_from_dense(A, p):
-    return BandedSymMatrix.from_dense(A, p)
 
 
 def test_kronecker_sum_identity_factors():

@@ -210,7 +210,7 @@ def test_l_shape_exact_schwarz_converges_fast():
 def pair_dofs(dom, pair):
     """Global dofs supported only on the given patches, read from the dof maps."""
     inside = np.concatenate([dom.dof_maps[k] for k in pair])
-    outside = np.concatenate([dom.dof_maps[k] for k in range(dom.num_patches) if k not in pair])
+    outside = np.concatenate([dom.dof_maps[k] for k in range(len(dom.patches)) if k not in pair])
     dofs = np.setdiff1d(inside, outside)
     return dofs[dofs >= 0]
 
