@@ -31,8 +31,7 @@ from .eigen import PencilEigen, generalized_eig, extreme_eigs
 from .fd import FDPreconditioner, fd_setup
 from .adi import (
     ADIPreconditioner,
-    ShiftPlan2D,
-    ShiftPlan3D,
+    ShiftPlan,
     adi_iteration_count,
     adi_solve_2d,
     adi_solve_3d,

@@ -60,8 +60,7 @@ from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
 from .kron import kron_matvec  # noqa: F401
 
 __all__ = [
-    "ShiftPlan2D",
-    "ShiftPlan3D",
+    "ShiftPlan",
     "adi_iteration_count",
     "wachspress_shifts",
     "adi_bound_2d",
@@ -78,17 +77,38 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # shift counts and elliptic machinery
 
-def _check_bracket(a, b):
-    """Refuse a spectral bracket [a, b] unless 0 < a <= b < inf (NaN fails too)."""
+def _check_bracket(a, b, eps):
+    """Refuse a spectral bracket [a, b] unless 0 < a <= b < inf, and a tolerance outside (0, 1); NaN fails too."""
     if not 0.0 < a <= b < math.inf:
         raise ValueError("a spectral bracket [a, b] needs 0 < a <= b < inf, got [%g, %g]" % (a, b))
+    if not 0.0 < eps < 1.0:
+        raise ValueError("tolerance must lie in (0, 1)")
+
+
+class ShiftPlan:
+    """Shift plan of the 2D or 3D sweep.
+
+    Attributes:
+        omegas: the per-sweep shifts, the same in every direction
+        J: number of sweeps, len(omegas)
+        bound: certified contraction of the J sweeps (<= the requested eps,
+            unless a greedy plan stopped at its J_max)
+        J0: a-priori sweep count: adi_iteration_count of the enclosing
+            bracket in 2D (1 for a point spectrum), _a_priori_count_3d in 3D
+            (the ladder exceeds it only where it falls short, the greedy plan
+            wherever its J_max allows)
+    """
+
+    def __init__(self, omegas, bound, J0):
+        self.omegas = np.asarray(omegas, dtype=float)
+        self.J = len(self.omegas)
+        self.bound = bound
+        self.J0 = J0
 
 
 def adi_iteration_count(a, b, eps):
     """A-priori Peaceman-Rachford iteration count for a bracket [a, b]."""
-    _check_bracket(a, b)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("tolerance must lie in (0, 1)")
+    _check_bracket(a, b, eps)
     return max(1, math.ceil(math.log(4.0 * b / a) * math.log(4.0 / eps) / math.pi**2))
 
 
@@ -133,21 +153,6 @@ def _elliptic_shifts(a, b, J):
     return np.array([b * _agm_dn((2 * j - 1) * K / (2 * J), kp) for j in range(1, J + 1)])
 
 
-class ShiftPlan2D:
-    """Shift plan for the 2D sweep.
-
-    Attributes:
-        J: number of double sweeps
-        omegas: per-sweep shifts, the same in both directions
-        bound: numerically realized contraction bound (<= requested eps)
-    """
-
-    def __init__(self, J, omegas, bound):
-        self.J = J
-        self.omegas = np.asarray(omegas, dtype=float)
-        self.bound = bound
-
-
 def _one_sided_sup(shifts, interval):
     """sup over the interval of prod_j |x - shifts_j| / (x + shifts_j), on 20001 log-spaced points."""
     lo, hi = interval
@@ -178,20 +183,18 @@ def wachspress_shifts(a, b, c, d, eps):
     contraction bound is evaluated numerically and must meet eps, with one
     round-off fallback that adds a sweep.
     """
-    _check_bracket(a, b)
-    _check_bracket(c, d)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("tolerance must lie in (0, 1)")
+    _check_bracket(a, b, eps)
+    _check_bracket(c, d, eps)
     lo, hi = min(a, c), max(b, d)
     if hi <= lo * (1 + 1e-12):
         shifts = np.array([lo])
-        return ShiftPlan2D(1, shifts, adi_bound_2d(shifts, (a, b), (c, d)))
-    J = adi_iteration_count(lo, hi, eps)
+        return ShiftPlan(shifts, adi_bound_2d(shifts, (a, b), (c, d)), 1)
+    J0 = J = adi_iteration_count(lo, hi, eps)
     for _ in range(3):
         shifts = _elliptic_shifts(lo, hi, J)
         bound = adi_bound_2d(shifts, (a, b), (c, d))
         if bound <= eps:
-            return ShiftPlan2D(J, shifts, bound)
+            return ShiftPlan(shifts, bound, J0)
         J += 1
     raise ArithmeticError("shift construction failed to reach the requested bound")
 
@@ -312,26 +315,6 @@ def rho_prefix_3d(omegas, lams):
     return out
 
 
-class ShiftPlan3D:
-    """Shift plan for the 3D sweep.
-
-    Attributes:
-        J0: a-priori iteration count 1.16 ln(b/a) ln(1/eps) of the bracket
-            [a, b], at least the count ln(eps) / ln(1/9) of a point spectrum
-            (_a_priori_count_3d); the ladder exceeds it only where it falls
-            short, the greedy plan wherever its J_max allows
-        omegas: the J shifts actually used
-        J: effective sweep count (rho_values[-1] <= eps)
-        rho_values: per-prefix contraction values of the final shift sequence
-    """
-
-    def __init__(self, J0, omegas, rho_values):
-        self.J0 = J0
-        self.omegas = np.asarray(omegas, dtype=float)
-        self.J = len(self.omegas)
-        self.rho_values = np.asarray(rho_values, dtype=float)
-
-
 def _geometric_ladder(lo, hi, J):
     return hi * (lo / hi) ** ((2 * np.arange(1, J + 1) - 1) / (2 * J))
 
@@ -392,20 +375,19 @@ def douglas_shifts_3d(eigs, eps):
     symmetry of rho: unordered triples among directions whose subsampled
     arrays are equal (rho_prefix_3d).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("tolerance must lie in (0, 1)")
     lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
     a = min(l.min() for l in lams)
     b = max(l.max() for l in lams)
-    _check_bracket(a, b)
+    _check_bracket(a, b, eps)
+
+    def bound(omegas):
+        return rho_prefix_3d(omegas, lams)[-1]
 
     if b <= a * (1 + 1e-9):
         w, v = _best_point_shift(a)
         J = max(1, math.ceil(math.log(eps) / math.log(max(v, 1e-300))))
         omegas = np.full(J, w)
-        rho = rho_prefix_3d(omegas, lams)
-        J0 = max(1, J)
-        return ShiftPlan3D(J0, omegas, rho)
+        return ShiftPlan(omegas, bound(omegas), J)
 
     J0 = _a_priori_count_3d(a, b, eps)
     lo_J, hi_J = 1, J0
@@ -413,12 +395,12 @@ def douglas_shifts_3d(eigs, eps):
     def ladder(J):
         return _geometric_ladder(a, 4.0 * b, J)
 
-    rho = rho_prefix_3d(ladder(hi_J), lams)
-    if rho[-1] > eps:
+    rho = bound(ladder(hi_J))
+    if rho > eps:
         for J in range(J0 + 1, _J_GROWTH * J0 + 1):
-            rho = rho_prefix_3d(ladder(J), lams)
-            if rho[-1] <= eps:
-                return ShiftPlan3D(J0, ladder(J), rho)
+            rho = bound(ladder(J))
+            if rho <= eps:
+                return ShiftPlan(ladder(J), rho, J0)
         raise ArithmeticError(
             "a-priori shift count does not certify the tolerance, nor does a ladder of up to %d shifts"
             % (_J_GROWTH * J0)
@@ -426,12 +408,12 @@ def douglas_shifts_3d(eigs, eps):
     # bisect the smallest certified ladder length
     while lo_J + 1 < hi_J:
         mid = (lo_J + hi_J) // 2
-        rho_mid = rho_prefix_3d(ladder(mid), lams)
-        if rho_mid[-1] <= eps:
+        rho_mid = bound(ladder(mid))
+        if rho_mid <= eps:
             hi_J, rho = mid, rho_mid
         else:
             lo_J = mid
-    return ShiftPlan3D(J0, ladder(hi_J), rho)
+    return ShiftPlan(ladder(hi_J), rho, J0)
 
 
 def _maximize_error_product(omegas, a, b, rng, ngrid=32, nrandom=24):
@@ -473,42 +455,28 @@ def greedy_shifts_3d(a, b, J_max, eps, seed=0):
     coarse grid, the 8 corners, and 24 random points) and choosing the next
     shift as the minimizer of the new factor at that triple (golden section
     on the logarithmic shift axis).  Stops when the maximized product meets
-    eps or after J_max shifts.  The plan's J0 is the ladder's a-priori count
-    for [a, b], not J_max.
+    eps or after J_max shifts; the plan's bound is the last maximized
+    product.  The plan's J0 is the ladder's a-priori count for [a, b], not
+    J_max.
     """
-    _check_bracket(a, b)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("tolerance must lie in (0, 1)")
+    _check_bracket(a, b, eps)
     if J_max < 1:
         raise ValueError("J_max must be >= 1, got %r" % (J_max,))
     rng = np.random.default_rng(seed)
     omegas = []
-    rho_values = []
-    for _ in range(J_max):
+    while True:
         if b <= a * (1 + 1e-9):
-            lstar, val = np.array([a, a, a]), (
-                abs(np.prod([_douglas_factor(w, a, a, a) for w in omegas])) if omegas else 1.0
-            )
+            lstar, val = np.array([a, a, a]), abs(np.prod([_douglas_factor(w, a, a, a) for w in omegas]))
         else:
             lstar, val = _maximize_error_product(omegas, a, b, rng)
-        if omegas:
-            rho_values.append(val)
-        if val <= eps:
-            break
+        if val <= eps or len(omegas) == J_max:
+            return ShiftPlan(omegas, val, _a_priori_count_3d(a, b, eps))
         x, _ = _golden_min(
             lambda t: abs(_douglas_factor(math.exp(t), lstar[0], lstar[1], lstar[2])),
             math.log(a / 10.0),
             math.log(10.0 * b),
         )
         omegas.append(math.exp(x))
-    else:
-        # J_max reached: record the final residual value
-        if b <= a * (1 + 1e-9):
-            val = abs(np.prod([_douglas_factor(w, a, a, a) for w in omegas]))
-        else:
-            _, val = _maximize_error_product(omegas, a, b, rng)
-        rho_values.append(val)
-    return ShiftPlan3D(_a_priori_count_3d(a, b, eps), np.asarray(omegas), np.asarray(rho_values))
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +640,6 @@ class ADIPreconditioner:
         self._factors = (_Sweep2DFactors if self.d == 2 else _Sweep3DFactors)(pencils, plan)
         self.n = int(np.prod([K.n for K, _ in pencils]))
 
-    shape = property(lambda self: (self.n, self.n))
-
     @classmethod
     def setup_2d(cls, pencils, eps=0.1):
         (a1, b1), (a2, b2) = per_distinct_pencil(extreme_eigs, pencils)
@@ -697,5 +663,3 @@ class ADIPreconditioner:
         if self.d == 2:
             return adi_solve_2d(self.pencils, r, self.plan, self._factors)
         return adi_solve_3d(self.pencils, r, self.plan, self._factors)
-
-    __call__ = apply

@@ -29,8 +29,8 @@ The stiffness pass adds the Q it forms for each plane of elements to a
 BoundScreen, so Q is evaluated once per quadrature point; condition_bound
 then evaluates only the 2^d corners of the parameter domain, which no Gauss
 point reaches, so that a map singular on the boundary gives the +inf
-sentinel.  Given per-direction axes, condition_bound generates the grid's
-points itself, a chunk at a time.
+sentinel.  Given the (N, d) points, condition_bound evaluates Q a chunk at
+a time.
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
@@ -61,27 +61,12 @@ __all__ = [
 ]
 
 
-class QuadratureRule1D:
-    """Per-knot-span Gauss-Legendre rule.
+QuadratureRule1D = namedtuple("QuadratureRule1D", ["spans", "points", "weights"])
+QuadratureRule1D.__doc__ = """Per-knot-span Gauss-Legendre rule.
 
-    Attributes:
-        spans: knot-span index of each nonempty span, shape (E,)
-        points: nodes, shape (E, q)
-        weights: positive weights, shape (E, q)
-    """
-
-    def __init__(self, spans, points, weights):
-        self.spans = spans
-        self.points = points
-        self.weights = weights
-
-    @property
-    def num_elements(self):
-        return self.spans.size
-
-    @property
-    def points_per_span(self):
-        return self.points.shape[1]
+``spans`` holds the knot-span index of each nonempty span, shape (E,);
+``points`` the nodes and ``weights`` the positive weights, shape (E, q).
+"""
 
 
 def gauss_points_on_intervals(breaks, q):
@@ -336,7 +321,7 @@ def _sum_factorize(rules, tables, values, sink):
     d = len(rules)
     lead = tables[0]
     csr = [None] + [[_point_csr(t, D) for D in t.data] for t in tables[1:]]
-    nq = [rules[0].points_per_span] + [r.points.size for r in rules[1:]]
+    nq = [rules[0].points.shape[1]] + [r.points.size for r in rules[1:]]
     R = int(np.prod([t.nrows for t in tables[1:]]))
     # (E, K, C * q): element e's tables of all components side by side
     L = np.concatenate([D.transpose(0, 2, 1) for D in lead.data], axis=2)
@@ -354,7 +339,7 @@ def _sum_factorize(rules, tables, values, sink):
     for k in range(1, d):
         z[:, k] = grid[d - 1 - k].ravel()
     slot = grid[-1].ravel()
-    for e1 in range(rules[0].num_elements):
+    for e1 in range(len(rules[0].points)):
         z[:, 0] = rules[0].points[e1][slot]
         for c, Y in enumerate(values(z)):
             rows = 1
@@ -549,41 +534,30 @@ class BoundScreen:
         return ConditionBound(float(hi / lo), False)
 
 
-def condition_bound(geo, axes, extra=(), screen=None):
-    """A-priori bound sup lmax(Q) / inf lmin(Q) over the given sample points.
+def condition_bound(geo, zeta, screen=None):
+    """A-priori bound sup lmax(Q) / inf lmin(Q) over the (N, d) sample points ``zeta``.
 
-    The points are the tensor grid of the 1D coordinates ``axes`` (C order,
-    last direction fastest) followed by the rows of the (k, d) array
-    ``extra``.  This bounds the spectral condition number of the
-    preconditioned system.  If any sample point has a singular Jacobian the
-    bound is +inf and the ``singular`` flag is set.
+    This bounds the spectral condition number of the preconditioned system.
+    If any sample point has a singular Jacobian the bound is +inf and the
+    ``singular`` flag is set.
 
-    The points are generated and Q is evaluated _BOUND_CHUNK points at a
-    time, so memory does not grow with the number of points, and screened by
-    a BoundScreen.  ``screen`` may be one that other points were added to
-    already: assemble_stiffness adds every quadrature point of its pass,
-    and bench._run_row then passes only the 2^d corners of the parameter
-    domain as ``extra`` (with empty axes), which no Gauss point reaches, so
-    that a parametrization singular on the boundary gives the +inf
-    sentinel.
+    Q is evaluated _BOUND_CHUNK points at a time, in order, so memory does
+    not grow with the number of points, and screened by a BoundScreen.
+    ``screen`` may be one that other points were added to already:
+    assemble_stiffness adds every quadrature point of its pass, and
+    bench._cond_bound_value then passes only the 2^d corners of the
+    parameter domain, which no Gauss point reaches, so that a
+    parametrization singular on the boundary gives the +inf sentinel.
 
     Returns:
         ConditionBound(bound, singular)
     """
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    shape = tuple(len(a) for a in axes)
-    n_grid = int(np.prod(shape))
-    extra = np.asarray(extra, dtype=float).reshape(-1, geo.dim)
-    total = n_grid + len(extra)
+    zeta = np.asarray(zeta, dtype=float)
     screen = BoundScreen() if screen is None else screen
-    for start in range(0, total, _BOUND_CHUNK):
+    for start in range(0, len(zeta), _BOUND_CHUNK):
         if screen.singular:
             break
-        stop = min(start + _BOUND_CHUNK, total)
-        idx = np.unravel_index(np.arange(start, min(stop, n_grid)), shape)
-        grid = np.column_stack([a[i] for a, i in zip(axes, idx)])
-        zeta = np.vstack([grid, extra[max(start - n_grid, 0) : max(stop - n_grid, 0)]])
-        screen.add(*eval_Q_masked(geo, zeta=zeta))
+        screen.add(*eval_Q_masked(geo, zeta=zeta[start : start + _BOUND_CHUNK]))
     return screen.result()
 
 

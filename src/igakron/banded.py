@@ -136,9 +136,6 @@ class BandedSymMatrix:
             raise ValueError("operand of shape %r does not match order %d" % (B.shape, self.n))
         return along(self._blocks, B, axis, np.empty_like(B))
 
-    def __matmul__(self, other):
-        return self.matmat(other)
-
     def cholesky(self):
         return BandedCholesky(self)
 
@@ -184,5 +181,3 @@ class BandedCholesky:
         """Both sweeps in place on W, a C-contiguous float array, along ``axis``; no checks."""
         along(self._fwd, W, axis, W)
         return along(self._bwd, W, axis, W)
-
-    __call__ = solve

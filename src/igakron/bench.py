@@ -6,16 +6,17 @@ timings, the achieved residual, the a-priori condition bound and the matrix
 fill.  Timings are reported but never asserted anywhere; iteration counts are
 the reproducible quantity.
 
-Every row takes one path, ``_run_row``: the memory check, then ``setup_s``
-around ``_problem`` (the one place that turns a domain into A, b, spaces,
-geometry, pencils or the multi-patch domain) and the solver's entry in
-``SOLVERS`` (the one place that builds each preconditioner), then
-``solve_s`` around CG, or around one application of the Kronecker solver in
-a direct row, and last the condition bound.  The stiffness assembly in
-``_problem`` screens Q at every Gauss point for the bound as it goes, so the
-only bound work after ``solve_s`` stops is Q at the 2^d corners of the
-parameter domain and ``eigvalsh`` on the points the screen kept.
-``igakron export-matrix`` builds its system through the same ``_problem``.
+Every row takes one path, ``_run_row``: ``setup_s`` around ``_problem``
+(the one place that turns a domain into A, b, spaces, geometry, pencils or
+the multi-patch domain, after checking the memory estimate against the cap)
+and the solver's entry in ``SOLVERS`` (the one place that builds each
+preconditioner), then ``solve_s`` around CG, or around one application of
+the Kronecker solver in a direct row, and last the condition bound.  The
+stiffness assembly in ``_problem`` screens Q at every Gauss point for the
+bound as it goes, so the only bound work after ``solve_s`` stops is Q at the
+2^d corners of the parameter domain and ``eigvalsh`` on the points the
+screen kept.  ``igakron export-matrix`` builds its system through the same
+``_problem``, so it honours the memory cap too.
 After each row the freed heap is handed back to the system (``_trim_heap``),
 so a row's peak memory does not depend on what the row before it left.
 
@@ -28,7 +29,7 @@ every call.
 import ctypes
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,21 +76,6 @@ SOLVERS = {
     "schwarz_fd": (("multi-patch",), lambda cfg, pb: schwarz_setup(pb.dom, pb.A, mode="fd")),
     "none": (("single-patch", "multi-patch"), lambda cfg, pb: None),
 }
-
-CSV_COLUMNS = [
-    "domain",
-    "p",
-    "h_inv",
-    "solver",
-    "outer_iters",
-    "inner_iters",
-    "setup_s",
-    "solve_s",
-    "residual",
-    "cond_bound",
-    "nnz",
-]
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -166,6 +152,10 @@ class ReportRow:
     cond_bound: float
     nnz: int
     converged: bool = True
+
+
+# the report's columns: every ReportRow field but the convergence flag
+CSV_COLUMNS = [f.name for f in fields(ReportRow) if f.name != "converged"]
 
 
 @dataclass
@@ -249,17 +239,22 @@ class _Problem:
 def _problem(cfg, h_inv, rng, screen=None):
     """The linear system of one row of ``cfg`` at refinement ``h_inv``.
 
-    The unit cube takes a standard normal right-hand side from ``rng``; every
-    other domain loads the Poisson source.  A single-patch stiffness pass
-    adds its Q to the BoundScreen ``screen``, if one is given.
+    A system whose ``_estimate_bytes`` exceeds ``cfg.memory_cap`` is refused
+    with MemoryLimitError before anything large is allocated.  The unit cube
+    takes a standard normal right-hand side from ``rng``; every other domain
+    loads the Poisson source.  A single-patch stiffness pass adds its Q to
+    the BoundScreen ``screen``, if one is given.
     """
-    if cfg.domain == "l_shape":
+    direct = cfg.mode == "direct"
+    geo = None if cfg.domain == "l_shape" else builtin(BuiltinDomain(cfg.domain))
+    need = _estimate_bytes(cfg, h_inv + cfg.p - 2, 2 if geo is None else geo.dim, assembled=not direct)
+    if need > cfg.memory_cap:
+        raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
+    if geo is None:
         dom = l_shape_domain(cfg.p, h_inv)
         A = assemble_multipatch_stiffness(dom)
         return _Problem(A, assemble_multipatch_load(dom, poisson_source(2)), dom=dom)
-    geo = builtin(BuiltinDomain(cfg.domain))
     spaces = [SplineSpace1D.uniform(cfg.p, h_inv) for _ in range(geo.dim)]
-    direct = cfg.mode == "direct"
     A = None if direct else assemble_stiffness(spaces, geo, screen=screen)
     if cfg.domain == "unit_cube":
         b = rng.standard_normal(spaces[0].n ** geo.dim)
@@ -276,15 +271,11 @@ def _cond_bound_value(geo, screen):
     so boundary-singular parametrizations report the +inf sentinel.
     """
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    return condition_bound(geo, [()] * geo.dim, corners, screen).bound
+    return condition_bound(geo, corners, screen).bound
 
 
 def _run_row(cfg, h_inv, rng):
     direct = cfg.mode == "direct"
-    d = 2 if cfg.domain == "l_shape" else builtin(cfg.domain).dim
-    need = _estimate_bytes(cfg, h_inv + cfg.p - 2, d, assembled=not direct)
-    if need > cfg.memory_cap:
-        raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))
     t0 = time.perf_counter()
     screen = BoundScreen()
     pb = _problem(cfg, h_inv, rng, screen)

@@ -47,14 +47,10 @@ class FDPreconditioner:
     def n(self):
         return self.inv_diag.size
 
-    shape = property(lambda self: (self.n, self.n))
-
     def apply(self, r):
         rt = kron_matvec(self._Ut, r)
         rt *= self.inv_diag
         return kron_matvec(self._U, rt)
-
-    __call__ = apply
 
 
 def fd_setup(P):

@@ -61,8 +61,6 @@ class ICFactor:
         out[self.perm] = w
         return out
 
-    __call__ = apply
-
 
 class _Breakdown(Exception):
     pass

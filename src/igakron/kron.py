@@ -70,8 +70,6 @@ class KroneckerSum:
     def n(self):
         return int(np.prod(self.dims))
 
-    shape = property(lambda self: (self.n, self.n))
-
     def matvec(self, x):
         # sum factorization from the last axis: `mass` holds x with the mass
         # factors applied so far and `y` the terms whose stiffness factor has
@@ -89,8 +87,6 @@ class KroneckerSum:
             if axis:
                 mass = apply_along_axis(M, mass, axis)
         return y.reshape(-1)
-
-    apply = matvec
 
     def toarray(self):
         """Dense Kronecker sum; intended for small oracle checks only."""

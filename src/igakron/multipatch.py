@@ -263,15 +263,11 @@ class SchwarzPreconditioner:
         self.subdomains = subdomains  # list of (dofs, local solve)
         self.n = n
 
-    shape = property(lambda self: (self.n, self.n))
-
     def apply(self, r):
         out = np.zeros_like(np.asarray(r, dtype=float))
         for dofs, solve in self.subdomains:
             out[dofs] += solve(r[dofs])
         return out
-
-    __call__ = apply
 
 
 def schwarz_setup(domain, A, mode="exact"):

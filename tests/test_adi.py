@@ -177,7 +177,7 @@ def test_point_spectrum_shift_minimizer():
 def test_point_spectrum_plan():
     plan = douglas_shifts_3d([np.ones(1)] * 3, 0.2)
     assert plan.J == 1
-    assert plan.rho_values[-1] <= 0.2
+    assert plan.bound <= 0.2
     np.testing.assert_allclose(plan.omegas, [2.0], rtol=1e-3)
 
 
@@ -187,7 +187,7 @@ def test_near_point_spectrum_plan():
     # near-point spectrum by at best about 1/9, so eps = 0.1 needs two
     plan = douglas_shifts_3d([np.array([12.0]), np.array([12.047]), np.array([12.19])], 0.1)
     assert plan.J == plan.J0 == 2
-    assert plan.rho_values[-1] <= 0.1
+    assert plan.bound <= 0.1
 
 
 def test_rho_monotone_for_ladder():
@@ -195,8 +195,9 @@ def test_rho_monotone_for_ladder():
     K, M = assemble_pencil_1d(s)
     D = generalized_eig(K, M).D
     plan = douglas_shifts_3d([D, D, D], 1e-6)
-    assert (np.diff(plan.rho_values) <= 1e-12).all()
-    assert plan.rho_values[-1] <= 1e-6
+    rho = rho_prefix_3d(plan.omegas, [D, D, D])
+    assert (np.diff(rho) <= 1e-12).all()
+    assert rho[-1] == plan.bound <= 1e-6
     assert plan.J <= plan.J0
 
 
@@ -247,7 +248,7 @@ def test_symmetric_plan_matches_full_grid(layout, data):
         return
     assert (plan.J, plan.J0) == (ref_plan.J, ref_plan.J0)
     assert np.array_equal(plan.omegas, ref_plan.omegas)
-    np.testing.assert_allclose(plan.rho_values, ref_plan.rho_values, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(plan.bound, ref_plan.bound, rtol=1e-14, atol=0)
 
 
 def test_greedy_first_shift_degenerate():
@@ -262,7 +263,7 @@ def test_greedy_factors_below_one():
     D = generalized_eig(K, M).D
     a, b = D[0], D[-1]
     plan = greedy_shifts_3d(a, b, 40, 1e-4, seed=1)
-    assert plan.rho_values[-1] <= 1e-4
+    assert plan.bound <= 1e-4
     # every chosen shift damps its target triple
     lam = np.geomspace(a, b, 50)
     for w in plan.omegas:
@@ -280,7 +281,7 @@ def test_identity_pencils_single_shift():
     got = ADIPreconditioner(pencils, plan).apply(r)
     err = np.linalg.norm(got - x) / np.linalg.norm(x)
     # one sweep contracts by the certified factor, not to zero
-    assert err <= plan.rho_values[-1] + 1e-12
+    assert err <= plan.bound + 1e-12
     assert err > 1e-3
 
 
@@ -345,7 +346,7 @@ def test_3d_stopping_soundness():
         r = P.matvec(x)
         got = prec.apply(r)
         err = m_norm(pencils, got - x) / m_norm(pencils, x)
-        assert err <= plan.rho_values[-1] * (1 + 1e-9)
+        assert err <= plan.bound * (1 + 1e-9)
 
 
 def test_adi_preconditioner_3d_operator():

@@ -41,9 +41,10 @@ def spaces_2d(p, q):
     return [SplineSpace1D.uniform(p, q), SplineSpace1D.uniform(p, q)]
 
 
-def gauss_axes(spaces):
-    """The 1D coordinates of quadrature_grid's points, per direction."""
-    return [gauss_rule(s, s.p + 1).points.ravel() for s in spaces]
+def gauss_points(spaces):
+    """The (N, d) tensor Gauss points, p + 1 per span of each direction, in C order."""
+    axes = [gauss_rule(s, s.p + 1).points.ravel() for s in spaces]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def test_gauss_midpoint_rule():
@@ -67,10 +68,10 @@ def test_gauss_cubic_exactness():
 def test_gauss_rule_properties():
     s = SplineSpace1D.uniform(3, 5)
     rule = gauss_rule(s, 4)
-    assert rule.num_elements == 5
+    assert len(rule.spans) == len(rule.points) == 5
     assert (rule.weights > 0).all()
     breaks = s.kv.breakpoints()
-    for e in range(rule.num_elements):
+    for e in range(5):
         assert (rule.points[e] > breaks[e]).all() and (rule.points[e] < breaks[e + 1]).all()
 
 
@@ -204,41 +205,41 @@ def test_manufactured_solution_exact_for_p2():
 
 
 def test_condition_bound_identity_and_annulus(monkeypatch):
-    axes = gauss_axes(spaces_2d(2, 8))
-    cb = condition_bound(identity_map(2), axes)
+    z = gauss_points(spaces_2d(2, 8))
+    cb = condition_bound(identity_map(2), z)
     assert not cb.singular and abs(cb.bound - 1.0) < 1e-10
-    cb2 = condition_bound(builtin("quarter_annulus"), axes)
+    cb2 = condition_bound(builtin("quarter_annulus"), z)
     assert abs(cb2.bound - np.pi**2) < 0.05 * np.pi**2
     # chunked evaluation gives the single-shot value
     for chunk in (7, 24, 100):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("quarter_annulus"), axes)
+        cb = condition_bound(builtin("quarter_annulus"), z)
         assert not cb.singular and cb.bound == cb2.bound
 
 
 def test_condition_bound_singular_domain(monkeypatch):
-    axes = gauss_axes(spaces_2d(2, 6))
-    edge = [[0.5, 1.0]]  # force a point on the collapsed edge
-    cb = condition_bound(builtin("collapsed_triangle"), axes, edge)
+    grid = gauss_points(spaces_2d(2, 6))
+    z = np.vstack([grid, [[0.5, 1.0]]])  # force a point on the collapsed edge
+    cb = condition_bound(builtin("collapsed_triangle"), z)
     assert cb.singular and np.isinf(cb.bound)
     # the only singular point alone in the last chunk still gives the sentinel
-    for chunk in (18, len(axes[0]) * len(axes[1])):
+    for chunk in (18, len(grid)):
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-        cb = condition_bound(builtin("collapsed_triangle"), axes, edge)
+        cb = condition_bound(builtin("collapsed_triangle"), z)
         assert cb.singular and np.isinf(cb.bound)
 
 
 def test_condition_bound_without_points_raises():
     with pytest.raises(ValueError, match="at least one sample point"):
-        condition_bound(builtin("quarter_annulus"), [(), ()])
+        condition_bound(builtin("quarter_annulus"), np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 143, 145, 1000])
 def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
-    # every point once, in C order, chunk boundaries anywhere (the grid has 144)
+    # every point once, in the given order (the Gauss grid, then the
+    # corners: 148 points), in chunks of _BOUND_CHUNK, boundaries anywhere
     spaces = [SplineSpace1D.uniform(2, 3), SplineSpace1D.uniform(3, 4)]
-    z = np.column_stack([g.ravel() for g in np.meshgrid(*gauss_axes(spaces), indexing="ij")])
-    extra = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    z = np.vstack([gauss_points(spaces), corners(2)])
     seen = []
 
     def record(geo, *, zeta):
@@ -247,10 +248,10 @@ def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
 
     monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
     monkeypatch.setattr(assembly, "eval_Q_masked", record)
-    cb = condition_bound(builtin("quarter_annulus"), gauss_axes(spaces), extra)
+    cb = condition_bound(builtin("quarter_annulus"), z)
     assert not cb.singular
-    assert all(len(c) <= chunk for c in seen)
-    assert np.array_equal(np.vstack(seen), np.vstack([z, extra]))
+    assert [len(c) for c in seen] == [len(z[i : i + chunk]) for i in range(0, len(z), chunk)]
+    assert np.array_equal(np.vstack(seen), z)
 
 
 def _dense_from_band(BB, ms, p):
@@ -432,26 +433,24 @@ def test_scaled_map_is_not_singular():
     A = assemble_stiffness(spaces, geo)
     A0 = assemble_stiffness(spaces, identity_map(3))
     assert abs(A - 1e-5 * A0).max() <= 1e-12 * 1e-5 * abs(A0).max()
-    cb = condition_bound(geo, gauss_axes(spaces))
+    cb = condition_bound(geo, gauss_points(spaces))
     assert not cb.singular and cb.bound == 1.0
 
 
 @pytest.mark.parametrize("domain", list(BuiltinDomain))
-@pytest.mark.parametrize("corners", [False, True])
+@pytest.mark.parametrize("with_corners", [False, True])
 @pytest.mark.parametrize("chunk", [None, 500])
-def test_condition_bound_matches_eigvalsh(domain, corners, chunk, monkeypatch):
+def test_condition_bound_matches_eigvalsh(domain, with_corners, chunk, monkeypatch):
     # the thick ring has a double eigenvalue wherever lmax is taken, where
     # the closed-form screen is least accurate
     geo = builtin(domain)
     spaces = [SplineSpace1D.uniform(3, 8 + k) for k in range(geo.dim)]
     _, z, _ = quadrature_grid(spaces, 4)
-    extra = np.zeros((0, geo.dim))
-    if corners:
-        extra = np.array(np.meshgrid(*([[0.0, 1.0]] * geo.dim), indexing="ij")).reshape(geo.dim, -1).T
-    z = np.vstack([z, extra])
+    if with_corners:
+        z = np.vstack([z, corners(geo.dim)])
     if chunk:
         monkeypatch.setattr(assembly, "_BOUND_CHUNK", chunk)
-    cb = condition_bound(geo, gauss_axes(spaces), extra)
+    cb = condition_bound(geo, z)
     Q, sing = eval_Q_masked(geo, zeta=z)
     if sing.any():
         assert cb.singular and np.isinf(cb.bound)
@@ -502,8 +501,8 @@ def test_stiffness_pass_bound_equals_grid_bound(domain, chunk, monkeypatch):
     A = assemble_stiffness(spaces, geo, screen=screen)
     # only the interior-singular map has a singular Gauss point
     assert screen.singular == (domain == "interior_singular")
-    cb = condition_bound(geo, [()] * geo.dim, corners(geo.dim), screen)
-    ref = condition_bound(geo, gauss_axes(spaces), corners(geo.dim))
+    cb = condition_bound(geo, corners(geo.dim), screen)
+    ref = condition_bound(geo, np.vstack([gauss_points(spaces), corners(geo.dim)]))
     assert cb == ref
     singular = domain in ("interior_singular", BuiltinDomain.COLLAPSED_TRIANGLE)
     assert cb.singular == singular and np.isinf(cb.bound) == singular

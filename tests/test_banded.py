@@ -102,8 +102,6 @@ def test_matmat_matches_dense_product(case):
     Y = A.matmat(X, axis)
     _check_result(Y, X, X_before)
     assert np.all(np.abs(Y - ref) <= 1e-13 * scale)
-    if axis == 0:
-        np.testing.assert_array_equal(A @ X, Y)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 8])

@@ -139,7 +139,7 @@ def test_point_major_jacobian_layout_is_refused():
         lambda: abs_det_masked(geo, z),
         lambda: assemble_stiffness(spaces, geo),
         lambda: assemble_load(spaces, geo, lambda x: x[:, 0]),
-        lambda: condition_bound(geo, [np.linspace(0.1, 0.9, 3)] * 2),
+        lambda: condition_bound(geo, z),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"shape \(d, d, N\) = \(2, 2, \d+\), got shape \(\d+, 2, 2\)"):
