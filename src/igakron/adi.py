@@ -12,7 +12,7 @@ contraction function
 over eigenvalue triples.  rho is symmetric in (l1, l2, l3), so among
 directions with equal eigenvalue arrays only unordered triples are
 evaluated: about a sixth of the Cartesian product when all three are equal.
-The 2D plan takes the certified brackets of ``extreme_eigs``, the 3D plan
+The 2D plan takes the certified brackets of ``extreme_eigs``, the 3D plans
 the pencils' eigenvalues.  Every bracket, eigendecomposition and shifted
 factor is computed once per distinct pencil (``per_distinct_pencil``) and
 shared by the equal directions.  With a zero initial guess and a fixed plan,
@@ -39,9 +39,10 @@ only ``banded.along`` and ``BandedCholesky._sweep``, so every function that
 
 ``ADIPreconditioner(pencils, plan)`` is the one place that builds the
 banded factors of a plan; ``adi_solve_2d``/``adi_solve_3d`` take them as an
-argument.  ``greedy_shifts_3d`` is a second 3D plan, which alternates
-between maximizing the current error product over the bracket cube and
-minimizing the new factor at the maximizer; it is printed by
+argument.  ``greedy_shifts_3d`` is a second 3D plan on the ladder's
+eigenvalue triples, which repeatedly takes the triple with the largest
+error product and chooses the shift that best damps it there; its bound is
+the ladder's rho_prefix_3d of its shifts.  It is printed by
 ``igakron shifts --strategy greedy`` and compared with the ladder by
 acceptance criterion 9, and the preconditioner runs the ladder.
 """
@@ -52,7 +53,6 @@ import math
 import os
 
 import numpy as np
-import scipy.optimize
 
 from .banded import BandedSymMatrix, along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
@@ -416,67 +416,41 @@ def douglas_shifts_3d(eigs, eps):
     return ShiftPlan(ladder(hi_J), rho, J0)
 
 
-def _maximize_error_product(omegas, a, b, rng, ngrid=32, nrandom=24):
-    """eq-greedy maximization of the current error product over the bracket cube."""
-    la, lb = math.log(a), math.log(b)
+def greedy_shifts_3d(eigs, J_max, eps):
+    """Greedy 3D shift plan on the ladder's eigenvalue triples.
 
-    def prod_abs(l1, l2, l3):
-        out = np.ones_like(np.asarray(l1, dtype=float) + l2 + l3)
-        for w in omegas:
-            out *= _douglas_factor(w, l1, l2, l3)
-        return np.abs(out)
-
-    def neg_sq(x):
-        l = np.exp(x)
-        v = prod_abs(l[0], l[1], l[2])
-        return -float(v * v)
-
-    g = np.geomspace(a, b, ngrid)
-    vals = prod_abs(g[:, None, None], g[None, :, None], g[None, None, :])
-    top = np.argsort(vals.ravel())[-6:]
-    seeds = [np.log(np.array([g[i], g[j], g[k]])) for i, j, k in (np.unravel_index(t, vals.shape) for t in top)]
-    seeds += [np.array([u, v, w]) for u in (la, lb) for v in (la, lb) for w in (la, lb)]
-    seeds += [rng.uniform(la, lb, 3) for _ in range(nrandom)]
-
-    best_v, best_x = -1.0, None
-    for x0 in seeds:
-        res = scipy.optimize.minimize(neg_sq, x0, method="L-BFGS-B", bounds=[(la, lb)] * 3, options={"maxiter": 60})
-        v = math.sqrt(max(0.0, -res.fun))
-        if v > best_v:
-            best_v, best_x = v, res.x
-    return np.exp(best_x), best_v
-
-
-def greedy_shifts_3d(a, b, J_max, eps, seed=0):
-    """Greedy 3D shift selection.
-
-    Alternates between finding the triple that maximizes the current error
-    product over the bracket cube (multistart local search seeded from a
-    coarse grid, the 8 corners, and 24 random points) and choosing the next
-    shift as the minimizer of the new factor at that triple (golden section
-    on the logarithmic shift axis).  Stops when the maximized product meets
-    eps or after J_max shifts; the plan's bound is the last maximized
-    product.  The plan's J0 is the ladder's a-priori count for [a, b], not
-    J_max.
+    ``eigs`` is read as by douglas_shifts_3d: each direction's eigenvalues,
+    log-subsampled to _TRIPLE_CAP, whose triples distinct up to the
+    symmetry of rho are the points the plan is checked on.  The running
+    error product P is kept on those triples; each step takes the triple
+    where |P| is largest, chooses the shift minimizing the new factor there
+    (golden section on the logarithmic shift axis over [a/10, 10 b]) and
+    multiplies P by that factor on every triple.  Stops when max |P| meets
+    eps or after J_max shifts; the plan's bound is that max |P|, which is
+    rho_prefix_3d of the plan on the same arrays.  The plan's J0 is the
+    ladder's a-priori count for [a, b], not J_max.
     """
+    lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
+    a = min(l.min() for l in lams)
+    b = max(l.max() for l in lams)
     _check_bracket(a, b, eps)
     if J_max < 1:
         raise ValueError("J_max must be >= 1, got %r" % (J_max,))
-    rng = np.random.default_rng(seed)
+    L1, L2, L3 = _unordered_triples(lams)
+    P = np.ones(L1.size)
     omegas = []
     while True:
-        if b <= a * (1 + 1e-9):
-            lstar, val = np.array([a, a, a]), abs(np.prod([_douglas_factor(w, a, a, a) for w in omegas]))
-        else:
-            lstar, val = _maximize_error_product(omegas, a, b, rng)
-        if val <= eps or len(omegas) == J_max:
-            return ShiftPlan(omegas, val, _a_priori_count_3d(a, b, eps))
+        k = np.argmax(np.abs(P))
+        if abs(P[k]) <= eps or len(omegas) == J_max:
+            return ShiftPlan(omegas, float(abs(P[k])), _a_priori_count_3d(a, b, eps))
+        l1, l2, l3 = L1[k], L2[k], L3[k]
         x, _ = _golden_min(
-            lambda t: abs(_douglas_factor(math.exp(t), lstar[0], lstar[1], lstar[2])),
+            lambda t: abs(_douglas_factor(math.exp(t), l1, l2, l3)),
             math.log(a / 10.0),
             math.log(10.0 * b),
         )
         omegas.append(math.exp(x))
+        P *= _douglas_factor(omegas[-1], L1, L2, L3)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +612,6 @@ class ADIPreconditioner:
         self.plan = plan
         self.d = len(pencils)
         self._factors = (_Sweep2DFactors if self.d == 2 else _Sweep3DFactors)(pencils, plan)
-        self.n = int(np.prod([K.n for K, _ in pencils]))
 
     @classmethod
     def setup_2d(cls, pencils, eps=0.1):

@@ -93,19 +93,19 @@ def _cmd_export_matrix(args):
 def _cmd_shifts(args):
     if args.dim == 2 and args.strategy is not None:
         raise ConfigError("--strategy applies to --dim 3 only")
-    for opt, value in (("--j-max", args.j_max), ("--seed", args.seed)):
-        if value is not None and args.strategy != "greedy":
-            raise ConfigError("%s applies to --strategy greedy only" % opt)
+    if args.j_max is not None and args.strategy != "greedy":
+        raise ConfigError("--j-max applies to --strategy greedy only")
     try:
         if args.dim == 2:
             plan = wachspress_shifts(args.a, args.b, args.a, args.b, args.eps)
-        elif args.strategy == "greedy":
-            j_max = 400 if args.j_max is None else args.j_max
-            plan = greedy_shifts_3d(args.a, args.b, j_max, args.eps, seed=args.seed or 0)
         else:
             _check_bracket(args.a, args.b, args.eps)
-            # only the bracket is known: the plan is checked on 64-point log grids of it
-            plan = douglas_shifts_3d([np.geomspace(args.a, args.b, 64)] * 3, args.eps)
+            # only the bracket is known: both 3D plans are checked on 64-point log grids of it
+            grids = [np.geomspace(args.a, args.b, 64)] * 3
+            if args.strategy == "greedy":
+                plan = greedy_shifts_3d(grids, 400 if args.j_max is None else args.j_max, args.eps)
+            else:
+                plan = douglas_shifts_3d(grids, args.eps)
     except (ValueError, ArithmeticError) as err:
         raise ConfigError(str(err)) from err
     print("J = %d of a-priori %d  (contraction %.3e <= %.3e)" % (plan.J, plan.J0, plan.bound, args.eps))
@@ -149,7 +149,6 @@ def build_parser():
     sh.add_argument("--dim", type=int, choices=[2, 3], default=2)
     sh.add_argument("--strategy", choices=["douglas", "greedy"], default=None)
     sh.add_argument("--j-max", dest="j_max", type=int, help="greedy only; default 400")
-    sh.add_argument("--seed", type=int, help="greedy only; default 0")
     sh.set_defaults(func=_cmd_shifts)
     return parser
 

@@ -43,10 +43,6 @@ class FDPreconditioner:
         self._Ut = [pe.Ut for pe in self.eigs]
         self._U = [pe.U for pe in self.eigs]
 
-    @property
-    def n(self):
-        return self.inv_diag.size
-
     def apply(self, r):
         rt = kron_matvec(self._Ut, r)
         rt *= self.inv_diag

@@ -51,7 +51,6 @@ class ICFactor:
         self.L = L
         self.shift = shift
         self._lu = scipy.sparse.linalg.splu(L.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        self.n = L.shape[0]
 
     def apply(self, r):
         y = np.asarray(r, dtype=float)[self.perm]

@@ -259,9 +259,8 @@ class SchwarzPreconditioner:
     space (geometry deliberately not incorporated).
     """
 
-    def __init__(self, subdomains, n):
+    def __init__(self, subdomains):
         self.subdomains = subdomains  # list of (dofs, local solve)
-        self.n = n
 
     def apply(self, r):
         out = np.zeros_like(np.asarray(r, dtype=float))
@@ -293,7 +292,7 @@ def schwarz_setup(domain, A, mode="exact"):
         covered[dofs] = True
     if not covered.all():
         raise ValueError("subdomains do not cover every global dof")
-    return SchwarzPreconditioner(subdomains, domain.N)
+    return SchwarzPreconditioner(subdomains)
 
 
 def _unit_square_patch(p, num_spans, offset):

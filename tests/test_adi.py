@@ -145,7 +145,7 @@ def test_adi_preconditioner_symmetry_definiteness_linearity():
     pencils = pencils_for(2, 10, 2)
     prec = ADIPreconditioner.setup(pencils, eps=0.1)
     rng = np.random.default_rng(3)
-    N = prec.n
+    N = KroneckerSum(pencils).n
     for _ in range(20):
         r, t = rng.standard_normal(N), rng.standard_normal(N)
         lhs, rhs = r @ prec.apply(t), t @ prec.apply(r)
@@ -218,11 +218,10 @@ def eigenvalue_array(size):
     return pool.flatmap(lambda v: st.lists(st.sampled_from(v), min_size=1, max_size=size)).map(np.array)
 
 
-# The plan is evaluated on unordered triples of equal arrays only; the greedy
-# plan (greedy_shifts_3d, _maximize_error_product) keeps its full 32^3 grid
-# and _TRIPLE_CAP stays 128, both deliberately: a change to the greedy grid
-# would move criterion 9's greedy seeds, and a larger cap changes the plans
-# for n > 128.
+# Both 3D plans are evaluated on unordered triples of equal arrays only, and
+# _TRIPLE_CAP stays 128 deliberately: a larger cap changes the plans for
+# n > 128.  The greedy plan's bound is its running product on those triples,
+# so it must be the full-grid maximum of its own shifts.
 @pytest.mark.parametrize("layout", ["aaa", "aab", "aba", "baa", "abc"])
 @settings(max_examples=40)
 @given(data=st.data())
@@ -242,6 +241,10 @@ def test_symmetric_plan_matches_full_grid(layout, data):
             except ArithmeticError as err:
                 # on a narrow spectrum the a-priori count J0 can fall short
                 plans.append(str(err))
+    J_max = 30
+    greedy = greedy_shifts_3d(lams, J_max, eps)
+    np.testing.assert_allclose(greedy.bound, rho_full_grid(greedy.omegas, lams)[-1], rtol=1e-14, atol=0)
+    assert greedy.bound <= eps or greedy.J == J_max
     plan, ref_plan = plans
     if isinstance(ref_plan, str):
         assert plan == ref_plan
@@ -252,18 +255,21 @@ def test_symmetric_plan_matches_full_grid(layout, data):
 
 
 def test_greedy_first_shift_degenerate():
-    plan = greedy_shifts_3d(1.0, 1.0, 5, 0.2)
+    plan = greedy_shifts_3d([np.ones(1)] * 3, 5, 0.2)
     np.testing.assert_allclose(plan.omegas, [2.0], rtol=1e-3)
     assert plan.J == 1
 
 
 def test_greedy_factors_below_one():
-    s = SplineSpace1D.uniform(1, 16)
+    # n = 199 > _TRIPLE_CAP: both plans see the same log-subsampled arrays,
+    # and the greedy plan's bound is the ladder's contraction of its shifts
+    s = SplineSpace1D.uniform(1, 200)
     K, M = assemble_pencil_1d(s)
     D = generalized_eig(K, M).D
     a, b = D[0], D[-1]
-    plan = greedy_shifts_3d(a, b, 40, 1e-4, seed=1)
-    assert plan.bound <= 1e-4
+    plan = greedy_shifts_3d([D, D, D], 40, 1e-4)
+    lams = [adi._subsample_log(D, adi._TRIPLE_CAP)] * 3
+    assert plan.bound == rho_prefix_3d(plan.omegas, lams)[-1] <= 1e-4
     # every chosen shift damps its target triple
     lam = np.geomspace(a, b, 50)
     for w in plan.omegas:
@@ -353,7 +359,8 @@ def test_adi_preconditioner_3d_operator():
     pencils = pencils_for(1, 7, 3)
     prec = ADIPreconditioner.setup(pencils, eps=0.1)
     rng = np.random.default_rng(8)
-    r, t = rng.standard_normal(prec.n), rng.standard_normal(prec.n)
+    N = KroneckerSum(pencils).n
+    r, t = rng.standard_normal(N), rng.standard_normal(N)
     lhs, rhs = r @ prec.apply(t), t @ prec.apply(r)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
     assert r @ prec.apply(r) > 0
@@ -378,7 +385,8 @@ def test_adi_operator_symmetric_on_random_spaces(d, data):
     pencils = data.draw(random_pencils(d))
     prec = ADIPreconditioner.setup(pencils, eps=0.1)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    r, t = rng.standard_normal(prec.n), rng.standard_normal(prec.n)
+    N = KroneckerSum(pencils).n
+    r, t = rng.standard_normal(N), rng.standard_normal(N)
     Pr, Pt = prec.apply(r), prec.apply(t)
     scale = np.linalg.norm(r) * np.linalg.norm(Pt) + np.linalg.norm(t) * np.linalg.norm(Pr)
     assert abs(r @ Pt - t @ Pr) <= 1e-10 * scale
@@ -393,7 +401,7 @@ def test_adi_operator_spd_on_random_knots(d, data):
     spaces = [data.draw(random_open_space(max_n), label="space%d" % k) for k in range(d)]
     prec = ADIPreconditioner.setup([assemble_pencil_1d(s) for s in spaces], eps=0.1)
     # the dense operator, column by column
-    W = np.column_stack([prec.apply(e) for e in np.eye(prec.n)])
+    W = np.column_stack([prec.apply(e) for e in np.eye(KroneckerSum(prec.pencils).n)])
     assert np.abs(W - W.T).max() <= 1e-10 * np.abs(W).max()
     assert np.linalg.eigvalsh(0.5 * (W + W.T))[0] > 0
 
@@ -407,7 +415,7 @@ SMALL_CHUNK, HUGE_CHUNK = 2**9, 2**40
 
 def cube_16():
     prec = ADIPreconditioner.setup(pencils_for(3, 16, 3), eps=0.1)
-    return prec, np.random.default_rng(9).standard_normal(prec.n)
+    return prec, np.random.default_rng(9).standard_normal(KroneckerSum(prec.pencils).n)
 
 
 def test_chunked_3d_sweep_matches_one_chunk(monkeypatch):
@@ -457,7 +465,7 @@ def test_one_chunk_apply_equals_whole_array_sweep(q):
     # n = 17 and n = 33 (ring3d's size) fit in one chunk: the same arithmetic
     # as the whole-array sweep, bit for bit; many chunks agree to roundoff
     prec = ADIPreconditioner.setup(pencils_for(3, q, 3), eps=0.1)
-    r = np.random.default_rng(12).standard_normal(prec.n)
+    r = np.random.default_rng(12).standard_normal(KroneckerSum(prec.pencils).n)
     ref = whole_array_sweep_3d(prec.pencils, r, prec.plan, prec._factors)
     assert np.array_equal(prec.apply(r), ref)
     with mock.patch.object(adi, "_CHUNK", 2**9):
@@ -493,7 +501,7 @@ def test_ring3d_sized_apply_runs_inline(monkeypatch):
         raise AssertionError("the pool was used")
 
     monkeypatch.setattr(adi, "_pool", no_pool)
-    got = prec.apply(np.random.default_rng(10).standard_normal(prec.n))
+    got = prec.apply(np.random.default_rng(10).standard_normal(KroneckerSum(prec.pencils).n))
     assert np.all(np.isfinite(got))
 
 
@@ -502,10 +510,10 @@ def cube_32_in_small_chunks(monkeypatch):
     # is more than the charge for the chunks and the bookkeeping
     monkeypatch.setattr(adi, "_CHUNK", 2**11)
     prec = ADIPreconditioner.setup(pencils_for(3, 32, 3), eps=0.1)
-    r = np.random.default_rng(11).standard_normal(prec.n)
+    r = np.random.default_rng(11).standard_normal(KroneckerSum(prec.pencils).n)
     prec.apply(r)  # warm: the pool's threads are up
     charged = adi.adi_work_bytes_3d((33, 33, 33))
-    assert 5 * 8 * prec.n < charged < 6 * 8 * prec.n
+    assert 5 * 8 * r.size < charged < 6 * 8 * r.size
     return prec, r
 
 
@@ -518,7 +526,7 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
     # the sweeps allocate no full-size array: each stage's scratch is a few
     # chunks, and only the result is held after the apply
     prec, r = cube_32_in_small_chunks(monkeypatch)
-    full = 8 * prec.n
+    full = 8 * r.size
     each_chunk, stage_peaks = adi._each_chunk, []
 
     def measured(work, nchunks):
@@ -535,7 +543,7 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert got.size == prec.n
+    assert got.size == r.size
     assert len(stage_peaks) == 2 * prec.plan.J
     assert max(stage_peaks) < full / 2
     assert full <= held < full + full / 8

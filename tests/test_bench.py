@@ -45,13 +45,22 @@ from igakron.multipatch import (
 from igakron.pcg import pcg
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports the same igakron as the tests, installed or not
     src = os.path.dirname(os.path.dirname(igakron.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "igakron.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "igakron.cli", *args)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # both 3D shift plans are evaluated on eigenvalue triples; no optimizer is imported
+    cp = run_python("-c", "import sys, igakron; print('scipy.optimize' in sys.modules)")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
 
 
 def test_config_validation():
@@ -100,7 +109,7 @@ def test_direct_adi_row_is_the_preconditioner_apply(domain, d, h_inv, monkeypatc
     spaces = [SplineSpace1D.uniform(2, h_inv) for _ in range(d)]
     pencils = [assemble_pencil_1d(s) for s in spaces]
     prec = ADIPreconditioner.setup(pencils, eps=cfg.eps)
-    N = prec.n
+    N = KroneckerSum(pencils).n
     if d == 2:
         b = assemble_load(spaces, builtin(domain), poisson_source(2))
     else:
@@ -492,7 +501,8 @@ BRACKET = "configuration error: a spectral bracket [a, b] needs 0 < a <= b < inf
         (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--strategy", "greedy", "--j-max", "3"), "configuration error: --strategy applies to --dim 3 only"),
         (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--strategy", "douglas"), "configuration error: --strategy applies to --dim 3 only"),
         (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--j-max", "3"), "configuration error: --j-max applies to --strategy greedy only"),
-        (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--dim", "3", "--seed", "1"), "configuration error: --seed applies to --strategy greedy only"),
+        # the greedy plan is deterministic and has no seed
+        (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--dim", "3", "--strategy", "greedy", "--seed", "1"), "unrecognized arguments"),
         (("shifts", "--a", "1", "--b", "100", "--eps", "1e-8", "--dim", "3", "--strategy", "douglas", "--j-max", "3"), "configuration error: --j-max applies to --strategy greedy only"),
     ],
 )
