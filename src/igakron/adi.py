@@ -13,32 +13,35 @@ over eigenvalue triples.  rho is symmetric in (l1, l2, l3), so among
 directions with equal eigenvalue arrays only unordered triples are
 evaluated: about a sixth of the Cartesian product when all three are equal.
 The 2D plan takes the certified brackets of ``extreme_eigs``, the 3D plans
-the pencils' eigenvalues.  Every bracket, eigendecomposition and shifted
-factor is computed once per distinct pencil (``per_distinct_pencil``) and
-shared by the equal directions.  With a zero initial guess and a fixed plan,
-a J-sweep application is a fixed symmetric positive definite operator, so
-it is a valid CG preconditioner; the conditioning penalty is
-(1+eps)/(1-eps).
+the pencils' eigenvalues.  Every bracket and eigendecomposition is computed
+once per distinct pencil (``per_distinct_pencil``) and shared by the equal
+directions, and so is the one banded set-up of a plan (``_Factors``), which
+both sweeps read by direction index: for each shift w the Cholesky factor
+of K + w M and the band K - w M, and the Cholesky factor of M.  With a zero
+initial guess and a fixed plan, a J-sweep application is a fixed symmetric
+positive definite operator, so it is a valid CG preconditioner; the
+conditioning penalty is (1+eps)/(1-eps).
 
 The 3D apply allocates its five full-size work arrays once per call and
 runs each Douglas sweep as two stages over chunks of about ``_CHUNK``
 doubles, small enough for a core's L2 cache.  Stage A takes column chunks of
 the (n1, n2 n3) view: it gathers one input at a time into contiguous
-per-task buffers and does the direction-1 work (the residual r*, the row
-solve, the scaling by w and the addition of u), writing s*.  Stage B takes
-slabs of whole i1-planes, which are contiguous, and does the direction-2 and
-direction-3 work in place in the work arrays: the col and dep solves, the
-recurrence for v and the next sweep's u.  Chunks write disjoint parts of
+per-task buffers and does the direction-1 work (the residual r*, the
+direction-1 solve, the scaling by w and the addition of u), writing s*.
+Stage B takes slabs of whole i1-planes, which are contiguous, and does the
+direction-2 and direction-3 work in place in the work arrays: their solves,
+the recurrence for v and the next sweep's u.  Chunks write disjoint parts of
 their outputs, so the chunks of a stage are dealt round-robin to one task per
 CPU the process may use, on a module-level thread pool made on first use; a
 stage of one chunk runs inline.  Each chunk's arithmetic does not depend on
 the thread that runs it, so results are bitwise reproducible; an array
 that fits in one chunk is swept in whole-array operations.  The workers call
-only ``banded.along`` and ``BandedCholesky._sweep``, so every function that
-``perfbench/tracing.py`` wraps is called from the calling thread.
+only ``banded.along`` and ``BandedCholesky._sweep`` on block lists that the
+apply takes before its stages, so every function that ``perfbench/tracing.py``
+wraps is called from the calling thread.
 
 ``ADIPreconditioner(pencils, plan)`` is the one place that builds the
-banded factors of a plan; ``adi_solve_2d``/``adi_solve_3d`` take them as an
+banded set-up of a plan; ``adi_solve_2d``/``adi_solve_3d`` take it as an
 argument.  ``greedy_shifts_3d`` is a second 3D plan on the ladder's
 eigenvalue triples, which repeatedly takes the triple with the largest
 error product and chooses the shift that best damps it there; its bound is
@@ -54,7 +57,7 @@ import os
 
 import numpy as np
 
-from .banded import BandedSymMatrix, along
+from .banded import along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
 # not called here: the layer tracer of perfbench/ looks kron_matvec up in this module
 from .kron import kron_matvec  # noqa: F401
@@ -200,23 +203,26 @@ def wachspress_shifts(a, b, c, d, eps):
 
 
 # ---------------------------------------------------------------------------
-# 2D sweep
+# the banded set-up of a plan
 
-def _shifted_factors(K, M, plan):
-    """The factors of K + w M for the shifts w of the plan."""
-    return [K.combine(w, M).cholesky() for w in plan.omegas]
+class _Factors:
+    """The banded set-up of a plan for the 2D or the 3D sweep, by direction index.
 
-
-class _Sweep2DFactors:
-    """Banded factorizations and negatively shifted bands for a fixed 2D plan."""
+    ``plus[k][j]`` is the Cholesky factor of K_k + w_j M_k, ``minus[k][j]``
+    the band K_k - w_j M_k and ``mass[k]`` the Cholesky factor of M_k, each
+    built once per distinct pencil and shared by the equal directions.
+    """
 
     def __init__(self, pencils, plan):
-        self.row, self.col = per_distinct_pencil(lambda K, M: _shifted_factors(K, M, plan), pencils)
-        self.row_minus, self.col_minus = per_distinct_pencil(
-            lambda K, M: [K.combine(-w, M) for w in plan.omegas], pencils
-        )
-        self.m1 = pencils[0][1].cholesky()
+        def build(K, M):
+            plus = [K.combine(w, M).cholesky() for w in plan.omegas]
+            return plus, [K.combine(-w, M) for w in plan.omegas], M.cholesky()
 
+        self.plus, self.minus, self.mass = zip(*per_distinct_pencil(build, pencils))
+
+
+# ---------------------------------------------------------------------------
+# 2D sweep
 
 def adi_solve_2d(pencils, r, plan, factors):
     """Run the 2D double sweeps for the Kronecker-sum system P s = r.
@@ -226,17 +232,18 @@ def adi_solve_2d(pencils, r, plan, factors):
     direction 1 is solved off at the end.  The initial guess is zero.
     Direction 2 works along axis 1 of the (n1, n2) array, and every solve
     but the first runs in place on its right-hand side.  ``factors`` are
-    the plan's _Sweep2DFactors.
+    the plan's _Factors.
     """
     (K1, _), (K2, _) = pencils
+    plus, minus = factors.plus, factors.minus
     R = np.asarray(r, dtype=float).reshape(K1.n, K2.n)
     for j in range(plan.J):
         # the zero initial guess leaves R as the first right-hand side
-        Rj = R if j == 0 else R - factors.col_minus[j].matmat(St, axis=1)
-        Sh = factors.row[j].solve(Rj, overwrite_b=j > 0)
-        Rj2 = R - factors.row_minus[j].matmat(Sh)
-        St = factors.col[j].solve(Rj2, axis=1, overwrite_b=True)
-    return factors.m1.solve(St, overwrite_b=True).reshape(-1)
+        Rj = R if j == 0 else R - minus[1][j].matmat(St, axis=1)
+        Sh = plus[0][j].solve(Rj, overwrite_b=j > 0)
+        Rj2 = R - minus[0][j].matmat(Sh)
+        St = plus[1][j].solve(Rj2, axis=1, overwrite_b=True)
+    return factors.mass[0].solve(St, overwrite_b=True).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +346,25 @@ def _golden_min(f, xlo, xhi, iters=200, tol=1e-12):
     return x, f(x)
 
 
-def _best_point_shift(a):
-    """Shift minimizing |1 - 6 w^2 a / (w + a)^3| for a point spectrum."""
-    x, v = _golden_min(lambda t: abs(_douglas_factor(math.exp(t), a, a, a)), math.log(a / 10), math.log(10 * a))
+def _best_shift(l1, l2, l3, lo, hi):
+    """The shift w in [lo, hi] minimizing |_douglas_factor(w, l1, l2, l3)|, and that minimum.
+
+    Golden section on the logarithmic shift axis.
+    """
+    x, v = _golden_min(lambda t: abs(_douglas_factor(math.exp(t), l1, l2, l3)), math.log(lo), math.log(hi))
     return math.exp(x), v
+
+
+def _triple_arrays(eigs, eps):
+    """Each direction's eigenvalues log-subsampled to _TRIPLE_CAP, and their extremes a and b.
+
+    Refuses the bracket [a, b] and eps as _check_bracket does.
+    """
+    lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
+    a = min(l.min() for l in lams)
+    b = max(l.max() for l in lams)
+    _check_bracket(a, b, eps)
+    return lams, a, b
 
 
 def _a_priori_count_3d(a, b, eps):
@@ -375,16 +397,13 @@ def douglas_shifts_3d(eigs, eps):
     symmetry of rho: unordered triples among directions whose subsampled
     arrays are equal (rho_prefix_3d).
     """
-    lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
-    a = min(l.min() for l in lams)
-    b = max(l.max() for l in lams)
-    _check_bracket(a, b, eps)
+    lams, a, b = _triple_arrays(eigs, eps)
 
     def bound(omegas):
         return rho_prefix_3d(omegas, lams)[-1]
 
     if b <= a * (1 + 1e-9):
-        w, v = _best_point_shift(a)
+        w, v = _best_shift(a, a, a, a / 10, 10 * a)
         J = max(1, math.ceil(math.log(eps) / math.log(max(v, 1e-300))))
         omegas = np.full(J, w)
         return ShiftPlan(omegas, bound(omegas), J)
@@ -430,10 +449,7 @@ def greedy_shifts_3d(eigs, J_max, eps):
     rho_prefix_3d of the plan on the same arrays.  The plan's J0 is the
     ladder's a-priori count for [a, b], not J_max.
     """
-    lams = [_subsample_log(e, _TRIPLE_CAP) for e in eigs]
-    a = min(l.min() for l in lams)
-    b = max(l.max() for l in lams)
-    _check_bracket(a, b, eps)
+    lams, a, b = _triple_arrays(eigs, eps)
     if J_max < 1:
         raise ValueError("J_max must be >= 1, got %r" % (J_max,))
     L1, L2, L3 = _unordered_triples(lams)
@@ -443,35 +459,12 @@ def greedy_shifts_3d(eigs, J_max, eps):
         k = np.argmax(np.abs(P))
         if abs(P[k]) <= eps or len(omegas) == J_max:
             return ShiftPlan(omegas, float(abs(P[k])), _a_priori_count_3d(a, b, eps))
-        l1, l2, l3 = L1[k], L2[k], L3[k]
-        x, _ = _golden_min(
-            lambda t: abs(_douglas_factor(math.exp(t), l1, l2, l3)),
-            math.log(a / 10.0),
-            math.log(10.0 * b),
-        )
-        omegas.append(math.exp(x))
+        omegas.append(_best_shift(L1[k], L2[k], L3[k], a / 10.0, 10.0 * b)[0])
         P *= _douglas_factor(omegas[-1], L1, L2, L3)
 
 
 # ---------------------------------------------------------------------------
 # 3D sweep
-
-class _Sweep3DFactors:
-    """Banded factorizations and the row blocks of the band products for a fixed 3D plan.
-
-    The products are held as ``banded.along`` block lists, so the sweep's
-    worker threads apply them without calling ``BandedSymMatrix.matmat``.
-    """
-
-    def __init__(self, pencils, plan):
-        (K1, M1), (K2, M2), (_, M3) = pencils
-        self.m2, self.m3 = per_distinct_pencil(lambda K, M: M.cholesky(), pencils[1:])
-        self.row, self.col, self.dep = per_distinct_pencil(lambda K, M: _shifted_factors(K, M, plan), pencils)
-        self.row_minus = [K1.combine(-w, M1)._blocks for w in plan.omegas]
-        # 2 M1, which scales every product by 2 exactly
-        self.m1_twice = BandedSymMatrix(2.0 * M1.ab)._blocks
-        self.k2, self.mass2, self.mass3 = K2._blocks, M2._blocks, M3._blocks
-
 
 # doubles per chunk of the 3D sweep: about 1 MB, so a chunk's slices of the
 # arrays a stage touches stay in a core's L2 cache (see docs/decisions.md)
@@ -532,12 +525,16 @@ def adi_solve_3d(pencils, r, plan, factors):
     its five full-size work arrays (rt, s, v, u and s*) once and returns s.
     Each sweep is two stages over chunks of about _CHUNK doubles (see the
     module docstring), the updates made in place in the same order of
-    operations as the formulas.  ``factors`` are the plan's _Sweep3DFactors.
+    operations as the formulas.  ``factors`` are the plan's _Factors; the
+    block lists of the band products are taken here, on the calling thread.
     """
-    (K1, _), (K2, _), (K3, _) = pencils
+    (K1, M1), (K2, M2), (K3, M3) = pencils
+    plus, mass = factors.plus, factors.mass
+    minus_blocks = [B._blocks for B in factors.minus[0]]
+    m1_blocks, k2_blocks, m2_blocks, m3_blocks = M1._blocks, K2._blocks, M2._blocks, M3._blocks
     n1, n23 = K1.n, K2.n * K3.n
     R = np.asarray(r, dtype=float).reshape(n1, K2.n, K3.n)
-    rt = factors.m3.solve(factors.m2.solve(R, 1), 2, overwrite_b=True)
+    rt = mass[2].solve(mass[1].solve(R, 1), 2, overwrite_b=True)
     rt *= 2.0
     s, v, u, sstar = (np.empty_like(rt) for _ in range(4))
     cols, slabs = _layout(n1, n23)
@@ -546,7 +543,7 @@ def adi_solve_3d(pencils, r, plan, factors):
     rt2, s2, v2, u2, sstar2 = (a.reshape(n1, n23) for a in (rt, s, v, u, sstar))
 
     def stage_a(j, w, task, chunks):
-        # r* = rt - (K1 - w M1) s - 2 M1 (u + v), then s* = w row^-1 r* + u;
+        # r* = rt - (K1 - w M1) s - 2 M1 (u + v), then s* = w (K1 + w M1)^-1 r* + u;
         # g gathers one input at a time, as ufuncs on strided operands
         # would allocate buffers of their own
         for c in chunks:
@@ -559,13 +556,15 @@ def adi_solve_3d(pencils, r, plan, factors):
                 np.copyto(g, u2[:, lo:hi])
                 np.copyto(y, v2[:, lo:hi])
                 np.add(g, y, out=y)
-                along(factors.m1_twice, y, 0, t)
+                along(m1_blocks, y, 0, t)
+                # doubling is exact: t is the product with the band 2 M1, bit for bit
+                t *= 2.0
                 np.copyto(g, s2[:, lo:hi])
-                along(factors.row_minus[j], g, 0, y)
+                along(minus_blocks[j], g, 0, y)
                 np.copyto(g, rt2[:, lo:hi])
                 np.subtract(g, y, out=y)
                 y -= t
-            factors.row[j]._sweep(y, 0)
+            plus[0][j]._sweep(y, 0)
             y *= w
             if j:
                 np.copyto(g, u2[:, lo:hi])
@@ -573,22 +572,22 @@ def adi_solve_3d(pencils, r, plan, factors):
             sstar2[:, lo:hi] = y
 
     def stage_b(j, w, task, chunks):
-        # b_j = w col^-1 M2 s* + v (held in u), s = dep^-1 M3 b_j,
+        # b_j = w (K2 + w M2)^-1 M2 s* + v (held in u), s = (K3 + w M3)^-1 M3 b_j,
         # v = b_j - w s and the next sweep's u = M2^-1 K2 s
         for c in chunks:
             ss, uu, vv, sn = sstar[slabs[c]], u[slabs[c]], v[slabs[c]], s[slabs[c]]
-            along(factors.mass2, ss, 1, uu)
-            factors.col[j]._sweep(uu, 1)
+            along(m2_blocks, ss, 1, uu)
+            plus[1][j]._sweep(uu, 1)
             uu *= w
             if j:
                 uu += vv
-            along(factors.mass3, uu, 2, sn)
-            factors.dep[j]._sweep(sn, 2)
+            along(m3_blocks, uu, 2, sn)
+            plus[2][j]._sweep(sn, 2)
             np.multiply(w, sn, out=ss)
             np.subtract(uu, ss, out=vv)
             if j + 1 < plan.J:
-                along(factors.k2, sn, 1, uu)
-                factors.m2._sweep(uu, 1)
+                along(k2_blocks, sn, 1, uu)
+                mass[1]._sweep(uu, 1)
 
     for j, w in enumerate(plan.omegas):
         _each_chunk(functools.partial(stage_a, j, w), len(cols))
@@ -611,7 +610,7 @@ class ADIPreconditioner:
         self.pencils = pencils
         self.plan = plan
         self.d = len(pencils)
-        self._factors = (_Sweep2DFactors if self.d == 2 else _Sweep3DFactors)(pencils, plan)
+        self._factors = _Factors(pencils, plan)
 
     @classmethod
     def setup_2d(cls, pencils, eps=0.1):

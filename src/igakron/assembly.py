@@ -61,11 +61,11 @@ __all__ = [
 ]
 
 
-QuadratureRule1D = namedtuple("QuadratureRule1D", ["spans", "points", "weights"])
+QuadratureRule1D = namedtuple("QuadratureRule1D", ["points", "weights"])
 QuadratureRule1D.__doc__ = """Per-knot-span Gauss-Legendre rule.
 
-``spans`` holds the knot-span index of each nonempty span, shape (E,);
-``points`` the nodes and ``weights`` the positive weights, shape (E, q).
+``points`` holds the nodes and ``weights`` the positive weights, shape
+(E, q), one row per nonempty knot span.
 """
 
 
@@ -87,11 +87,8 @@ def gauss_points_on_intervals(breaks, q):
 
 def gauss_rule(space, points_per_span):
     """Per-span Gauss rule for a spline space (exact for degree 2q-1 >= 2p+1)."""
-    kv = space.kv
-    spans = kv.span_indices()
-    breaks = kv.breakpoints()
-    pts, wts = gauss_points_on_intervals(breaks, points_per_span)
-    return QuadratureRule1D(spans=spans, points=pts, weights=wts)
+    pts, wts = gauss_points_on_intervals(space.kv.breakpoints(), points_per_span)
+    return QuadratureRule1D(points=pts, weights=wts)
 
 
 def _direction_tables(space, rule):

@@ -65,11 +65,6 @@ class KnotVector:
         """Dimension of the full (no boundary conditions) spline space."""
         return self.knots.size - self.p - 1
 
-    def span_indices(self):
-        """Indices i of the nonempty knot spans [knots[i], knots[i+1])."""
-        k = self.knots
-        return np.where(k[1:] != k[:-1])[0]
-
     def breakpoints(self):
         """Unique knots (the mesh underlying the spline space)."""
         return np.unique(self.knots)
@@ -83,7 +78,7 @@ class KnotVector:
         )
 
     def __repr__(self):
-        return "KnotVector(p=%d, m=%d, %d spans)" % (self.p, self.m, len(self.span_indices()))
+        return "KnotVector(p=%d, m=%d, %d spans)" % (self.p, self.m, len(self.breakpoints()) - 1)
 
 
 def uniform_knots(p, num_spans):

@@ -95,20 +95,23 @@ def _cmd_shifts(args):
         raise ConfigError("--strategy applies to --dim 3 only")
     if args.j_max is not None and args.strategy != "greedy":
         raise ConfigError("--j-max applies to --strategy greedy only")
+    where = ""
     try:
         if args.dim == 2:
             plan = wachspress_shifts(args.a, args.b, args.a, args.b, args.eps)
         else:
             _check_bracket(args.a, args.b, args.eps)
-            # only the bracket is known: both 3D plans are checked on 64-point log grids of it
+            # only the bracket is known: both 3D plans are checked on 64-point
+            # log grids of it, and their contraction is the maximum there
             grids = [np.geomspace(args.a, args.b, 64)] * 3
+            where = " on 64-point log grids"
             if args.strategy == "greedy":
                 plan = greedy_shifts_3d(grids, 400 if args.j_max is None else args.j_max, args.eps)
             else:
                 plan = douglas_shifts_3d(grids, args.eps)
     except (ValueError, ArithmeticError) as err:
         raise ConfigError(str(err)) from err
-    print("J = %d of a-priori %d  (contraction %.3e <= %.3e)" % (plan.J, plan.J0, plan.bound, args.eps))
+    print("J = %d of a-priori %d  (contraction %.3e <= %.3e)%s" % (plan.J, plan.J0, plan.bound, args.eps, where))
     for j, w in enumerate(plan.omegas, 1):
         print("%3d  omega = %.9e" % (j, w))
     return 0

@@ -24,21 +24,18 @@ class FDPreconditioner:
     """Exact inverse of a Kronecker sum via fast diagonalization.
 
     Attributes:
-        d: dimension (2 or 3)
         eigs: per-direction PencilEigen (one object for equal directions)
         inv_diag: reciprocal of the additively combined eigenvalues, length N
     """
 
     def __init__(self, eigs):
         self.eigs = list(eigs)
-        self.d = len(self.eigs)
         diag = self.eigs[0].D
         for pe in self.eigs[1:]:
             diag = np.add.outer(diag, pe.D)
         diag = diag.reshape(-1)
         if diag.min() <= 0.0:
             raise ValueError("combined eigenvalue sums must be positive")
-        self.diag = diag
         self.inv_diag = 1.0 / diag
         self._Ut = [pe.Ut for pe in self.eigs]
         self._U = [pe.U for pe in self.eigs]

@@ -49,18 +49,6 @@ class GeometryMap:
         return "GeometryMap(%s, dim=%d)" % (self.name, self.dim)
 
 
-def identity_map(dim):
-    def evaluate(z):
-        return np.array(z, dtype=float, copy=True)
-
-    def jacobian(z):
-        J = np.zeros((dim, dim, len(z)))
-        J[range(dim), range(dim)] = 1.0
-        return J
-
-    return GeometryMap(dim, evaluate, jacobian, name="identity")
-
-
 def affine_map(A, t, name="affine"):
     """The map F(z) = A z + t with constant matrix A and offset t."""
     A = np.asarray(A, dtype=float)
@@ -74,6 +62,11 @@ def affine_map(A, t, name="affine"):
         return np.repeat(A[:, :, None], len(z), axis=2)
 
     return GeometryMap(dim, evaluate, jacobian, name=name)
+
+
+def identity_map(dim):
+    """The identity map in dim dimensions: A = I and t = 0, which reproduce z exactly."""
+    return affine_map(np.eye(dim), np.zeros(dim), name="identity")
 
 
 def _polar(z):

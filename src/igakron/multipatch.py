@@ -5,7 +5,9 @@ with C0 continuity by identifying the coincident interface basis functions.
 The Schwarz subdomains are pairs of patches sharing an interface; merged
 along the interface axis they form a single tensor-product space again, which
 is what makes a fast-diagonalization local solver applicable in the inexact
-variant.  No coarse space is used.
+variant.  No coarse space is used.  Faces and subdomains are index sets cut
+from tensors: a face is one ``np.take`` of a patch's local index tensor, a
+subdomain two slices of its patches' dof tensors joined along that axis.
 """
 
 import numpy as np
@@ -104,11 +106,8 @@ def _check_conforming(pa, pb, side_a, side_b):
 
 
 def _face_indices(dims, axis, end):
-    """Flat local indices of the basis functions on one face layer."""
-    grids = [np.arange(m) for m in dims]
-    grids[axis] = np.array([dims[axis] - 1 if end == 1 else 0])
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return np.ravel_multi_index([g.ravel() for g in mesh], dims)
+    """Flat local indices of the basis functions on one face layer, in C order."""
+    return np.take(np.arange(np.prod(dims)).reshape(dims), dims[axis] - 1 if end == 1 else 0, axis=axis).ravel()
 
 
 def build_multipatch(patches, interfaces):
@@ -207,6 +206,11 @@ def merge_knot_vectors(kv_left, kv_right):
 def _merged_subdomain(domain, iface):
     """Tensor structure of the patch pair sharing one interface.
 
+    The dofs are the left patch's dof tensor (``dof_maps[k].reshape(dims)``)
+    without its boundary layers but with its interface layer, joined along
+    the interface axis to the right patch's without its boundary layers
+    (its interface layer is the left patch's).
+
     Returns:
         (dofs, spaces): the global dofs of the subdomain in tensor (C) order
         and the per-axis SplineSpace1D of the merged single-patch space.
@@ -220,32 +224,15 @@ def _merged_subdomain(domain, iface):
     else:
         kl, kr = kb, ka
     left, right = domain.patches[kl], domain.patches[kr]
-    dim = len(left.dims)
-
     merged_kv = merge_knot_vectors(left.spaces[axis].kv, right.spaces[axis].kv)
-    spaces = [
-        SplineSpace1D(merged_kv) if ax == axis else left.spaces[ax]
-        for ax in range(dim)
-    ]
-    m_left = left.spaces[axis].m
-    m_merged = merged_kv.m
+    spaces = [SplineSpace1D(merged_kv) if ax == axis else s for ax, s in enumerate(left.spaces)]
 
-    # local tensor index -> global dof, interior functions only
-    ranges = [
-        np.arange(1, (m_merged if ax == axis else left.spaces[ax].m) - 1)
-        for ax in range(dim)
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    idx = [g.ravel() for g in mesh]
-    u = idx[axis]
-    in_left = u <= m_left - 1
-    patch_of = np.where(in_left, kl, kr)
-    local_axis = np.where(in_left, u, u - (m_left - 1))
-    dofs = np.empty(u.size, dtype=np.int64)
-    for k, patch in ((kl, left), (kr, right)):
-        sel = patch_of == k
-        loc = [local_axis[sel] if ax == axis else idx[ax][sel] for ax in range(dim)]
-        dofs[sel] = domain.dof_maps[k][np.ravel_multi_index(loc, patch.dims)]
+    inner = [slice(1, -1)] * len(left.dims)
+    left_inner = tuple(inner[:axis] + [slice(1, None)] + inner[axis + 1 :])
+    dofs = np.concatenate(
+        (domain.dof_maps[kl].reshape(left.dims)[left_inner], domain.dof_maps[kr].reshape(right.dims)[tuple(inner)]),
+        axis=axis,
+    ).ravel()
     if (dofs < 0).any():
         raise AssertionError("subdomain interior dof mapped to a Dirichlet function")
     return dofs, spaces

@@ -19,7 +19,7 @@ from igakron.adi import (
     greedy_shifts_3d,
     rho_prefix_3d,
     wachspress_shifts,
-    _best_point_shift,
+    _best_shift,
     _douglas_factor,
 )
 from igakron.assembly import assemble_pencil_1d
@@ -162,7 +162,7 @@ def test_adi_preconditioner_symmetry_definiteness_linearity():
 
 def test_point_spectrum_shift_minimizer():
     a = 1.0
-    w, v = _best_point_shift(a)
+    w, v = _best_shift(a, a, a, a / 10, 10 * a)
     # oracle: dense scan of the 1D objective
     grid = np.geomspace(a / 10, 10 * a, 200001)
     vals = np.abs(1.0 - 6.0 * grid**2 * a / (grid + a) ** 3)
@@ -313,28 +313,28 @@ def test_v_recurrence_consistency():
     eigs = [generalized_eig(K, M).D for K, M in pencils]
     plan = douglas_shifts_3d(eigs, 1e-2)
     (K1, M1), (K2, M2), (K3, M3) = pencils
-    from igakron.adi import _Sweep3DFactors
+    from igakron.adi import _Factors
     from igakron.kron import apply_along_axis
 
     rng = np.random.default_rng(6)
     n = K1.n
     R = rng.standard_normal((n, n, n))
-    factors = _Sweep3DFactors(pencils, plan)
-    m3 = M3.cholesky()
-    rt = 2.0 * factors.m3.solve(factors.m2.solve(R, 1), 2)
+    factors = _Factors(pencils, plan)
+    plus, mass = factors.plus, factors.mass
+    rt = 2.0 * mass[2].solve(mass[1].solve(R, 1), 2)
     s = np.zeros_like(R)
     v = np.zeros_like(R)
     for j, w in enumerate(plan.omegas):
-        u = factors.m2.solve(apply_along_axis(K2, s, 1), 1)
+        u = mass[1].solve(apply_along_axis(K2, s, 1), 1)
         rstar = rt - apply_along_axis(K1.combine(-w, M1), s, 0) - 2.0 * apply_along_axis(M1, u + v, 0)
-        sstar = factors.row[j].solve(rstar, 0)
+        sstar = plus[0][j].solve(rstar, 0)
         rss = apply_along_axis(M2, u + w * sstar, 1)
-        sss = factors.col[j].solve(rss, 1)
+        sss = plus[1][j].solve(rss, 1)
         bj = v + w * sss
         rj = apply_along_axis(M3, bj, 2)
-        s = factors.dep[j].solve(rj, 2)
+        s = plus[2][j].solve(rj, 2)
         v = bj - w * s
-        v_direct = m3.solve(apply_along_axis(K3, s, 2), 2)
+        v_direct = mass[2].solve(apply_along_axis(K3, s, 2), 2)
         scale = max(1.0, np.abs(v_direct).max())
         assert np.abs(v - v_direct).max() <= 1e-10 * scale
 
@@ -432,41 +432,55 @@ def test_chunked_3d_sweep_matches_one_chunk(monkeypatch):
     assert np.abs(small - one).max() <= 1e-13 * np.abs(one).max()
 
 
-def whole_array_sweep_3d(pencils, r, plan, factors):
-    """The 3D Douglas sweeps in whole-array operations: the reference for the chunked apply."""
+def whole_array_sweep_3d(pencils, r, plan):
+    """The 3D Douglas sweeps in whole-array operations: the reference for the chunked apply.
+
+    Builds its own factors from the pencils, direction by direction, and
+    multiplies by the band 2 M1.
+    """
     (K1, M1), (K2, M2), (K3, M3) = pencils
     m1_twice = BandedSymMatrix(2.0 * M1.ab)
-    rt = factors.m3.solve(factors.m2.solve(r.reshape(K1.n, K2.n, K3.n), 1), 2, overwrite_b=True)
+    m2, m3 = M2.cholesky(), M3.cholesky()
+    rt = m3.solve(m2.solve(r.reshape(K1.n, K2.n, K3.n), 1), 2, overwrite_b=True)
     rt *= 2.0
     for j, w in enumerate(plan.omegas):
+        row, col, dep = (K.combine(w, M).cholesky() for K, M in pencils)
         if j == 0:
-            sstar = factors.row[0].solve(rt)
+            sstar = row.solve(rt)
             sstar *= w
         else:
-            u = factors.m2.solve(K2.matmat(s, 1), 1, overwrite_b=True)
+            u = m2.solve(K2.matmat(s, 1), 1, overwrite_b=True)
             rstar = K1.combine(-w, M1).matmat(s, 0)
             np.subtract(rt, rstar, out=rstar)
             rstar -= m1_twice.matmat(u + v, 0)
-            sstar = factors.row[j].solve(rstar, overwrite_b=True)
+            sstar = row.solve(rstar, overwrite_b=True)
             sstar *= w
             sstar += u
-        bj = factors.col[j].solve(M2.matmat(sstar, 1), 1, overwrite_b=True)
+        bj = col.solve(M2.matmat(sstar, 1), 1, overwrite_b=True)
         bj *= w
         if j:
             bj += v
-        s = factors.dep[j].solve(M3.matmat(bj, 2), 2, overwrite_b=True)
+        s = dep.solve(M3.matmat(bj, 2), 2, overwrite_b=True)
         bj -= w * s
         v = bj
     return s.reshape(-1)
 
 
-@pytest.mark.parametrize("q", [16, 32])
-def test_one_chunk_apply_equals_whole_array_sweep(q):
+@pytest.mark.parametrize(
+    "spans",
+    [(16, 16, 16), (32, 32, 32), (8, 12, 16), (16, 8, 12), (4, 4, 16)],
+    ids=["16", "32", "8-12-16", "16-8-12", "4-4-16"],
+)
+def test_one_chunk_apply_equals_whole_array_sweep(spans):
     # n = 17 and n = 33 (ring3d's size) fit in one chunk: the same arithmetic
-    # as the whole-array sweep, bit for bit; many chunks agree to roundoff
-    prec = ADIPreconditioner.setup(pencils_for(3, q, 3), eps=0.1)
-    r = np.random.default_rng(12).standard_normal(KroneckerSum(prec.pencils).n)
-    ref = whole_array_sweep_3d(prec.pencils, r, prec.plan, prec._factors)
+    # as the whole-array sweep, bit for bit; many chunks agree to roundoff.
+    # The isotropic cubes are p = 3; the others are p = 3, 2, 1 by direction,
+    # so a direction taking another's factors shows
+    degrees = (3, 3, 3) if len(set(spans)) == 1 else (3, 2, 1)
+    pencils = [assemble_pencil_1d(SplineSpace1D.uniform(p, q)) for p, q in zip(degrees, spans)]
+    prec = ADIPreconditioner.setup(pencils, eps=0.1)
+    r = np.random.default_rng(12).standard_normal(KroneckerSum(pencils).n)
+    ref = whole_array_sweep_3d(pencils, r, prec.plan)
     assert np.array_equal(prec.apply(r), ref)
     with mock.patch.object(adi, "_CHUNK", 2**9):
         got = prec.apply(r)

@@ -68,7 +68,7 @@ def test_gauss_cubic_exactness():
 def test_gauss_rule_properties():
     s = SplineSpace1D.uniform(3, 5)
     rule = gauss_rule(s, 4)
-    assert len(rule.spans) == len(rule.points) == 5
+    assert len(rule.points) == len(rule.weights) == 5
     assert (rule.weights > 0).all()
     breaks = s.kv.breakpoints()
     for e in range(5):

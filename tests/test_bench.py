@@ -461,6 +461,7 @@ def test_cli_shifts_narrow_spectrum_tight_eps(a, b, J):
     header = cp.stdout.splitlines()[0]
     assert header.startswith("J = %d of a-priori 7  (contraction " % J)
     assert float(header.split("contraction ")[1].split()[0]) <= 1e-6
+    assert header.endswith(" on 64-point log grids")
     assert len(cp.stdout.splitlines()) == 1 + J
 
 
@@ -468,7 +469,10 @@ def test_cli_greedy_shifts_header():
     # J0 is the ladder's a-priori count for [1, 100] at 1e-4, not the --j-max cap
     cp = run_cli("shifts", "--dim", "3", "--strategy", "greedy", "--a", "1", "--b", "100", "--eps", "1e-4", "--j-max", "30")
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.splitlines()[0].startswith("J = 14 of a-priori 50  (contraction ")
+    header = cp.stdout.splitlines()[0]
+    assert header.startswith("J = 14 of a-priori 50  (contraction ")
+    # the contraction is the maximum on the grids the plan is checked on
+    assert header.endswith(") on 64-point log grids")
 
 
 BRACKET = "configuration error: a spectral bracket [a, b] needs 0 < a <= b < inf, "

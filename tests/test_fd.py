@@ -31,7 +31,7 @@ def identity_ksum(n, d):
 def test_identity_factors_diag():
     P = identity_ksum(4, 2)
     prec = fd_setup(P)
-    np.testing.assert_allclose(prec.diag, 2.0 * np.ones(16))
+    np.testing.assert_allclose(1 / prec.inv_diag, 2.0 * np.ones(16))
     r = np.arange(16.0)
     np.testing.assert_allclose(prec.apply(r), r / 2.0)
 
@@ -52,7 +52,7 @@ def test_diag_is_all_pairwise_sums():
     D1 = np.sort(scipy.linalg.eigvalsh(K1.toarray(), M1.toarray()))
     D2 = np.sort(scipy.linalg.eigvalsh(K2.toarray(), M2.toarray()))
     want = np.sort(np.add.outer(D1, D2).ravel())
-    np.testing.assert_allclose(np.sort(prec.diag), want, rtol=1e-9)
+    np.testing.assert_allclose(np.sort(1 / prec.inv_diag), want, rtol=1e-9)
 
 
 def test_diag_triple_sums_3d():
@@ -60,7 +60,7 @@ def test_diag_triple_sums_3d():
     prec = fd_setup(P)
     D = [pe.D for pe in prec.eigs]
     want = (D[0][:, None, None] + D[1][None, :, None] + D[2][None, None, :]).ravel()
-    np.testing.assert_allclose(prec.diag, want, rtol=1e-12)
+    np.testing.assert_allclose(1 / prec.inv_diag, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -118,6 +118,28 @@ def test_two_patches_equal_one_rectangle(p, q):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("spans", [(3, 5), (5, 2)])
+@pytest.mark.parametrize("left_first", [True, False])
+def test_3d_pair_with_unequal_spans_is_one_box(axis, spans, left_first):
+    # two unit cubes glued along ``axis``, with their own span counts there:
+    # the subdomain's block of the glued matrix is the stiffness of the merged
+    # space on the box of length 2, whichever patch the interface names first
+    p = 2
+    dims_l, dims_r = [4, 3, 2], [4, 3, 2]
+    dims_l[axis], dims_r[axis] = spans
+    offset = np.eye(3)[axis]
+    left = Patch([SplineSpace1D.uniform(p, q) for q in dims_l], affine_map(np.eye(3), np.zeros(3)))
+    right = Patch([SplineSpace1D.uniform(p, q) for q in dims_r], affine_map(np.eye(3), offset))
+    iface = (0, (axis, 1), 1, (axis, 0)) if left_first else (1, (axis, 0), 0, (axis, 1))
+    dom = build_multipatch([left, right], [iface])
+    dofs, spaces = _merged_subdomain(dom, iface)
+    assert np.array_equal(np.sort(dofs), np.arange(dom.N))
+    want = assemble_stiffness(spaces, affine_map(np.diag(1.0 + offset), np.zeros(3))).toarray()
+    got = assemble_multipatch_stiffness(dom)[dofs][:, dofs].toarray()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 def test_multipatch_matrix_symmetric_spd():
     dom = l_shape_domain(2, 4)
     A = assemble_multipatch_stiffness(dom)
