@@ -23,7 +23,7 @@ positive definite operator, so it is a valid CG preconditioner; the
 conditioning penalty is (1+eps)/(1-eps).
 
 The 3D apply allocates its five full-size work arrays once per call and
-runs each Douglas sweep as two stages over chunks of about ``_CHUNK``
+runs each Douglas sweep as two stages over chunks of about ``banded._CHUNK``
 doubles, small enough for a core's L2 cache.  Stage A takes column chunks of
 the (n1, n2 n3) view: it gathers one input at a time into contiguous
 per-task buffers and does the direction-1 work (the residual r*, the
@@ -31,8 +31,8 @@ direction-1 solve, the scaling by w and the addition of u), writing s*.
 Stage B takes slabs of whole i1-planes, which are contiguous, and does the
 direction-2 and direction-3 work in place in the work arrays: their solves,
 the recurrence for v and the next sweep's u.  Chunks write disjoint parts of
-their outputs, so the chunks of a stage are dealt round-robin to one task per
-CPU the process may use, on a module-level thread pool made on first use; a
+their outputs, so the chunks of a stage are dealt to the package's thread
+pool by ``banded._each_chunk``, one task per CPU the process may use; a
 stage of one chunk runs inline.  Each chunk's arithmetic does not depend on
 the thread that runs it, so results are bitwise reproducible; an array
 that fits in one chunk is swept in whole-array operations.  The workers call
@@ -50,13 +50,12 @@ the ladder's rho_prefix_3d of its shifts.  It is printed by
 acceptance criterion 9, and the preconditioner runs the ladder.
 """
 
-import concurrent.futures
 import functools
 import math
-import os
 
 import numpy as np
 
+from . import banded
 from .banded import along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
 # not called here: the layer tracer of perfbench/ looks kron_matvec up in this module
@@ -466,39 +465,9 @@ def greedy_shifts_3d(eigs, J_max, eps):
 # ---------------------------------------------------------------------------
 # 3D sweep
 
-# doubles per chunk of the 3D sweep: about 1 MB, so a chunk's slices of the
-# arrays a stage touches stay in a core's L2 cache (see docs/decisions.md)
-_CHUNK = 2**17
-
-
-@functools.cache
-def _pool():
-    """The sweep's thread pool, one worker per CPU this process may use; made on first use."""
-    return concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="igakron-adi")
-
-
-def _tasks(nchunks):
-    """Into how many tasks ``_each_chunk`` deals nchunks chunks: at most one per CPU and one per chunk."""
-    return min(len(os.sched_getaffinity(0)), nchunks)
-
-
-def _each_chunk(work, nchunks):
-    """Call ``work(task, chunks)`` so that every chunk in range(nchunks) is done once.
-
-    One chunk runs inline on the calling thread; more are dealt round-robin
-    to _tasks(nchunks) tasks on the pool.
-    """
-    tasks = _tasks(nchunks)
-    if tasks == 1:
-        work(0, range(nchunks))
-        return
-    for f in [_pool().submit(work, t, range(t, nchunks, tasks)) for t in range(tasks)]:
-        f.result()
-
-
 def _layout(n1, n23):
     """Stage-A column ranges of the (n1, n23) view and stage-B i1-plane slices, about _CHUNK doubles each."""
-    width, planes = min(n23, max(1, _CHUNK // n1)), min(n1, max(1, _CHUNK // n23))
+    width, planes = min(n23, max(1, banded._CHUNK // n1)), min(n1, max(1, banded._CHUNK // n23))
     return [(c, min(c + width, n23)) for c in range(0, n23, width)], [slice(i, i + planes) for i in range(0, n1, planes)]
 
 
@@ -513,7 +482,7 @@ def adi_work_bytes_3d(dims):
     n1, n23 = dims[0], dims[1] * dims[2]
     cols, slabs = _layout(n1, n23)
     chunk = max(n1 * (cols[0][1] - cols[0][0]), n23 * (slabs[0].stop - slabs[0].start))
-    return 8 * (5 * n1 * n23 + 4 * _tasks(max(len(cols), len(slabs))) * chunk) + 2**15
+    return 8 * (5 * n1 * n23 + 4 * banded._tasks(max(len(cols), len(slabs))) * chunk) + 2**15
 
 
 def adi_solve_3d(pencils, r, plan, factors):
@@ -523,7 +492,7 @@ def adi_solve_3d(pencils, r, plan, factors):
     products u_j and v_j are formed once, and v is advanced by the recurrence
     v_{j+1} = b_j - w_j s_j instead of a fresh solve.  The apply allocates
     its five full-size work arrays (rt, s, v, u and s*) once and returns s.
-    Each sweep is two stages over chunks of about _CHUNK doubles (see the
+    Each sweep is two stages over chunks of about banded._CHUNK doubles (see the
     module docstring), the updates made in place in the same order of
     operations as the formulas.  ``factors`` are the plan's _Factors; the
     block lists of the band products are taken here, on the calling thread.
@@ -539,7 +508,7 @@ def adi_solve_3d(pencils, r, plan, factors):
     s, v, u, sstar = (np.empty_like(rt) for _ in range(4))
     cols, slabs = _layout(n1, n23)
     # per task, the three stage-A buffers of one column chunk
-    bufs = [np.empty((3, n1 * (cols[0][1] - cols[0][0]))) for _ in range(_tasks(len(cols)))]
+    bufs = [np.empty((3, n1 * (cols[0][1] - cols[0][0]))) for _ in range(banded._tasks(len(cols)))]
     rt2, s2, v2, u2, sstar2 = (a.reshape(n1, n23) for a in (rt, s, v, u, sstar))
 
     def stage_a(j, w, task, chunks):
@@ -590,8 +559,8 @@ def adi_solve_3d(pencils, r, plan, factors):
                 mass[1]._sweep(uu, 1)
 
     for j, w in enumerate(plan.omegas):
-        _each_chunk(functools.partial(stage_a, j, w), len(cols))
-        _each_chunk(functools.partial(stage_b, j, w), len(slabs))
+        banded._each_chunk(functools.partial(stage_a, j, w), len(cols))
+        banded._each_chunk(functools.partial(stage_b, j, w), len(slabs))
     return s.reshape(-1)
 
 

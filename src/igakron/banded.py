@@ -23,38 +23,160 @@ batched matmul over the a slices otherwise.  A dense factor is one block.
 B = 16 was chosen by timing the 2D and 3D ADI applies (p = 3, 2 cores) with
 B = 4, 8, 16 and 32: 16 was the fastest or tied at n = 257 (2D), n = 33 and
 n = 129 (3D); 8 was slower at n = 257 and n = 129, and 32 at n = 33 and n = 129.
+
+The program owns its parallelism.  Importing this module, the lowest of the
+package and imported by every BLAS caller, sets both bundled OpenBLAS
+libraries (numpy's and scipy's, so LAPACK too) to one thread: threaded BLAS
+sums in an order that depends on its thread count, and its threads contend
+with the program's own.  The parallel work runs on one module-level thread
+pool, one worker per CPU the process may use, made on first use:
+``_each_chunk`` deals the chunks of a job to it.  ``pooled_along`` deals one
+``along`` call there in chunks over the axes the call does not contract
+(``_grid``); the 3D ADI sweep deals its own stages.  Chunk bounds
+depend on array shapes only, never on the number of workers, and each chunk's
+arithmetic is the same on any thread, so results are bitwise the same on any
+number of cores.  The workers call only ``along`` and
+``BandedCholesky._sweep``, so no worker deals chunks of its own.
 """
 
+import concurrent.futures
+import ctypes
 import functools
 import math
+import os
+import warnings
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
-__all__ = ["BandedSymMatrix", "BandedCholesky", "along"]
+__all__ = ["BandedSymMatrix", "BandedCholesky", "along", "pooled_along"]
 
 _BLOCK = 16
+
+# (package, its bundled OpenBLAS, the symbol that sets that library's thread count)
+_BLAS_LIBS = (
+    (np, "libscipy_openblas64_-*.so*", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so*", "scipy_openblas_set_num_threads"),
+)
+
+
+def _pin_blas_threads(libs=_BLAS_LIBS):
+    """Set each bundled OpenBLAS library of ``libs`` to one thread.
+
+    A library is looked up in the ``<package>.libs`` directory its wheel
+    installs; where the library or its symbol is missing, its threads are
+    left alone and one RuntimeWarning names what was not found.
+    """
+    missing = []
+    for pkg, pattern, symbol in libs:
+        paths = sorted((Path(pkg.__file__).parents[1] / (pkg.__name__ + ".libs")).glob(pattern))
+        try:
+            getattr(ctypes.CDLL(str(paths[0])), symbol)(1)
+        except (IndexError, OSError, AttributeError):
+            missing.append("%s in %s.libs/%s" % (symbol, pkg.__name__, pattern))
+    if missing:
+        warnings.warn("BLAS threads left as they are: not found: %s" % ", ".join(missing), RuntimeWarning)
+
+
+_pin_blas_threads()
+
+# doubles per chunk of the 3D ADI sweep: about 1 MB, so a chunk's slices of
+# the arrays a stage touches stay in a core's L2 cache; also the least a
+# chunk of ``pooled_along`` holds (docs/decisions.md)
+_CHUNK = 2**17
+
+
+@functools.cache
+def _pool():
+    """The thread pool, one worker per CPU this process may use; made on first use."""
+    return concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="igakron")
+
+
+def _tasks(nchunks):
+    """Into how many tasks ``_each_chunk`` deals nchunks chunks: at most one per CPU and one per chunk."""
+    return min(len(os.sched_getaffinity(0)), nchunks)
+
+
+def _each_chunk(work, nchunks):
+    """Call ``work(task, chunks)`` so that every chunk in range(nchunks) is done once.
+
+    One chunk runs inline on the calling thread; more go to _tasks(nchunks)
+    tasks on the pool, which take the chunks in turn from one shared
+    iterator as each finishes its last.
+    """
+    tasks = _tasks(nchunks)
+    if tasks == 1:
+        work(0, range(nchunks))
+        return
+    # one iterator for all tasks: next() on it is atomic under the GIL
+    chunks = iter(range(nchunks))
+    for f in [_pool().submit(work, t, chunks) for t in range(tasks)]:
+        f.result()
 
 
 def along(blocks, X, axis, out):
     """``out[s:e] = G @ X[lo:hi]`` along ``axis`` for every block ``(s, e, lo, hi, G)``.
 
-    X and out are C-contiguous; out may be X itself, and then each block
-    reads the rows the blocks before it wrote.
+    X and out are C-contiguous, or (a, n, b) slices of C-contiguous arrays
+    taken with axis 1; out may be X itself, and then each block reads the
+    rows the blocks before it wrote.
     """
     a, n = math.prod(X.shape[:axis]), X.shape[axis]
+    X, Y = X.reshape(a, n, -1), out.reshape(a, n, -1)
     if a == 1:
-        X, Y = X.reshape(n, -1), out.reshape(n, -1)
+        X, Y = X[0], Y[0]
         for s, e, lo, hi, G in blocks:
-            np.dot(G, X[lo:hi], out=Y[s:e])
-    elif X.size == a * n:
-        X, Y = X.reshape(a, n), out.reshape(a, n)
+            np.matmul(G, X[lo:hi], out=Y[s:e])
+    elif Y.shape[2] == 1:
+        X, Y = X[..., 0], Y[..., 0]
         for s, e, lo, hi, G in blocks:
             np.matmul(X[:, lo:hi], G.T, out=Y[:, s:e])
     else:
-        X, Y = X.reshape(a, n, -1), out.reshape(a, n, -1)
         for s, e, lo, hi, G in blocks:
             np.matmul(G, X[:, lo:hi], out=Y[:, s:e])
+    return out
+
+
+def _grid(a, n, b):
+    """Chunks of an (a, n, b) operand, as slices of its a and b axes.
+
+    There are as many chunks as whole multiples of max(_CHUNK, n * n / 2)
+    doubles fit in the operand, at least one.  The n * n / 2 floor keeps a
+    chunk at least n / 2 columns wide, because BLAS packs a dense factor
+    again for every chunk (docs/decisions.md).  The a axis is split first,
+    into at most a slabs, and b only when there are fewer slabs than
+    chunks.  The bounds depend on the shape alone.
+    """
+    k = max(1, a * n * b // max(_CHUNK, n * n // 2))
+    ka = max(1, min(a, k))
+    kb = max(1, min(b, k // ka))
+    return [
+        (slice(a * i // ka, a * (i + 1) // ka), slice(b * j // kb, b * (j + 1) // kb))
+        for i in range(ka)
+        for j in range(kb)
+    ]
+
+
+def pooled_along(blocks, X, axis, out):
+    """``along(blocks, X, axis, out)`` dealt to the pool in the chunks of ``_grid``.
+
+    The chunks split the axes the call does not contract, and each writes
+    its own part of out, so the result is the same on any number of
+    workers.  X and out are C-contiguous and distinct.  Called on the
+    calling thread, never by a worker.
+    """
+    a, n = math.prod(X.shape[:axis]), X.shape[axis]
+    X3, Y3 = X.reshape(a, n, -1), out.reshape(a, n, -1)
+    chunks = _grid(a, n, X3.shape[2])
+
+    def work(task, which):
+        for c in which:
+            i, j = chunks[c]
+            along(blocks, X3[i, :, j], 1, Y3[i, :, j])
+
+    _each_chunk(work, len(chunks))
     return out
 
 
@@ -130,11 +252,11 @@ class BandedSymMatrix:
         return _cut(_row_blocks(rows, 0.0), self.n, self.p)
 
     def matmat(self, B, axis=0):
-        """Product with A along ``axis`` of B; a new C-contiguous array."""
+        """Product with A along ``axis`` of B on the pool; a new C-contiguous array."""
         B = np.ascontiguousarray(B, dtype=float)
         if B.shape[axis] != self.n:
             raise ValueError("operand of shape %r does not match order %d" % (B.shape, self.n))
-        return along(self._blocks, B, axis, np.empty_like(B))
+        return pooled_along(self._blocks, B, axis, np.empty_like(B))
 
     def cholesky(self):
         return BandedCholesky(self)

@@ -16,7 +16,6 @@ on its pencil alone, so ``per_distinct_pencil`` runs it once for each pencil
 that is distinct by value and shares the result among equal directions.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -43,11 +42,6 @@ class PencilEigen:
     @property
     def n(self):
         return self.D.size
-
-    @functools.cached_property
-    def Ut(self):
-        """U^T as a C-contiguous copy, made on first use."""
-        return self.U.T.copy()
 
 
 def _asdense(A):

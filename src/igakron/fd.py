@@ -7,9 +7,10 @@ by U_l^T M_l U_l = I, the Kronecker sum factorizes as
 
 so a solve is: multiply by the transposed eigenvector Kronecker factor, scale
 by the precomputed reciprocal eigenvalue sums, multiply back.  Setup is done
-once, with one eigendecomposition (and one transposed copy of its
-eigenvectors) per distinct pencil: directions with equal pencils share them.
-Applications are pure and reentrant.
+once, with one eigendecomposition per distinct pencil: directions with equal
+pencils share it.  The first product reads the eigenvectors through U.T
+views, so each is held once.  Both products run on the package's thread
+pool (``kron.apply_along_axis``).  Applications are pure and reentrant.
 """
 
 import numpy as np
@@ -37,11 +38,10 @@ class FDPreconditioner:
         if diag.min() <= 0.0:
             raise ValueError("combined eigenvalue sums must be positive")
         self.inv_diag = 1.0 / diag
-        self._Ut = [pe.Ut for pe in self.eigs]
         self._U = [pe.U for pe in self.eigs]
 
     def apply(self, r):
-        rt = kron_matvec(self._Ut, r)
+        rt = kron_matvec([U.T for U in self._U], r)
         rt *= self.inv_diag
         return kron_matvec(self._U, rt)
 

@@ -10,14 +10,18 @@ Each factor is applied along its own axis, without moving axes or copying X,
 by the block-row kernel ``banded.along``: a banded factor by its row blocks,
 a dense factor as one block, which is ``U @ X.reshape(n, -1)`` on the leading
 axis, a batched matmul on a middle axis and ``X.reshape(-1, n) @ U.T`` on the
-last.  Every result is a new C-contiguous array.
+last.  Both kinds go to the package's thread pool through
+``banded.pooled_along``, in chunks over the axes the factor does not
+contract, each written straight into the result, so a product uses every
+core while BLAS runs on one thread.  Every result is a new C-contiguous
+array.
 """
 
 import functools
 
 import numpy as np
 
-from .banded import BandedSymMatrix, along
+from .banded import BandedSymMatrix, pooled_along
 
 __all__ = ["kron_matvec", "apply_along_axis", "KroneckerSum"]
 
@@ -28,7 +32,7 @@ def apply_along_axis(op, X, axis):
         return op.matmat(X, axis)
     U = np.asarray(op, dtype=float)
     X = np.ascontiguousarray(X, dtype=float)
-    return along([(0, U.shape[0], 0, U.shape[1], U)], X, axis, np.empty_like(X))
+    return pooled_along([(0, U.shape[0], 0, U.shape[1], U)], X, axis, np.empty_like(X))
 
 
 def kron_matvec(mats, x):

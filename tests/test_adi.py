@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _dense import banded_from_dense, m_norm
 from _strategies import random_open_space
-from igakron import adi
+from igakron import adi, banded
 from igakron.adi import (
     ADIPreconditioner,
     adi_iteration_count,
@@ -422,7 +422,7 @@ def test_chunked_3d_sweep_matches_one_chunk(monkeypatch):
     prec, r = cube_16()
     results = {}
     for chunk in (SMALL_CHUNK, HUGE_CHUNK):
-        monkeypatch.setattr(adi, "_CHUNK", chunk)
+        monkeypatch.setattr(banded, "_CHUNK", chunk)
         cols, slabs = adi._layout(17, 17 * 17)
         assert (len(cols) > 1 and len(slabs) > 1) == (chunk == SMALL_CHUNK)
         runs = [prec.apply(r) for _ in range(3)]
@@ -482,7 +482,7 @@ def test_one_chunk_apply_equals_whole_array_sweep(spans):
     r = np.random.default_rng(12).standard_normal(KroneckerSum(pencils).n)
     ref = whole_array_sweep_3d(pencils, r, prec.plan)
     assert np.array_equal(prec.apply(r), ref)
-    with mock.patch.object(adi, "_CHUNK", 2**9):
+    with mock.patch.object(banded, "_CHUNK", 2**9):
         got = prec.apply(r)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -497,13 +497,13 @@ def test_one_chunk_apply_equals_whole_array_sweep(spans):
     ],
 )
 def test_3d_adi_tests_pass_with_small_chunks(test, monkeypatch):
-    monkeypatch.setattr(adi, "_CHUNK", 2**6)
+    monkeypatch.setattr(banded, "_CHUNK", 2**6)
     test()
 
 
 @pytest.mark.parametrize("test", [test_adi_operator_symmetric_on_random_spaces, test_adi_operator_spd_on_random_knots])
 def test_3d_adi_properties_hold_with_small_chunks(test, monkeypatch):
-    monkeypatch.setattr(adi, "_CHUNK", 2**6)
+    monkeypatch.setattr(banded, "_CHUNK", 2**6)
     test(d=3)
 
 
@@ -514,7 +514,7 @@ def test_ring3d_sized_apply_runs_inline(monkeypatch):
     def no_pool():
         raise AssertionError("the pool was used")
 
-    monkeypatch.setattr(adi, "_pool", no_pool)
+    monkeypatch.setattr(banded, "_pool", no_pool)
     got = prec.apply(np.random.default_rng(10).standard_normal(KroneckerSum(prec.pencils).n))
     assert np.all(np.isfinite(got))
 
@@ -522,7 +522,7 @@ def test_ring3d_sized_apply_runs_inline(monkeypatch):
 def cube_32_in_small_chunks(monkeypatch):
     # n = 33 in 18 column chunks and 33 slabs: one full-size array (287 KB)
     # is more than the charge for the chunks and the bookkeeping
-    monkeypatch.setattr(adi, "_CHUNK", 2**11)
+    monkeypatch.setattr(banded, "_CHUNK", 2**11)
     prec = ADIPreconditioner.setup(pencils_for(3, 32, 3), eps=0.1)
     r = np.random.default_rng(11).standard_normal(KroneckerSum(prec.pencils).n)
     prec.apply(r)  # warm: the pool's threads are up
@@ -541,7 +541,7 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
     # chunks, and only the result is held after the apply
     prec, r = cube_32_in_small_chunks(monkeypatch)
     full = 8 * r.size
-    each_chunk, stage_peaks = adi._each_chunk, []
+    each_chunk, stage_peaks = banded._each_chunk, []
 
     def measured(work, nchunks):
         start = tracemalloc.get_traced_memory()[0]
@@ -549,7 +549,7 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
         each_chunk(work, nchunks)
         stage_peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
-    monkeypatch.setattr(adi, "_each_chunk", measured)
+    monkeypatch.setattr(banded, "_each_chunk", measured)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -566,13 +566,15 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
 def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
     # the benchmark's tracer keeps one span stack, so every lookup point it
     # wraps must be called from the thread that runs the apply; the pool's
-    # workers call only banded.along and BandedCholesky._sweep
+    # workers call only banded.along and BandedCholesky._sweep.  The 3D ADI
+    # apply, the FD apply and the Kronecker-sum product all use the pool
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
-    monkeypatch.setattr(adi, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(banded, "_CHUNK", SMALL_CHUNK)
     prec, r = cube_16()
-    calls, along_threads = [], set()
+    ksum = KroneckerSum(prec.pencils)
+    fd = fd_setup(ksum)
     tracer = tracing.Tracer()
 
     def call(name, fn, args, kwargs=None):
@@ -583,12 +585,20 @@ def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
         along_threads.add(threading.get_ident())
         return banded_along(*args)
 
-    banded_along = adi.along
+    banded_along = banded.along
     monkeypatch.setattr(tracer, "call", call)
     monkeypatch.setattr(adi, "along", along)
-    with tracer.installed():
-        prec.apply(r)
-    assert {"adi.apply", "banded.chol_solve"} <= {name for name, _ in calls}
-    assert {ident for _, ident in calls} == {threading.get_ident()}
-    if len(os.sched_getaffinity(0)) > 1:
-        assert along_threads - {threading.get_ident()}
+    monkeypatch.setattr(banded, "along", along)
+    # each apply is looked up inside the traced block, where the tracer has wrapped the methods
+    for apply, spans in [
+        (lambda: prec.apply(r), {"adi.apply", "banded.chol_solve"}),
+        (lambda: fd.apply(r), {"fd.apply", "kron.kron_matvec", "kron.along_axis"}),
+        (lambda: ksum.matvec(r), {"kron.ksum_matvec", "kron.along_axis", "banded.matmat"}),
+    ]:
+        calls, along_threads = [], set()
+        with tracer.installed():
+            apply()
+        assert spans <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        if len(os.sched_getaffinity(0)) > 1:
+            assert along_threads - {threading.get_ident()}
