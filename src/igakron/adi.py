@@ -9,7 +9,8 @@ contraction function
 
     rho_J = max |prod_j (1 - 2 w_j^2 (l1+l2+l3) / ((w_j+l1)(w_j+l2)(w_j+l3)))|
 
-over eigenvalue triples.  rho is symmetric in (l1, l2, l3), so among
+over eigenvalue triples; the ladder is the shortest that meets eps, found
+by one bisection on its length.  rho is symmetric in (l1, l2, l3), so among
 directions with equal eigenvalue arrays only unordered triples are
 evaluated: about a sixth of the Cartesian product when all three are equal.
 The 2D plan takes the certified brackets of ``extreme_eigs``, the 3D plans
@@ -56,16 +57,13 @@ import math
 import numpy as np
 
 from . import banded
-from .banded import along
+from .banded import BandedCholesky, along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
-# not called here: the layer tracer of perfbench/ looks kron_matvec up in this module
-from .kron import kron_matvec  # noqa: F401
 
 __all__ = [
     "ShiftPlan",
     "adi_iteration_count",
     "wachspress_shifts",
-    "adi_bound_2d",
     "adi_solve_2d",
     "rho_prefix_3d",
     "douglas_shifts_3d",
@@ -138,13 +136,14 @@ def _agm_dn(u, kprime):
         bv.append(math.sqrt(an * bn))
         cv.append(0.5 * (an - bn))
     N = len(av) - 1
+    if N == 0:
+        # k below the descent's tolerance: dn(u, 0) = 1
+        return 1.0
     phi = [0.0] * (N + 1)
     phi[N] = (2.0**N) * av[N] * u
     for i in range(N, 0, -1):
         s = cv[i] / av[i] * math.sin(phi[i])
         phi[i - 1] = 0.5 * (phi[i] + math.asin(max(-1.0, min(1.0, s))))
-    if N == 0:
-        return math.cos(phi[0])
     return math.cos(phi[0]) / math.cos(phi[1] - phi[0])
 
 
@@ -168,33 +167,25 @@ def _one_sided_sup(shifts, interval):
     return float(np.exp(logp.max()))
 
 
-def adi_bound_2d(omegas, interval1, interval2):
-    """Contraction bound of the 2D sweep, evaluated numerically.
-
-    The two-variable maximum factors into two one-variable suprema, which are
-    evaluated on dense logarithmic grids.
-    """
-    return _one_sided_sup(omegas, interval1) * _one_sided_sup(omegas, interval2)
-
-
 def wachspress_shifts(a, b, c, d, eps):
     """Optimal 2D shift plan for pencil spectra in [a, b] and [c, d].
 
     The construction uses the classical elliptic recipe on the enclosing
     interval (the two brackets coincide in all benchmark cases); the realized
     contraction bound is evaluated numerically and must meet eps, with one
-    round-off fallback that adds a sweep.
+    round-off fallback that adds a sweep.  The two-variable maximum of the
+    bound factors into two one-variable suprema (_one_sided_sup).
     """
     _check_bracket(a, b, eps)
     _check_bracket(c, d, eps)
     lo, hi = min(a, c), max(b, d)
     if hi <= lo * (1 + 1e-12):
         shifts = np.array([lo])
-        return ShiftPlan(shifts, adi_bound_2d(shifts, (a, b), (c, d)), 1)
+        return ShiftPlan(shifts, _one_sided_sup(shifts, (a, b)) * _one_sided_sup(shifts, (c, d)), 1)
     J0 = J = adi_iteration_count(lo, hi, eps)
     for _ in range(3):
         shifts = _elliptic_shifts(lo, hi, J)
-        bound = adi_bound_2d(shifts, (a, b), (c, d))
+        bound = _one_sided_sup(shifts, (a, b)) * _one_sided_sup(shifts, (c, d))
         if bound <= eps:
             return ShiftPlan(shifts, bound, J0)
         J += 1
@@ -214,8 +205,8 @@ class _Factors:
 
     def __init__(self, pencils, plan):
         def build(K, M):
-            plus = [K.combine(w, M).cholesky() for w in plan.omegas]
-            return plus, [K.combine(-w, M) for w in plan.omegas], M.cholesky()
+            plus = [BandedCholesky(K.combine(w, M)) for w in plan.omegas]
+            return plus, [K.combine(-w, M) for w in plan.omegas], BandedCholesky(M)
 
         self.plus, self.minus, self.mass = zip(*per_distinct_pencil(build, pencils))
 
@@ -386,11 +377,13 @@ def douglas_shifts_3d(eigs, eps):
     ``eigs`` holds the eigenvalues of each direction's pencil (or surrogate
     grids of a bracket [a, b]); a and b are their extremes.  The ladder spans
     [a, 4b] (the top padding protects the corner triple (b, b, b), which is
-    otherwise the slowest-damped point) and its length is the smallest J whose
-    complete contraction value meets eps, searched up to the a-priori bound
-    J0.  When the ladder of J0 shifts falls short, as on a narrow spectrum at
-    a tight eps, where the top padding wastes shifts, the first longer ladder
-    that meets eps is taken, up to _J_GROWTH * J0 shifts.
+    otherwise the slowest-damped point).  Its length J comes from one
+    bisection over (lo, hi], where the ladder of lo shifts fails eps (lo = 0:
+    no ladder) and that of hi shifts meets it, so J meets eps and J - 1 does
+    not.  The bracket is (0, J0], J0 the a-priori count, if the ladder of J0
+    shifts meets eps; if it falls short, as on a narrow spectrum at a tight
+    eps, where the top padding wastes shifts, it is (J0, _J_GROWTH * J0], and
+    an ArithmeticError is raised if that ladder falls short too.
     The contraction is evaluated on the triples of the eigenvalues,
     log-subsampled to _TRIPLE_CAP per direction, that are distinct up to the
     symmetry of rho: unordered triples among directions whose subsampled
@@ -408,30 +401,27 @@ def douglas_shifts_3d(eigs, eps):
         return ShiftPlan(omegas, bound(omegas), J)
 
     J0 = _a_priori_count_3d(a, b, eps)
-    lo_J, hi_J = 1, J0
 
     def ladder(J):
         return _geometric_ladder(a, 4.0 * b, J)
 
-    rho = bound(ladder(hi_J))
+    lo, hi = 0, J0
+    rho = bound(ladder(hi))
     if rho > eps:
-        for J in range(J0 + 1, _J_GROWTH * J0 + 1):
-            rho = bound(ladder(J))
-            if rho <= eps:
-                return ShiftPlan(ladder(J), rho, J0)
-        raise ArithmeticError(
-            "a-priori shift count does not certify the tolerance, nor does a ladder of up to %d shifts"
-            % (_J_GROWTH * J0)
-        )
-    # bisect the smallest certified ladder length
-    while lo_J + 1 < hi_J:
-        mid = (lo_J + hi_J) // 2
+        lo, hi = J0, _J_GROWTH * J0
+        rho = bound(ladder(hi))
+        if rho > eps:
+            raise ArithmeticError(
+                "a-priori shift count does not certify the tolerance, nor does a ladder of up to %d shifts" % hi
+            )
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
         rho_mid = bound(ladder(mid))
         if rho_mid <= eps:
-            hi_J, rho = mid, rho_mid
+            hi, rho = mid, rho_mid
         else:
-            lo_J = mid
-    return ShiftPlan(ladder(hi_J), rho, J0)
+            lo = mid
+    return ShiftPlan(ladder(hi), rho, J0)
 
 
 def greedy_shifts_3d(eigs, J_max, eps):

@@ -258,9 +258,6 @@ class BandedSymMatrix:
             raise ValueError("operand of shape %r does not match order %d" % (B.shape, self.n))
         return pooled_along(self._blocks, B, axis, np.empty_like(B))
 
-    def cholesky(self):
-        return BandedCholesky(self)
-
 
 class BandedCholesky:
     """Banded Cholesky factorization A = U^T U of an SPD banded matrix.

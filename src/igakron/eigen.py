@@ -39,10 +39,6 @@ class PencilEigen:
         self.U = U
         self.D = D
 
-    @property
-    def n(self):
-        return self.D.size
-
 
 def _asdense(A):
     return A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=float)

@@ -6,7 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _dense import banded_from_dense, m_norm
@@ -19,11 +20,14 @@ from igakron.adi import (
     greedy_shifts_3d,
     rho_prefix_3d,
     wachspress_shifts,
+    _agm_dn,
     _best_shift,
     _douglas_factor,
+    _geometric_ladder,
+    _triple_arrays,
 )
 from igakron.assembly import assemble_pencil_1d
-from igakron.banded import BandedSymMatrix
+from igakron.banded import BandedCholesky, BandedSymMatrix
 from igakron.bspline import SplineSpace1D
 from igakron.eigen import generalized_eig
 from igakron.fd import fd_setup
@@ -93,6 +97,14 @@ def test_wachspress_bound_on_tensor_grid():
         f *= np.abs((lam - w) / (lam + w))
     # the two directions share the bracket and the shifts
     assert f.max() * f.max() <= 1e-6
+
+
+@pytest.mark.parametrize("kprime", [1.0, 0.9, 0.5, 0.1, 1e-3])
+def test_agm_dn_matches_scipy(kprime):
+    # kprime = 1 is k = 0, where the Landen descent takes no step and
+    # dn(u, 0) = 1 (not cos u, which is cn(u, 0))
+    for u in (0.0, 0.5, 1.0, 2.0):
+        assert abs(_agm_dn(u, kprime) - scipy.special.ellipj(u, 1.0 - kprime**2)[2]) <= 1e-12
 
 
 # ------------------------------------------------------------------ 2D solve
@@ -199,6 +211,30 @@ def test_rho_monotone_for_ladder():
     assert (np.diff(rho) <= 1e-12).all()
     assert rho[-1] == plan.bound <= 1e-6
     assert plan.J <= plan.J0
+
+
+def test_one_shift_plan_when_one_shift_certifies():
+    # p = 1, 1/h = 4 (n = 3): the ladder of one shift contracts by 0.494
+    plan = ADIPreconditioner.setup_3d(pencils_for(1, 4, 3), eps=0.5).plan
+    assert plan.J == 1
+    assert plan.bound <= 0.5
+
+
+@settings(max_examples=40)
+@given(
+    spaces=st.lists(random_open_space(max_n=24), min_size=3, max_size=3),
+    eps=st.sampled_from([0.5, 0.1, 1e-2, 1e-4, 1e-6]),
+)
+def test_ladder_length_is_certified_and_one_shorter_is_not(spaces, eps):
+    eigs = [generalized_eig(*assemble_pencil_1d(s)).D for s in spaces]
+    lams, a, b = _triple_arrays(eigs, eps)
+    # a point spectrum takes its own repeated shift, not the ladder
+    assume(b > a * (1 + 1e-9))
+    plan = douglas_shifts_3d(eigs, eps)
+    assert plan.bound <= eps
+    assert plan.bound == rho_prefix_3d(_geometric_ladder(a, 4 * b, plan.J), lams)[-1]
+    if plan.J >= 2:
+        assert rho_prefix_3d(_geometric_ladder(a, 4 * b, plan.J - 1), lams)[-1] > eps
 
 
 def rho_full_grid(omegas, lams):
@@ -440,11 +476,11 @@ def whole_array_sweep_3d(pencils, r, plan):
     """
     (K1, M1), (K2, M2), (K3, M3) = pencils
     m1_twice = BandedSymMatrix(2.0 * M1.ab)
-    m2, m3 = M2.cholesky(), M3.cholesky()
+    m2, m3 = BandedCholesky(M2), BandedCholesky(M3)
     rt = m3.solve(m2.solve(r.reshape(K1.n, K2.n, K3.n), 1), 2, overwrite_b=True)
     rt *= 2.0
     for j, w in enumerate(plan.omegas):
-        row, col, dep = (K.combine(w, M).cholesky() for K, M in pencils)
+        row, col, dep = (BandedCholesky(K.combine(w, M)) for K, M in pencils)
         if j == 0:
             sstar = row.solve(rt)
             sstar *= w

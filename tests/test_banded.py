@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from igakron.assembly import assemble_pencil_1d
-from igakron.banded import BandedSymMatrix
+from igakron.banded import BandedCholesky, BandedSymMatrix
 from igakron.bspline import SplineSpace1D
 
 LAYOUTS = ("c_order", "f_order", "transposed", "sliced")
@@ -82,12 +82,12 @@ def test_solve_matches_lapack_banded_solve(case):
     X_before = X.copy()
     factor = (scipy.linalg.cholesky_banded(A.ab), False)
     ref = _along(lambda B: scipy.linalg.cho_solve_banded(factor, B), X, axis)
-    Y = A.cholesky().solve(X, axis)
+    Y = BandedCholesky(A).solve(X, axis)
     _check_result(Y, X, X_before)
     assert np.abs(Y - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
     # in place on a C-contiguous copy gives the same bits
     W = np.array(X, order="C")
-    Z = A.cholesky().solve(W, axis, overwrite_b=True)
+    Z = BandedCholesky(A).solve(W, axis, overwrite_b=True)
     assert np.shares_memory(Z, W)
     np.testing.assert_array_equal(Z, Y)
 
@@ -113,7 +113,7 @@ def test_solve_accurate_on_ill_conditioned_pencils(p, h_inv):
     for A in assemble_pencil_1d(SplineSpace1D.uniform(p, h_inv)):
         b = rng.standard_normal((A.n, 3))
         ref = scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(A.ab), False), b)
-        x = A.cholesky().solve(b)
+        x = BandedCholesky(A).solve(b)
         assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -124,4 +124,4 @@ def test_non_spd_band_raises(A, margin):
     ab = A.ab.copy()
     ab[A.p] -= lam_min + margin
     with pytest.raises(scipy.linalg.LinAlgError):
-        BandedSymMatrix(ab).cholesky()
+        BandedCholesky(BandedSymMatrix(ab))

@@ -143,7 +143,7 @@ MULTI = {"assemble_multipatch_stiffness", "assemble_multipatch_load", "pcg"}
 # 2 lists them); pinned, so a deletion cannot drop another traced name unseen
 STALE_LOOKUPS = sorted(
     ["bench:" + f for f in ("generalized_eig", "extreme_eigs", "wachspress_shifts", "douglas_shifts_3d", "adi_solve_2d", "adi_solve_3d")]
-    + ["kron:solve_along_axis", "adi:apply_along_axis", "adi:solve_along_axis"]
+    + ["kron:solve_along_axis", "adi:apply_along_axis", "adi:solve_along_axis", "adi:kron_matvec"]
 )
 
 

@@ -29,7 +29,7 @@ def check_invariants(K, M, pe, tol=1e-10):
     Md = M.toarray()
     res = np.linalg.norm(Kd @ pe.U - Md @ pe.U @ np.diag(pe.D)) / np.linalg.norm(Kd)
     assert res <= tol
-    np.testing.assert_allclose(pe.U.T @ Md @ pe.U, np.eye(pe.n), atol=tol)
+    np.testing.assert_allclose(pe.U.T @ Md @ pe.U, np.eye(pe.D.size), atol=tol)
     assert (pe.D > 0).all()
     assert (np.diff(pe.D) >= -1e-12 * pe.D.max()).all()
 
