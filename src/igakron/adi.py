@@ -367,7 +367,7 @@ def _a_priori_count_3d(a, b, eps):
     return max(1, J_point, math.ceil(1.16 * math.log(b / a) * math.log(1.0 / eps)))
 
 
-# a ladder longer than J0 is tried up to this multiple of it
+# the search for the ladder length tries no ladder longer than this multiple of J0
 _J_GROWTH = 2
 
 
@@ -377,13 +377,14 @@ def douglas_shifts_3d(eigs, eps):
     ``eigs`` holds the eigenvalues of each direction's pencil (or surrogate
     grids of a bracket [a, b]); a and b are their extremes.  The ladder spans
     [a, 4b] (the top padding protects the corner triple (b, b, b), which is
-    otherwise the slowest-damped point).  Its length J comes from one
-    bisection over (lo, hi], where the ladder of lo shifts fails eps (lo = 0:
-    no ladder) and that of hi shifts meets it, so J meets eps and J - 1 does
-    not.  The bracket is (0, J0], J0 the a-priori count, if the ladder of J0
-    shifts meets eps; if it falls short, as on a narrow spectrum at a tight
-    eps, where the top padding wastes shifts, it is (J0, _J_GROWTH * J0], and
-    an ArithmeticError is raised if that ladder falls short too.
+    otherwise the slowest-damped point).  Its length J comes from a galloping
+    search: ladders of 1, 2, 4, ... shifts are tried up to the cap
+    _J_GROWTH * J0 (J0 the a-priori count, which overshoots J severalfold at
+    a tight eps; the last probe is the cap itself, and a ladder longer than
+    J0 serves a narrow spectrum, where the top padding wastes shifts), then
+    one bisection over (lo, hi], where the ladder of lo shifts fails eps
+    (lo = 0: no ladder) and that of hi shifts meets it, so J meets eps and
+    J - 1 does not.  An ArithmeticError is raised if the cap falls short.
     The contraction is evaluated on the triples of the eigenvalues,
     log-subsampled to _TRIPLE_CAP per direction, that are distinct up to the
     symmetry of rho: unordered triples among directions whose subsampled
@@ -405,15 +406,14 @@ def douglas_shifts_3d(eigs, eps):
     def ladder(J):
         return _geometric_ladder(a, 4.0 * b, J)
 
-    lo, hi = 0, J0
-    rho = bound(ladder(hi))
-    if rho > eps:
-        lo, hi = J0, _J_GROWTH * J0
-        rho = bound(ladder(hi))
-        if rho > eps:
+    cap = _J_GROWTH * J0
+    lo, hi = 0, 1
+    while (rho := bound(ladder(hi))) > eps:
+        if hi == cap:
             raise ArithmeticError(
                 "a-priori shift count does not certify the tolerance, nor does a ladder of up to %d shifts" % hi
             )
+        lo, hi = hi, min(2 * hi, cap)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         rho_mid = bound(ladder(mid))

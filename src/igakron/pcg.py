@@ -1,14 +1,20 @@
 """Preconditioned conjugate gradient driver with pluggable operators.
 
 Operators are anything callable on a vector, or objects exposing ``apply`` or
-``dot``/``@``.  The recurred residual drives the stopping test; the true
-residual is recomputed once at exit.  The CG coefficients are recorded so the
-spectrum of the preconditioned operator can be estimated from the underlying
-Lanczos tridiagonal matrix.
+``dot``/``@``.  A float64 CSR matrix is applied in row chunks on the
+package's thread pool (``_pooled_csr_matvec``), bitwise as ``A @ x``.  The
+recurred residual drives the stopping test; the true residual is recomputed
+once at exit.  The CG coefficients are recorded so the spectrum of the
+preconditioned operator can be estimated from the underlying Lanczos
+tridiagonal matrix.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse import _sparsetools
+
+from . import banded
 
 __all__ = ["PCGResult", "IndefiniteOperatorError", "pcg", "lanczos_condition_estimate"]
 
@@ -21,12 +27,46 @@ def as_apply(op):
     """Normalize matrices / operator objects / callables to a callable."""
     if op is None:
         return lambda x: x
+    if scipy.sparse.issparse(op) and op.format == "csr" and op.ndim == 2 and op.dtype == np.float64:
+        return _pooled_csr_matvec(op)
     apply = getattr(op, "apply", None)
     if apply is not None and not isinstance(op, np.ndarray):
         return apply
     if callable(op) and not hasattr(op, "dot"):
         return op
     return lambda x: op @ x
+
+
+def _pooled_csr_matvec(A):
+    """``x -> A @ x`` for a float64 CSR matrix A, its rows dealt to the pool in chunks.
+
+    There are k = max(1, nnz // banded._CHUNK) chunks, chunk c the rows
+    [M c // k, M (c + 1) // k), so the bounds depend on A alone.  Each chunk
+    runs scipy's ``csr_matvec``, the kernel ``A @ x`` runs, on its slice of
+    indptr and writes its rows of one zeroed y: every row sums in the same
+    order, so the result is bitwise ``A @ x`` on any number of workers.  No
+    row block of A is made: scipy would copy any block smaller than half its
+    base array.  Other operands than a float64 vector take ``A @ x``.
+    """
+    M, N = A.shape
+    k = max(1, A.nnz // banded._CHUNK)
+    rows = [M * c // k for c in range(k + 1)]
+
+    def matvec(x):
+        x = np.asarray(x)
+        if x.dtype != np.float64 or x.shape != (N,):
+            return A @ x
+        y = np.zeros(M)
+
+        def work(task, chunks):
+            for c in chunks:
+                lo, hi = rows[c], rows[c + 1]
+                _sparsetools.csr_matvec(hi - lo, N, A.indptr[lo : hi + 1], A.indices, A.data, x, y[lo:hi])
+
+        banded._each_chunk(work, k)
+        return y
+
+    return matvec
 
 
 class PCGResult:

@@ -17,6 +17,8 @@ Each line starts with its section:
              message where the plan is refused
     apply    sha1 of one apply of each case-matrix row's preconditioner on a
              seeded vector
+    product  sha1 of one product with A, through pcg.as_apply as CG makes
+             it, on a seeded vector, for each case-matrix row with an A
     row      outer_iters, inner_iters, residual.hex() and converged of each
              case-matrix row, run through run_experiment with seed 1
     lines    line count of each module of the package, and the total
@@ -47,6 +49,7 @@ from igakron.adi import ADIPreconditioner, douglas_shifts_3d, greedy_shifts_3d, 
 from igakron.assembly import assemble_pencil_1d
 from igakron.bspline import SplineSpace1D
 from igakron.eigen import extreme_eigs, generalized_eig
+from igakron.pcg import as_apply
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -141,6 +144,9 @@ def case_lines(h_inv):
         prec = bench.SOLVERS[cfg.solver][1](cfg, pb)
         x = prec.apply(np.random.default_rng(7).standard_normal(pb.b.size))
         lines.append("apply %s %s" % (label, sha1(x)))
+        if pb.A is not None:
+            y = as_apply(pb.A)(np.random.default_rng(11).standard_normal(pb.b.size))
+            lines.append("product %s %s" % (label, sha1(y)))
         # free the row's system before run_experiment builds it again
         del pb, prec
         r = bench.run_experiment(bench.ExperimentConfig(**kw)).rows[0]

@@ -204,6 +204,37 @@ def test_manufactured_solution_exact_for_p2():
     assert l2_error(sp, geo, u, manufactured_u) < 1e-12
 
 
+# a fixed non-uniform mesh of [0, 1]: spans from 0.05 to 0.25
+NONUNIFORM_BREAKS = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.7, 0.9, 1.0])
+
+
+def sine_u(x):
+    return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+
+def sine_f(x):
+    return 2.0 * np.pi**2 * sine_u(x)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_manufactured_solution_rate_on_nonuniform_mesh(p):
+    # unit square, identity map; each level halves every span of the last,
+    # from 14 spans (at 7, p = 3 is still pre-asymptotic: rate 4.33) to 112
+    geo = identity_map(2)
+    breaks, errs = NONUNIFORM_BREAKS, []
+    for _ in range(4):
+        breaks = np.sort(np.r_[breaks, (breaks[:-1] + breaks[1:]) / 2])
+        space = SplineSpace1D(KnotVector(np.r_[[0.0] * p, breaks, [1.0] * p], p))
+        spaces = [space, space]
+        A = assemble_stiffness(spaces, geo)
+        b = assemble_load(spaces, geo, sine_f)
+        res = pcg(A, fd_setup(KroneckerSum([assemble_pencil_1d(space)] * 2)), b, tol=1e-12)
+        assert res.converged
+        errs.append(l2_error(spaces, geo, res.x, sine_u))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(rates - (p + 1)) <= 0.3), rates
+
+
 def test_condition_bound_identity_and_annulus(monkeypatch):
     z = gauss_points(spaces_2d(2, 8))
     cb = condition_bound(identity_map(2), z)

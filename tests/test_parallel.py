@@ -8,6 +8,7 @@ the program must override.
 """
 
 import concurrent.futures
+import functools
 import os
 import subprocess
 import sys
@@ -20,11 +21,13 @@ from hypothesis import strategies as st
 
 from igakron import banded
 from igakron.adi import ADIPreconditioner
-from igakron.assembly import assemble_pencil_1d
+from igakron.assembly import assemble_pencil_1d, assemble_stiffness
 from igakron.bench import ExperimentConfig, run_experiment
 from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
+from igakron.geometry import builtin
 from igakron.kron import KroneckerSum
+from igakron.pcg import as_apply, pcg
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -99,6 +102,75 @@ def test_fd_pcg_same_count_and_bits_on_any_pool(small_chunks, on_workers):
         return np.array([r.outer_iters, r.residual])
 
     same_bits_on_any_pool(on_workers, row)
+
+
+@functools.cache
+def stiffness(domain, p, q):
+    geo = builtin(domain)
+    return assemble_stiffness([SplineSpace1D.uniform(p, q)] * geo.dim, geo)
+
+
+def csr_case(case):
+    """A of a case of the pooled product; each spans many chunks under small_chunks."""
+    if case == "3d":
+        return stiffness("thick_quarter_ring", 2, 8)
+    A = stiffness("quarter_annulus", 3, 32)
+    if case == "int64":
+        A = A.copy()
+        A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    elif case == "uneven":
+        # a rectangular block of rows that the chunk count does not divide
+        A = A[:-5]
+        assert A.shape[0] % (A.nnz // banded._CHUNK) != 0
+    return A
+
+
+@pytest.mark.parametrize("case", ["2d", "3d", "int64", "uneven"])
+def test_csr_product_is_bitwise_A_at_x_on_any_pool(case, small_chunks, on_workers):
+    A = csr_case(case)
+    x = np.random.default_rng(8).standard_normal(A.shape[1])
+    got, jobs = on_workers(2, as_apply(A), x)
+    assert jobs == [A.nnz // banded._CHUNK]
+    assert np.array_equal(got, A @ x)
+    same_bits_on_any_pool(on_workers, as_apply(A), x)
+
+
+def test_csr_product_under_fast_thread_switching(small_chunks, on_workers):
+    # more workers than cores, switching threads every microsecond: every
+    # chunk still writes its own rows once
+    A = csr_case("2d")
+    x = np.random.default_rng(8).standard_normal(A.shape[1])
+    want, apply = A @ x, as_apply(A)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, _ = on_workers(2 * len(os.sched_getaffinity(0)) + 1, lambda: [apply(x) for _ in range(20)])
+    finally:
+        sys.setswitchinterval(old)
+    assert all(np.array_equal(y, want) for y in got)
+
+
+def test_cg_with_pooled_product_same_count_and_bits_on_any_pool(small_chunks, on_workers):
+    A = csr_case("2d")
+    b = np.random.default_rng(9).standard_normal(A.shape[0])
+
+    def run(op):
+        res = pcg(op, None, b, tol=1e-8, maxit=500)
+        return np.array([res.iterations, res.residual_history[-1], res.true_residual])
+
+    same_bits_on_any_pool(on_workers, run, A)
+    # and the same as CG on scipy's own product
+    assert np.array_equal(run(A), run(lambda x: A @ x))
+
+
+@pytest.mark.parametrize("kind", ["csc", "float32", "dense"])
+def test_as_apply_of_other_operators_is_op_at_x_off_the_pool(kind, on_workers):
+    A = stiffness("quarter_annulus", 3, 8)
+    op = {"csc": A.tocsc(), "float32": A.astype(np.float32), "dense": A.toarray()}[kind]
+    x = np.random.default_rng(10).standard_normal(A.shape[1])
+    got, jobs = on_workers(2, as_apply(op), x)
+    want = op @ x
+    assert jobs == [] and got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @given(a=st.integers(1, 40), n=st.integers(1, 40), b=st.integers(1, 40), chunk=st.sampled_from([1, 7, 64, 2**17]))
@@ -181,11 +253,13 @@ if sys.argv[1:] == ["one-cpu"]:
     # the child's own affinity: the pool then has one worker
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
-from igakron.assembly import assemble_pencil_1d
+from igakron.assembly import assemble_pencil_1d, assemble_stiffness
 from igakron.bench import ExperimentConfig, run_experiment
 from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
+from igakron.geometry import builtin
 from igakron.kron import KroneckerSum
+from igakron.pcg import as_apply, pcg
 
 for q, d in [(512, 2), (64, 3)]:
     ksum = KroneckerSum([assemble_pencil_1d(SplineSpace1D.uniform(3, q)) for _ in range(d)])
