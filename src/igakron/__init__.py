@@ -7,11 +7,11 @@ incomplete-Cholesky baseline, conforming multi-patch support with overlapping
 Schwarz preconditioning, and a benchmark command line driver.
 """
 
-from .bspline import KnotVector, SplineSpace1D, uniform_knots, basis_tables
+from .bspline import SplineSpace1D, basis_tables
 from .banded import BandedSymMatrix, BandedCholesky
 from .kron import KroneckerSum, kron_matvec
 from .geometry import (
-    BuiltinDomain,
+    DOMAINS,
     GeometryMap,
     builtin,
     identity_map,

@@ -37,9 +37,9 @@ pool by ``banded._each_chunk``, one task per CPU the process may use; a
 stage of one chunk runs inline.  Each chunk's arithmetic does not depend on
 the thread that runs it, so results are bitwise reproducible; an array
 that fits in one chunk is swept in whole-array operations.  The workers call
-only ``banded.along`` and ``BandedCholesky._sweep`` on block lists that the
-apply takes before its stages, so every function that ``perfbench/tracing.py``
-wraps is called from the calling thread.
+only ``banded.along``, on the factors' block lists and on the band block
+lists that the apply takes before its stages, so every function that
+``perfbench/tracing.py`` wraps is called from the calling thread.
 
 ``ADIPreconditioner(pencils, plan)`` is the one place that builds the
 banded set-up of a plan; ``adi_solve_2d``/``adi_solve_3d`` take it as an
@@ -523,7 +523,7 @@ def adi_solve_3d(pencils, r, plan, factors):
                 np.copyto(g, rt2[:, lo:hi])
                 np.subtract(g, y, out=y)
                 y -= t
-            plus[0][j]._sweep(y, 0)
+            along(plus[0][j]._blocks, y, 0, y)
             y *= w
             if j:
                 np.copyto(g, u2[:, lo:hi])
@@ -536,17 +536,17 @@ def adi_solve_3d(pencils, r, plan, factors):
         for c in chunks:
             ss, uu, vv, sn = sstar[slabs[c]], u[slabs[c]], v[slabs[c]], s[slabs[c]]
             along(m2_blocks, ss, 1, uu)
-            plus[1][j]._sweep(uu, 1)
+            along(plus[1][j]._blocks, uu, 1, uu)
             uu *= w
             if j:
                 uu += vv
             along(m3_blocks, uu, 2, sn)
-            plus[2][j]._sweep(sn, 2)
+            along(plus[2][j]._blocks, sn, 2, sn)
             np.multiply(w, sn, out=ss)
             np.subtract(uu, ss, out=vv)
             if j + 1 < plan.J:
                 along(k2_blocks, sn, 1, uu)
-                mass[1]._sweep(uu, 1)
+                along(mass[1]._blocks, uu, 1, uu)
 
     for j, w in enumerate(plan.omegas):
         banded._each_chunk(functools.partial(stage_a, j, w), len(cols))

@@ -87,7 +87,7 @@ def gauss_points_on_intervals(breaks, q):
 
 def gauss_rule(space, points_per_span):
     """Per-span Gauss rule for a spline space (exact for degree 2q-1 >= 2p+1)."""
-    pts, wts = gauss_points_on_intervals(space.kv.breakpoints(), points_per_span)
+    pts, wts = gauss_points_on_intervals(space.breakpoints(), points_per_span)
     return QuadratureRule1D(points=pts, weights=wts)
 
 
@@ -97,11 +97,10 @@ def _direction_tables(space, rule):
     Returns (first, vals, ders): first active basis index per element (E,),
     and value/derivative tables of shape (E, q, p+1).
     """
-    kv = space.kv
     E, q = rule.points.shape
-    spans, vals, ders = basis_tables(kv, rule.points.ravel())
-    first = (spans.reshape(E, q)[:, 0] - kv.p).astype(np.int64)
-    return first, vals.reshape(E, q, kv.p + 1), ders.reshape(E, q, kv.p + 1)
+    spans, vals, ders = basis_tables(space, rule.points.ravel())
+    first = (spans.reshape(E, q)[:, 0] - space.p).astype(np.int64)
+    return first, vals.reshape(E, q, space.p + 1), ders.reshape(E, q, space.p + 1)
 
 
 def _interior_band(ab, m):
@@ -560,11 +559,10 @@ def condition_bound(geo, zeta, screen=None):
 
 def _value_matrix(space, points):
     """Dense (npts, m) matrix of all basis values at the given points."""
-    kv = space.kv
-    spans, vals, _ = basis_tables(kv, points)
-    V = np.zeros((len(points), kv.m))
-    for r in range(kv.p + 1):
-        V[np.arange(len(points)), spans - kv.p + r] = vals[:, r]
+    spans, vals, _ = basis_tables(space, points)
+    V = np.zeros((len(points), space.m))
+    for r in range(space.p + 1):
+        V[np.arange(len(points)), spans - space.p + r] = vals[:, r]
     return V
 
 

@@ -31,12 +31,12 @@ sums in an order that depends on its thread count, and its threads contend
 with the program's own.  The parallel work runs on one module-level thread
 pool, one worker per CPU the process may use, made on first use:
 ``_each_chunk`` deals the chunks of a job to it.  ``pooled_along`` deals one
-``along`` call there in chunks over the axes the call does not contract
-(``_grid``); the 3D ADI sweep deals its own stages.  Chunk bounds
-depend on array shapes only, never on the number of workers, and each chunk's
-arithmetic is the same on any thread, so results are bitwise the same on any
-number of cores.  The workers call only ``along`` and
-``BandedCholesky._sweep``, so no worker deals chunks of its own.
+``along`` call there (banded products and solves) in chunks over the axes
+the call does not contract (``_grid``); the 3D ADI sweep deals its own
+stages.  Chunk bounds depend on array shapes only, never on the number of
+workers, and each chunk's arithmetic is the same on any thread, so results
+are bitwise the same on any number of cores.  The workers call only
+``along``, so no worker deals chunks of its own.
 """
 
 import concurrent.futures
@@ -164,8 +164,9 @@ def pooled_along(blocks, X, axis, out):
 
     The chunks split the axes the call does not contract, and each writes
     its own part of out, so the result is the same on any number of
-    workers.  X and out are C-contiguous and distinct.  Called on the
-    calling thread, never by a worker.
+    workers.  X and out are C-contiguous; out may be X, and then each
+    chunk works in place on its own part.  Called on the calling thread,
+    never by a worker.
     """
     a, n = math.prod(X.shape[:axis]), X.shape[axis]
     X3, Y3 = X.reshape(a, n, -1), out.reshape(a, n, -1)
@@ -264,7 +265,8 @@ class BandedCholesky:
 
     ``scipy.linalg.cholesky_banded`` computes U.  The forward sweep solves
     U^T y = b and the backward sweep U x = y, ``_BLOCK`` rows per block; see
-    the module docstring.
+    the module docstring.  ``_blocks`` is one block list: the forward
+    blocks, then the backward blocks from the last row up.
     """
 
     def __init__(self, A):
@@ -279,24 +281,19 @@ class BandedCholesky:
         # rows are unit rows, so every diagonal block T is invertible
         L = _row_blocks(_lower_rows(cb), np.eye(p + 1)[p])
         Tinv = np.linalg.inv(L[:, :, p:])
-        self._fwd = _cut(np.concatenate([-Tinv @ L[:, :, :p], Tinv], axis=2), n, p)
+        fwd = _cut(np.concatenate([-Tinv @ L[:, :, :p], Tinv], axis=2), n, p)
         U = _row_blocks(_upper_rows(cb), np.eye(p + 1)[0])
         Tinv = np.linalg.inv(U[:, :, :_BLOCK])
-        self._bwd = _cut(np.concatenate([Tinv, -Tinv @ U[:, :, _BLOCK:]], axis=2), n, 0)[::-1]
-        self.n, self.p = n, p
+        self._blocks = fwd + _cut(np.concatenate([Tinv, -Tinv @ U[:, :, _BLOCK:]], axis=2), n, 0)[::-1]
+        self.n = n
 
     def solve(self, b, axis=0, overwrite_b=False):
         """Solve A x = b along ``axis`` of b; a C-contiguous array.
 
-        Both sweeps run in place on one C-contiguous copy of b, or on b
-        itself when ``overwrite_b`` is set and b is a C-contiguous float array.
+        Both sweeps run in place, on the pool, on one C-contiguous copy of b,
+        or on b itself when ``overwrite_b`` is set and b is C-contiguous float.
         """
         W = np.ascontiguousarray(b, dtype=float) if overwrite_b else np.array(b, dtype=float, order="C")
         if W.shape[axis] != self.n:
             raise ValueError("right-hand side of shape %r does not match order %d" % (W.shape, self.n))
-        return self._sweep(W, axis)
-
-    def _sweep(self, W, axis):
-        """Both sweeps in place on W, a C-contiguous float array, along ``axis``; no checks."""
-        along(self._fwd, W, axis, W)
-        return along(self._bwd, W, axis, W)
+        return pooled_along(self._blocks, W, axis, W)

@@ -44,7 +44,7 @@ from .assembly import (
 )
 from .bspline import SplineSpace1D
 from .fd import fd_setup
-from .geometry import BuiltinDomain, builtin
+from .geometry import DOMAINS, builtin
 from .ic import ic0_setup
 from .kron import KroneckerSum
 from .multipatch import (
@@ -108,7 +108,7 @@ class ExperimentConfig:
     memory_cap: int = field(default_factory=_default_memory_cap)
 
     def validate(self):
-        if self.domain not in [d.value for d in BuiltinDomain] + ["l_shape"]:
+        if self.domain not in DOMAINS + ("l_shape",):
             raise ConfigError("unknown domain %r" % self.domain)
         if self.solver not in SOLVERS:
             raise ConfigError("unknown solver %r" % self.solver)
@@ -246,7 +246,7 @@ def _problem(cfg, h_inv, rng, screen=None):
     the BoundScreen ``screen``, if one is given.
     """
     direct = cfg.mode == "direct"
-    geo = None if cfg.domain == "l_shape" else builtin(BuiltinDomain(cfg.domain))
+    geo = None if cfg.domain == "l_shape" else builtin(cfg.domain)
     need = _estimate_bytes(cfg, h_inv + cfg.p - 2, 2 if geo is None else geo.dim, assembled=not direct)
     if need > cfg.memory_cap:
         raise MemoryLimitError("experiment needs about %d bytes (cap %d)" % (need, cfg.memory_cap))

@@ -7,30 +7,26 @@ scheme (de Boor, A Practical Guide to Splines, 1978) is one vector operation
 over all points.  First derivatives follow from the degree p-1 values of the
 same triangle by the knot-difference formula, with a zero term where
 repeated knots make the denominator vanish.  The evaluator is pure and the
-knot-vector objects are immutable after construction, so they can be shared
+spline spaces are immutable after construction, so they can be shared
 freely between threads.
 """
 
 import numpy as np
 
-__all__ = [
-    "KnotVector",
-    "SplineSpace1D",
-    "uniform_knots",
-    "basis_tables",
-]
+__all__ = ["SplineSpace1D", "basis_tables"]
 
 
-class KnotVector:
-    """An open knot vector on [0, 1] together with a spline degree.
+class SplineSpace1D:
+    """Univariate spline space of degree p on an open knot vector over [0, 1].
 
     The first and last knots must each be repeated exactly p+1 times
     (open/clamped vector); interior knots may be repeated up to p times.
+    Dropping the first and the last of the m basis functions (the only two
+    that are nonzero at 0 and 1) leaves n = m - 2 interior dofs.
 
     Attributes:
         p (int): spline degree, >= 1
         knots (ndarray): the nondecreasing knot sequence, length m + p + 1
-        m (int): dimension of the full spline space over this vector
     """
 
     def __init__(self, knots, p):
@@ -60,10 +56,23 @@ class KnotVector:
         self.knots = knots
         self.knots.flags.writeable = False
 
+    @classmethod
+    def uniform(cls, p, num_spans):
+        """The space on mesh size h = 1/num_spans with single interior knots."""
+        if num_spans < 2:
+            raise ValueError("need at least 2 spans for an interior basis function")
+        interior = np.arange(1, num_spans) / num_spans
+        return cls(np.concatenate((np.zeros(p + 1), interior, np.ones(p + 1))), p)
+
     @property
     def m(self):
         """Dimension of the full (no boundary conditions) spline space."""
         return self.knots.size - self.p - 1
+
+    @property
+    def n(self):
+        """Number of interior dofs."""
+        return self.m - 2
 
     def breakpoints(self):
         """Unique knots (the mesh underlying the spline space)."""
@@ -71,68 +80,24 @@ class KnotVector:
 
     def __eq__(self, other):
         return (
-            isinstance(other, KnotVector)
+            isinstance(other, SplineSpace1D)
             and self.p == other.p
             and self.knots.size == other.knots.size
             and np.allclose(self.knots, other.knots, atol=1e-12, rtol=0.0)
         )
 
     def __repr__(self):
-        return "KnotVector(p=%d, m=%d, %d spans)" % (self.p, self.m, len(self.breakpoints()) - 1)
-
-
-def uniform_knots(p, num_spans):
-    """Open knot vector for mesh size h = 1/num_spans with single interior knots."""
-    if num_spans < 2:
-        raise ValueError("need at least 2 spans for an interior basis function")
-    interior = np.arange(1, num_spans) / num_spans
-    knots = np.concatenate((np.zeros(p + 1), interior, np.ones(p + 1)))
-    return KnotVector(knots, p)
-
-
-class SplineSpace1D:
-    """Univariate spline space with homogeneous Dirichlet ends removed.
-
-    The full basis over the knot vector has m functions; dropping the first
-    and the last one (the only two that are nonzero at 0 and 1) leaves the
-    n = m - 2 interior degrees of freedom.
-    """
-
-    def __init__(self, knot_vector):
-        self.kv = knot_vector
-
-    @classmethod
-    def uniform(cls, p, num_spans):
-        return cls(uniform_knots(p, num_spans))
-
-    @property
-    def p(self):
-        return self.kv.p
-
-    @property
-    def m(self):
-        return self.kv.m
-
-    @property
-    def n(self):
-        """Number of interior dofs."""
-        return self.kv.m - 2
-
-    def __eq__(self, other):
-        return isinstance(other, SplineSpace1D) and self.kv == other.kv
-
-    def __repr__(self):
         return "SplineSpace1D(p=%d, n=%d)" % (self.p, self.n)
 
 
-def basis_tables(kv, points):
+def basis_tables(space, points):
     """Nonzero basis values and first derivatives at many points at once.
 
     Point z is placed in the knot span i with knots[i] <= z < knots[i+1];
     z = 1 goes to the last nonempty span, so its values are left limits.
 
     Args:
-        kv: knot vector
+        space: spline space
         points: array of evaluation points in [0, 1] (flattened)
 
     Returns:
@@ -146,8 +111,8 @@ def basis_tables(kv, points):
     outside = ~((z >= 0.0) & (z <= 1.0))
     if outside.any():
         raise ValueError("evaluation point %r outside [0, 1]" % (float(z[outside][0]),))
-    knots, p = kv.knots, kv.p
-    spans = np.minimum(np.searchsorted(knots, z, side="right") - 1, kv.m - 1)
+    knots, p = space.knots, space.p
+    spans = np.minimum(np.searchsorted(knots, z, side="right") - 1, space.m - 1)
     # triangular scheme: after step j, N[r] holds B_{span-j+r, j} at every
     # point; the denominators are nonzero on nonempty spans
     N, left, right = [np.ones(z.size)], [None], [None]

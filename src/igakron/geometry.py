@@ -10,13 +10,11 @@ eval_Q_masked and abs_det_masked) reads each component as one contiguous row
 of length N without a copy.
 """
 
-import enum
-
 import numpy as np
 
 __all__ = [
     "GeometryMap",
-    "BuiltinDomain",
+    "DOMAINS",
     "builtin",
     "identity_map",
     "affine_map",
@@ -191,31 +189,24 @@ def _revolved_quarter_ring():
     return GeometryMap(3, evaluate, jacobian, name="revolved_quarter_ring")
 
 
-class BuiltinDomain(str, enum.Enum):
-    UNIT_SQUARE = "unit_square"
-    UNIT_CUBE = "unit_cube"
-    QUARTER_ANNULUS = "quarter_annulus"
-    STRETCHED_SQUARE = "stretched_square"
-    COLLAPSED_TRIANGLE = "collapsed_triangle"
-    THICK_QUARTER_RING = "thick_quarter_ring"
-    REVOLVED_QUARTER_RING = "revolved_quarter_ring"
-
-
 _BUILDERS = {
-    BuiltinDomain.UNIT_SQUARE: lambda: identity_map(2),
-    BuiltinDomain.UNIT_CUBE: lambda: identity_map(3),
-    BuiltinDomain.QUARTER_ANNULUS: _quarter_annulus,
-    BuiltinDomain.STRETCHED_SQUARE: _stretched_square,
-    BuiltinDomain.COLLAPSED_TRIANGLE: _collapsed_triangle,
-    BuiltinDomain.THICK_QUARTER_RING: _thick_quarter_ring,
-    BuiltinDomain.REVOLVED_QUARTER_RING: _revolved_quarter_ring,
+    "unit_square": lambda: identity_map(2),
+    "unit_cube": lambda: identity_map(3),
+    "quarter_annulus": _quarter_annulus,
+    "stretched_square": _stretched_square,
+    "collapsed_triangle": _collapsed_triangle,
+    "thick_quarter_ring": _thick_quarter_ring,
+    "revolved_quarter_ring": _revolved_quarter_ring,
 }
 
+DOMAINS = tuple(_BUILDERS)
 
-def builtin(domain):
-    """Geometry map for one of the benchmark domains."""
-    domain = BuiltinDomain(domain)
-    return _BUILDERS[domain]()
+
+def builtin(name):
+    """Geometry map for one of the benchmark domains, named as in DOMAINS."""
+    if name not in _BUILDERS:
+        raise ValueError("unknown domain %r; the domains are %s" % (name, ", ".join(DOMAINS)))
+    return _BUILDERS[name]()
 
 
 def _jacobian(geo, zeta):

@@ -16,7 +16,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .assembly import assemble_load, assemble_pencil_1d, assemble_stiffness
-from .bspline import KnotVector, SplineSpace1D
+from .bspline import SplineSpace1D
 from .fd import fd_setup
 from .geometry import affine_map
 from .kron import KroneckerSum
@@ -30,7 +30,7 @@ __all__ = [
     "assemble_multipatch_load",
     "SchwarzPreconditioner",
     "schwarz_setup",
-    "merge_knot_vectors",
+    "merge_spaces",
     "l_shape_domain",
 ]
 
@@ -92,7 +92,7 @@ def _check_conforming(pa, pb, side_a, side_b):
     dim = len(pa.spaces)
     t_axes = [ax for ax in range(dim) if ax != ax_a]
     for ax in t_axes:
-        if pa.spaces[ax].p != pb.spaces[ax].p or not (pa.spaces[ax].kv == pb.spaces[ax].kv):
+        if pa.spaces[ax] != pb.spaces[ax]:
             raise ConformityError("tangential knot vectors differ across the interface")
     if pa.spaces[ax_a].p != pb.spaces[ax_b].p:
         raise ConformityError("spline degrees differ across the interface")
@@ -192,15 +192,13 @@ def assemble_multipatch_load(domain, f):
     return b
 
 
-def merge_knot_vectors(kv_left, kv_right):
-    """C0 merge of two open knot vectors onto [0, 1] (interface at 1/2)."""
-    if kv_left.p != kv_right.p:
+def merge_spaces(left, right):
+    """C0 merge of two spline spaces onto [0, 1] (interface at 1/2)."""
+    if left.p != right.p:
         raise ConformityError("cannot merge knot vectors of different degree")
-    p = kv_left.p
-    left = 0.5 * kv_left.knots[: -(p + 1)]
-    mid = np.full(p, 0.5)
-    right = 0.5 + 0.5 * kv_right.knots[p + 1 :]
-    return KnotVector(np.concatenate((left, mid, right)), p)
+    p = left.p
+    knots = (0.5 * left.knots[: -(p + 1)], np.full(p, 0.5), 0.5 + 0.5 * right.knots[p + 1 :])
+    return SplineSpace1D(np.concatenate(knots), p)
 
 
 def _merged_subdomain(domain, iface):
@@ -224,8 +222,8 @@ def _merged_subdomain(domain, iface):
     else:
         kl, kr = kb, ka
     left, right = domain.patches[kl], domain.patches[kr]
-    merged_kv = merge_knot_vectors(left.spaces[axis].kv, right.spaces[axis].kv)
-    spaces = [SplineSpace1D(merged_kv) if ax == axis else s for ax, s in enumerate(left.spaces)]
+    merged = merge_spaces(left.spaces[axis], right.spaces[axis])
+    spaces = [merged if ax == axis else s for ax, s in enumerate(left.spaces)]
 
     inner = [slice(1, -1)] * len(left.dims)
     left_inner = tuple(inner[:axis] + [slice(1, None)] + inner[axis + 1 :])

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from igakron.bspline import KnotVector, SplineSpace1D
+from igakron.bspline import SplineSpace1D
 
 
 @st.composite
@@ -19,4 +19,4 @@ def random_open_space(draw, max_n=64, p=None):
     breaks = sorted(draw(st.lists(st.integers(1, 63), min_size=k, max_size=k, unique=True)))
     mult = draw(st.lists(st.integers(1, p), min_size=k, max_size=k))
     interior = np.repeat(np.array(breaks) / 64.0, mult)
-    return SplineSpace1D(KnotVector(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p))
+    return SplineSpace1D(np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]), p)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from igakron.bspline import KnotVector, SplineSpace1D, basis_tables, uniform_knots
+from igakron.bspline import SplineSpace1D, basis_tables
 
 
 def hat_kv():
-    return KnotVector([0.0, 0.0, 0.5, 1.0, 1.0], 1)
+    return SplineSpace1D([0.0, 0.0, 0.5, 1.0, 1.0], 1)
 
 
 def full_tables(kv, points):
@@ -25,13 +25,13 @@ def full_tables(kv, points):
 
 def test_knot_vector_validation():
     with pytest.raises(ValueError):
-        KnotVector([0.0, 0.0, 1.0, 1.0], 1)  # m = p+1: no interior dof
+        SplineSpace1D([0.0, 0.0, 1.0, 1.0], 1)  # m = p+1: no interior dof
     with pytest.raises(ValueError):
-        KnotVector([0.0, 0.5, 1.0, 1.0, 1.0], 1)  # not open on the left
+        SplineSpace1D([0.0, 0.5, 1.0, 1.0, 1.0], 1)  # not open on the left
     with pytest.raises(ValueError):
-        KnotVector([0.0, 0.0, 0.25, 0.25, 0.75, 1.0, 1.0], 1)  # mult 2 > p
+        SplineSpace1D([0.0, 0.0, 0.25, 0.25, 0.75, 1.0, 1.0], 1)  # mult 2 > p
     # multiplicity p is allowed (C^0 interior knot)
-    KnotVector([0.0, 0.0, 0.0, 0.5, 0.5, 0.75, 1.0, 1.0, 1.0], 2)
+    SplineSpace1D([0.0, 0.0, 0.0, 0.5, 0.5, 0.75, 1.0, 1.0, 1.0], 2)
 
 
 def test_find_span_hat():
@@ -59,7 +59,7 @@ def test_partition_of_unity_and_nonnegativity():
     rng = np.random.default_rng(1)
     z = np.concatenate(([0.0, 1.0], rng.random(50)))
     for p in range(1, 7):
-        _, vals, ders = basis_tables(uniform_knots(p, 8), z)
+        _, vals, ders = basis_tables(SplineSpace1D.uniform(p, 8), z)
         assert vals.min() >= -1e-14
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(ders.sum(axis=1), 0.0, rtol=0.0, atol=1e-10)
@@ -67,7 +67,7 @@ def test_partition_of_unity_and_nonnegativity():
 
 def test_local_support():
     p = 3
-    kv = uniform_knots(p, 6)
+    kv = SplineSpace1D.uniform(p, 6)
     # function i is nonzero only on [knots[i], knots[i+p+1]]
     z = np.linspace(0.001, 0.999, 97)
     spans, _, _ = basis_tables(kv, z)
@@ -77,7 +77,7 @@ def test_local_support():
 
 
 def test_c1_continuity_at_interior_knot():
-    kv = uniform_knots(2, 4)
+    kv = SplineSpace1D.uniform(2, 4)
     z0, h = 0.5, 1e-9
     (Vl, Vr), (Dl, Dr) = full_tables(kv, [z0 - h, z0 + h])
     np.testing.assert_allclose(Vl, Vr, atol=1e-7)
@@ -88,7 +88,7 @@ def test_derivatives_match_finite_differences():
     rng = np.random.default_rng(7)
     step = 1e-6
     for p in (1, 2, 4):
-        kv = uniform_knots(p, 9)
+        kv = SplineSpace1D.uniform(p, 9)
         z = rng.uniform(0.01, 0.99, 100)
         _, D = full_tables(kv, z)
         fd = (full_tables(kv, z + step)[0] - full_tables(kv, z - step)[0]) / (2 * step)
@@ -107,7 +107,7 @@ def open_knots_and_points(draw):
     knots = np.concatenate((np.zeros(p + 1), np.repeat(breaks, mults), np.ones(p + 1)))
     rand = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
     points = np.concatenate(([0.0, 1.0], breaks, rand))
-    return KnotVector(knots, p), points
+    return SplineSpace1D(knots, p), points
 
 
 @settings(max_examples=80)

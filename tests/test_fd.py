@@ -11,7 +11,7 @@ from _strategies import random_open_space
 from igakron import adi, fd
 from igakron.adi import ADIPreconditioner
 from igakron.assembly import assemble_pencil_1d, assemble_stiffness
-from igakron.bspline import KnotVector, SplineSpace1D
+from igakron.bspline import SplineSpace1D
 from igakron.eigen import generalized_eig
 from igakron.fd import fd_setup
 from igakron.geometry import identity_map
@@ -114,8 +114,8 @@ def test_fd_matches_dense_solve_on_random_knots(data):
     a, c = data.draw(random_open_space(max_n), label="a"), data.draw(random_open_space(max_n), label="c")
     pool = {
         "a": a,
-        "a2": SplineSpace1D(KnotVector(a.kv.knots.copy(), a.p)),
-        "b": SplineSpace1D(KnotVector(a.kv.knots**2, a.p)),
+        "a2": SplineSpace1D(a.knots.copy(), a.p),
+        "b": SplineSpace1D(a.knots**2, a.p),
         "c": c,
     }
     spaces = [pool[k] for k in data.draw(st.sampled_from(LAYOUTS[d]), label="layout")]

@@ -12,7 +12,7 @@ from igakron.multipatch import (
     assemble_multipatch_stiffness,
     build_multipatch,
     l_shape_domain,
-    merge_knot_vectors,
+    merge_spaces,
     schwarz_setup,
 )
 from igakron.pcg import pcg
@@ -43,7 +43,7 @@ def test_two_squares_dof_count_small():
 @pytest.mark.parametrize("p,q", [(1, 4), (2, 4), (3, 5)])
 def test_two_squares_dof_count_oracle(p, q):
     dom = two_squares(p, q)
-    g = greville(SplineSpace1D.uniform(p, q).kv)
+    g = greville(SplineSpace1D.uniform(p, q))
     anchors = set()
     boundary = set()
     for k, off in enumerate([(0.0, 0.0), (1.0, 0.0)]):
@@ -59,7 +59,7 @@ def test_two_squares_dof_count_oracle(p, q):
 @pytest.mark.parametrize("p,q", [(1, 4), (2, 6)])
 def test_l_shape_dof_count_oracle(p, q):
     dom = l_shape_domain(p, q)
-    g = greville(SplineSpace1D.uniform(p, q).kv)
+    g = greville(SplineSpace1D.uniform(p, q))
     offsets = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     anchors = set()
     boundary = set()
@@ -98,8 +98,8 @@ def test_nonconforming_interface_rejected():
 
 def test_merged_knot_vector():
     p, q = 2, 3
-    kv = SplineSpace1D.uniform(p, q).kv
-    merged = merge_knot_vectors(kv, kv)
+    kv = SplineSpace1D.uniform(p, q)
+    merged = merge_spaces(kv, kv)
     assert merged.m == 2 * kv.m - 1
     # interface knot has multiplicity p (C^0)
     assert int((merged.knots == 0.5).sum()) == p
