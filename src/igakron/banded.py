@@ -33,10 +33,15 @@ pool, one worker per CPU the process may use, made on first use:
 ``_each_chunk`` deals the chunks of a job to it.  ``pooled_along`` deals one
 ``along`` call there (banded products and solves) in chunks over the axes
 the call does not contract (``_grid``); the 3D ADI sweep deals its own
-stages.  Chunk bounds depend on array shapes only, never on the number of
-workers, and each chunk's arithmetic is the same on any thread, so results
-are bitwise the same on any number of cores.  The workers call only
-``along``, so no worker deals chunks of its own.
+stages; ``each_range`` deals ranges of one index (CG's product with A, the
+geometry's point kernels, the load's values and the condition bound's
+screen); the assembly deals a large plane's trailing contractions.  Chunk
+bounds depend on array shapes only, never on the number of workers, and
+each chunk's arithmetic is the same on any thread, so results are bitwise
+the same on any number of cores.  Workers call only untraced kernels that
+deal nothing, so the benchmark tracer's lookup points stay on the calling
+thread, and ``_each_chunk`` refuses a call from a worker, which could wait
+forever on a full pool.
 """
 
 import concurrent.futures
@@ -44,6 +49,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -84,14 +90,25 @@ _pin_blas_threads()
 
 # doubles per chunk of the 3D ADI sweep: about 1 MB, so a chunk's slices of
 # the arrays a stage touches stay in a core's L2 cache; also the least a
-# chunk of ``pooled_along`` holds (docs/decisions.md)
+# chunk of ``pooled_along`` holds and the work of one range of ``each_range``
+# (docs/decisions.md)
 _CHUNK = 2**17
+
+
+# ``on_pool`` is set on the pool's own worker threads
+_worker = threading.local()
+
+
+def _mark_worker():
+    _worker.on_pool = True
 
 
 @functools.cache
 def _pool():
     """The thread pool, one worker per CPU this process may use; made on first use."""
-    return concurrent.futures.ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="igakron")
+    return concurrent.futures.ThreadPoolExecutor(
+        len(os.sched_getaffinity(0)), thread_name_prefix="igakron", initializer=_mark_worker
+    )
 
 
 def _tasks(nchunks):
@@ -106,6 +123,8 @@ def _each_chunk(work, nchunks):
     tasks on the pool, which take the chunks in turn from one shared
     iterator as each finishes its last.
     """
+    if getattr(_worker, "on_pool", False):
+        raise RuntimeError("a worker of the pool may not deal chunks to the pool")
     tasks = _tasks(nchunks)
     if tasks == 1:
         work(0, range(nchunks))
@@ -114,6 +133,22 @@ def _each_chunk(work, nchunks):
     chunks = iter(range(nchunks))
     for f in [_pool().submit(work, t, chunks) for t in range(tasks)]:
         f.result()
+
+
+def each_range(n, size, block):
+    """Call ``block(lo, hi)`` over the ranges [n c // k, n (c + 1) // k) of range(n), c < k.
+
+    k = max(1, size // _CHUNK), with size the doubles the job spans, so the
+    bounds depend on the shapes alone; ``_each_chunk`` deals the ranges.
+    Each call of ``block`` writes only its own part of its outputs.
+    """
+    k = max(1, size // _CHUNK)
+
+    def work(task, chunks):
+        for c in chunks:
+            block(n * c // k, n * (c + 1) // k)
+
+    _each_chunk(work, k)
 
 
 def along(blocks, X, axis, out):

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import banded
 from .adi import ADIPreconditioner, adi_work_bytes_3d
 from .assembly import (
     _BOUND_CHUNK,
@@ -210,18 +211,28 @@ def _estimate_bytes(cfg, n, d, assembled):
             # function at a time from a ring of the p + 1 open ones, so it is
             # held with the ring and either the kernel's work or one row's
             # copies: the element tables (d^3 of E q^3 entries) and, per plane
-            # of elements, Q and its temporaries (about 400 B per point under
-            # tracemalloc for p <= 3) and the d^2 trailing-direction sums of
-            # the q leading points plus their q^2-row GEMM result; the Q of
-            # the planes before it that wait to be screened together, up to
-            # _BOUND_CHUNK points, take about 24 d^2 B per point with the
-            # screen's temporaries
+            # of elements, Q's d^2 components, the screen's three ranges over
+            # the batch it screens, the temporaries (about 8 (2 d^2 + 5) B per
+            # point) of the point ranges the pool's workers run at once, and
+            # the d^2 trailing-direction sums of the q leading points plus
+            # their q^2-row GEMM result; the Q of the planes before it that
+            # wait to be screened together, up to _BOUND_CHUNK points, take
+            # about 24 d^2 B per point with the screen's temporaries
             q = cfg.p + 1
             E = n + 2 - cfg.p
             plane = q * (E * q) ** (d - 1)
             batch = min(E * plane, -(-_BOUND_CHUNK // plane) * plane)
             rows = ((n + 2) * w) ** (d - 1)
-            kernel = 16 * d**3 * E * q**3 + 400 * plane + 24 * d * d * (batch - plane) + 8 * (d * d + q) * q * rows
+            ranges = max(1, d * d * plane // banded._CHUNK)  # as banded.each_range deals a plane
+            running = banded._tasks(ranges) * plane // ranges
+            kernel = (
+                16 * d**3 * E * q**3
+                + 8 * d * d * plane
+                + 24 * batch
+                + 8 * (2 * d * d + 5) * running
+                + 24 * d * d * (batch - plane)
+                + 8 * (d * d + q) * q * rows
+            )
             est += csr + q * w * rows * 8 + max(kernel, 4 * nnz // n * 8)
     return int(est)
 

@@ -8,9 +8,16 @@ the Jacobian as contiguous components, a (d, d, N) array with
 ``J[i, k] = dx_i / dz_k``, so that every consumer (the cofactors of
 eval_Q_masked and abs_det_masked) reads each component as one contiguous row
 of length N without a copy.
+
+eval_Q_masked and abs_det_masked run on the calling thread, where the
+benchmark's tracer sees them, and deal their points in ranges
+(``banded.each_range``) to the untraced kernels _Q_block and
+_abs_det_points, so a map's ``jacobian`` runs on the pool's workers.
 """
 
 import numpy as np
+
+from . import banded
 
 __all__ = [
     "GeometryMap",
@@ -243,6 +250,12 @@ def _abs_det(J, row0_cofactors):
     return absdet, singular
 
 
+def _abs_det_points(geo, zeta):
+    """(|det J|, singular mask) at the (N, d) points zeta: the kernel of abs_det_masked."""
+    J = _jacobian(geo, zeta)
+    return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
+
+
 def abs_det_masked(geo, zeta):
     """|det J| at many points, by cofactor expansion.
 
@@ -252,8 +265,29 @@ def abs_det_masked(geo, zeta):
     Returns:
         (absdet, singular_mask), both of shape (N,).
     """
-    J = _jacobian(geo, np.asarray(zeta, dtype=float))
-    return _abs_det(J, [_cofactor(J, 0, c) for c in range(geo.dim)])
+    zeta = np.asarray(zeta, dtype=float)
+    N = len(zeta)
+    absdet, singular = np.empty(N), np.empty(N, dtype=bool)
+
+    def block(lo, hi):
+        absdet[lo:hi], singular[lo:hi] = _abs_det_points(geo, zeta[lo:hi])
+
+    banded.each_range(N, N * geo.dim**2, block)
+    return absdet, singular
+
+
+def _Q_block(geo, zeta, Qc, singular):
+    """Write Q's components (d, d, N) at the (N, d) points zeta into Qc, and their mask into singular."""
+    d = geo.dim
+    J = _jacobian(geo, zeta)
+    # adj[i][j] = cofactor (j, i); its first column holds the row-0 cofactors
+    adj = [[_cofactor(J, j, i) for j in range(d)] for i in range(d)]
+    absdet, singular[:] = _abs_det(J, [adj[c][0] for c in range(d)])
+    inv = np.divide(1.0, absdet, out=np.zeros_like(absdet), where=~singular)
+    for i in range(d):
+        for l in range(i, d):
+            Qc[i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
+            Qc[l, i] = Qc[i, l]
 
 
 def eval_Q_masked(geo, *, zeta):
@@ -263,11 +297,12 @@ def eval_Q_masked(geo, *, zeta):
 
         Q = adj(J)^T adj(J) / |det J|,
 
-    with det J and adj(J) taken once from the components of J (2D and 3D).
-    The absolute value keeps Q positive definite on orientation-reversing
-    maps; assemble_load, l2_error and condition_bound use the same |det J|
-    (see abs_det_masked).  ``zeta`` is keyword-only because the benchmark's
-    layer tracer reads the points from the call as the keyword ``zeta``.
+    with det J and adj(J) taken once from the components of J (2D and 3D),
+    in _Q_block.  The absolute value keeps Q positive definite on
+    orientation-reversing maps; assemble_load, l2_error and condition_bound
+    use the same |det J| (see abs_det_masked).  ``zeta`` is keyword-only
+    because the benchmark's layer tracer reads the points from the call as
+    the keyword ``zeta``.
 
     Singular points (see _abs_det) are flagged in the returned mask and
     their Q is set to zero (the assembly policy is that such quadrature points
@@ -278,15 +313,11 @@ def eval_Q_masked(geo, *, zeta):
         a (d, d, N) array, so each component Q[:, i, l] is contiguous.
     """
     zeta = np.asarray(zeta, dtype=float)
-    d = geo.dim
-    J = _jacobian(geo, zeta)
-    # adj[i][j] = cofactor (j, i); its first column holds the row-0 cofactors
-    adj = [[_cofactor(J, j, i) for j in range(d)] for i in range(d)]
-    absdet, singular = _abs_det(J, [adj[c][0] for c in range(d)])
-    inv = np.divide(1.0, absdet, out=np.zeros_like(absdet), where=~singular)
-    Qc = np.empty((d, d, zeta.shape[0]))
-    for i in range(d):
-        for l in range(i, d):
-            Qc[i, l] = sum(adj[j][i] * adj[j][l] for j in range(d)) * inv
-            Qc[l, i] = Qc[i, l]
+    d, N = geo.dim, len(zeta)
+    Qc, singular = np.empty((d, d, N)), np.empty(N, dtype=bool)
+
+    def block(lo, hi):
+        _Q_block(geo, zeta[lo:hi], Qc[:, :, lo:hi], singular[lo:hi])
+
+    banded.each_range(N, N * d * d, block)
     return Qc.transpose(2, 0, 1), singular

@@ -40,17 +40,15 @@ def as_apply(op):
 def _pooled_csr_matvec(A):
     """``x -> A @ x`` for a float64 CSR matrix A, its rows dealt to the pool in chunks.
 
-    There are k = max(1, nnz // banded._CHUNK) chunks, chunk c the rows
-    [M c // k, M (c + 1) // k), so the bounds depend on A alone.  Each chunk
-    runs scipy's ``csr_matvec``, the kernel ``A @ x`` runs, on its slice of
-    indptr and writes its rows of one zeroed y: every row sums in the same
-    order, so the result is bitwise ``A @ x`` on any number of workers.  No
-    row block of A is made: scipy would copy any block smaller than half its
-    base array.  Other operands than a float64 vector take ``A @ x``.
+    The rows go in the ranges of ``banded.each_range`` over the nnz of A,
+    so the bounds depend on A alone.  Each range runs scipy's
+    ``csr_matvec``, the kernel ``A @ x`` runs, on its slice of indptr and
+    writes its rows of one zeroed y: every row sums in the same order, so
+    the result is bitwise ``A @ x`` on any number of workers.  No row block
+    of A is made: scipy would copy any block smaller than half its base
+    array.  Other operands than a float64 vector take ``A @ x``.
     """
     M, N = A.shape
-    k = max(1, A.nnz // banded._CHUNK)
-    rows = [M * c // k for c in range(k + 1)]
 
     def matvec(x):
         x = np.asarray(x)
@@ -58,12 +56,10 @@ def _pooled_csr_matvec(A):
             return A @ x
         y = np.zeros(M)
 
-        def work(task, chunks):
-            for c in chunks:
-                lo, hi = rows[c], rows[c + 1]
-                _sparsetools.csr_matvec(hi - lo, N, A.indptr[lo : hi + 1], A.indices, A.data, x, y[lo:hi])
+        def rows(lo, hi):
+            _sparsetools.csr_matvec(hi - lo, N, A.indptr[lo : hi + 1], A.indices, A.data, x, y[lo:hi])
 
-        banded._each_chunk(work, k)
+        banded.each_range(M, A.nnz, rows)
         return y
 
     return matvec

@@ -10,7 +10,9 @@ criterion size at 1/h = H instead of its own size (the smoke test uses 8).
 Each line starts with its section:
 
     system   sha1 of A (data, indices, indptr) and of b, built by bench._problem,
-             for every case-matrix row and every criterion size that assembles
+             for every case-matrix row and every criterion size that assembles,
+             and bound.hex() of the condition bound bench._cond_bound_value
+             gives from A's stiffness pass, where A is single-patch
     pencil   sha1 of the K and M bands of each univariate pencil
     plan2d   J, J0, bound.hex() and sha1 of the shifts of the 2D plan
     plan3d   the same for the 3D ladder (and greedy) plans; "error" and the
@@ -21,6 +23,10 @@ Each line starts with its section:
              it, on a seeded vector, for each case-matrix row with an A
     row      outer_iters, inner_iters, residual.hex() and converged of each
              case-matrix row, run through run_experiment with seed 1
+    pooled   at fixed sizes, whatever --h-inv is, where every pooled job
+             deals more than one chunk: the A, b and bound of
+             thick_quarter_ring p = 3, 1/h = 24, one 2D ADI apply at p = 3,
+             1/h = 512, and one 3D banded solve along axis 0 at p = 3, 1/h = 64
     lines    line count of each module of the package, and the total
     settable public settable values of each public name, and the total
 
@@ -46,9 +52,11 @@ import numpy as np
 import igakron
 from igakron import bench
 from igakron.adi import ADIPreconditioner, douglas_shifts_3d, greedy_shifts_3d, wachspress_shifts
-from igakron.assembly import assemble_pencil_1d
+from igakron.assembly import BoundScreen, assemble_load, assemble_pencil_1d, assemble_stiffness
+from igakron.banded import BandedCholesky
 from igakron.bspline import SplineSpace1D
 from igakron.eigen import extreme_eigs, generalized_eig
+from igakron.geometry import builtin
 from igakron.pcg import as_apply
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -116,13 +124,22 @@ def plan_line(section, label, eps, make):
         section, label, eps, plan.J, plan.J0, float(plan.bound).hex(), sha1(plan.omegas))
 
 
-def system_lines(label, pb):
+def system_lines(label, pb, screen):
+    """The lines of ``pb``, whose stiffness pass was screened into ``screen``."""
     out = []
     if pb.A is not None:
         A = pb.A.tocsr()
         out.append("system %s A %s" % (label, sha1(A.data, A.indices, A.indptr)))
     out.append("system %s b %s" % (label, sha1(pb.b)))
+    if pb.A is not None and pb.geo is not None:
+        out.append("system %s bound %s" % (label, float(bench._cond_bound_value(pb.geo, screen)).hex()))
     return out
+
+
+def problem(cfg, h_inv, seed):
+    """bench._problem's system of one row, and the BoundScreen its stiffness pass filled."""
+    screen = BoundScreen()
+    return bench._problem(cfg, h_inv, np.random.default_rng(seed), screen), screen
 
 
 def case_matrix(h_inv=None):
@@ -139,8 +156,8 @@ def case_lines(h_inv):
     lines, rows = [], []
     for label, kw in case_matrix(h_inv):
         cfg = bench.ExperimentConfig(**kw).validate()
-        pb = bench._problem(cfg, cfg.h_invs[0], np.random.default_rng(cfg.seed))
-        lines += system_lines(label, pb)
+        pb, screen = problem(cfg, cfg.h_invs[0], cfg.seed)
+        lines += system_lines(label, pb, screen)
         prec = bench.SOLVERS[cfg.solver][1](cfg, pb)
         x = prec.apply(np.random.default_rng(7).standard_normal(pb.b.size))
         lines.append("apply %s %s" % (label, sha1(x)))
@@ -148,7 +165,7 @@ def case_lines(h_inv):
             y = as_apply(pb.A)(np.random.default_rng(11).standard_normal(pb.b.size))
             lines.append("product %s %s" % (label, sha1(y)))
         # free the row's system before run_experiment builds it again
-        del pb, prec
+        del pb, prec, screen
         r = bench.run_experiment(bench.ExperimentConfig(**kw)).rows[0]
         rows.append("row %s outer=%d inner=%d residual=%s converged=%s" % (
             label, r.outer_iters, r.inner_iters, float(r.residual).hex(), r.converged))
@@ -159,7 +176,27 @@ def criterion_lines(h_inv):
     lines = []
     for domain, p, q in dict.fromkeys((d, p, h_inv or q) for d, p, q in CRITERION_SIZES):
         cfg = bench.ExperimentConfig(domain=domain, p=p, h_invs=(q,), solver="none")
-        lines += system_lines("%s_p%d_h%d" % (domain, p, q), bench._problem(cfg, q, np.random.default_rng(1)))
+        lines += system_lines("%s_p%d_h%d" % (domain, p, q), *problem(cfg, q, 1))
+    return lines
+
+
+def pooled_lines():
+    lines = []
+    geo, label = builtin("thick_quarter_ring"), "thick_quarter_ring_p3_h24"
+    spaces = [SplineSpace1D.uniform(3, 24)] * 3
+    screen = BoundScreen()
+    A = assemble_stiffness(spaces, geo, screen=screen)
+    lines.append("pooled %s A %s" % (label, sha1(A.data, A.indices, A.indptr)))
+    del A
+    lines.append("pooled %s b %s" % (label, sha1(assemble_load(spaces, geo, bench.poisson_source(3)))))
+    lines.append("pooled %s bound %s" % (label, float(bench._cond_bound_value(geo, screen)).hex()))
+    K, M = assemble_pencil_1d(SplineSpace1D.uniform(3, 512))
+    prec = ADIPreconditioner.setup([(K, M)] * 2, 0.1)
+    x = prec.apply(np.random.default_rng(7).standard_normal(K.n**2))
+    lines.append("pooled adi2d_p3_h512 apply %s" % sha1(x))
+    K, M = assemble_pencil_1d(SplineSpace1D.uniform(3, 64))
+    X = np.random.default_rng(7).standard_normal((K.n,) * 3)
+    lines.append("pooled chol3d_p3_h64 axis0 %s" % sha1(BandedCholesky(M).solve(X, axis=0)))
     return lines
 
 
@@ -262,6 +299,7 @@ def main(argv=None):
         lambda: criterion_lines(args.h_inv),
         lambda: pencil_lines(args.h_inv),
         fixed_plan_lines,
+        pooled_lines,
         lambda: count_lines(Path(igakron.__file__).parent),
     ):
         for line in section():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _dense import banded_from_dense, m_norm
 from _strategies import random_open_space
-from igakron import adi, banded
+from igakron import adi, banded, bench
 from igakron.adi import (
     ADIPreconditioner,
     adi_iteration_count,
@@ -26,11 +26,12 @@ from igakron.adi import (
     _geometric_ladder,
     _triple_arrays,
 )
-from igakron.assembly import assemble_pencil_1d
+from igakron.assembly import BoundScreen, assemble_pencil_1d
 from igakron.banded import BandedCholesky, BandedSymMatrix
 from igakron.bspline import SplineSpace1D
 from igakron.eigen import generalized_eig
 from igakron.fd import fd_setup
+from igakron.geometry import builtin
 from igakron.kron import KroneckerSum
 
 
@@ -602,9 +603,10 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
 
 def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
     # the benchmark's tracer keeps one span stack, so every lookup point it
-    # wraps must be called from the thread that runs the apply; the pool's
-    # workers call only banded.along.  The 3D ADI apply, the FD apply and
-    # the Kronecker-sum product all use the pool
+    # wraps must be called from the thread that runs the traced call; the
+    # pool's workers run only untraced kernels.  The 3D ADI apply, the FD
+    # apply, the Kronecker-sum product and the stiffness and load assembly
+    # all deal chunks to the pool
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -612,30 +614,36 @@ def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
     prec, r = cube_16()
     ksum = KroneckerSum(prec.pencils)
     fd = fd_setup(ksum)
+    geo = builtin("thick_quarter_ring")
+    spaces = [SplineSpace1D.uniform(2, 8)] * 3
     tracer = tracing.Tracer()
 
     def call(name, fn, args, kwargs=None):
         calls.append((name, threading.get_ident()))
         return fn(*args, **(kwargs or {}))
 
-    def along(*args):
-        along_threads.add(threading.get_ident())
-        return banded_along(*args)
+    def each_chunk(work, nchunks):
+        def recorded(task, chunks):
+            chunk_threads.add(threading.get_ident())
+            return work(task, chunks)
 
-    banded_along = banded.along
+        return deal(recorded, nchunks)
+
+    deal = banded._each_chunk
     monkeypatch.setattr(tracer, "call", call)
-    monkeypatch.setattr(adi, "along", along)
-    monkeypatch.setattr(banded, "along", along)
-    # each apply is looked up inside the traced block, where the tracer has wrapped the methods
-    for apply, spans in [
+    monkeypatch.setattr(banded, "_each_chunk", each_chunk)
+    # each call is looked up inside the traced block, where the tracer has wrapped the functions
+    for run, spans in [
         (lambda: prec.apply(r), {"adi.apply", "banded.chol_solve"}),
         (lambda: fd.apply(r), {"fd.apply", "kron.kron_matvec", "kron.along_axis"}),
         (lambda: ksum.matvec(r), {"kron.ksum_matvec", "kron.along_axis", "banded.matmat"}),
+        (lambda: bench.assemble_stiffness(spaces, geo, screen=BoundScreen()), {"assembly.stiffness", "geometry.eval_Q"}),
+        (lambda: bench.assemble_load(spaces, geo, bench.poisson_source(3)), {"assembly.load"}),
     ]:
-        calls, along_threads = [], set()
+        calls, chunk_threads = [], set()
         with tracer.installed():
-            apply()
+            run()
         assert spans <= {name for name, _ in calls}
         assert {ident for _, ident in calls} == {threading.get_ident()}
         if len(os.sched_getaffinity(0)) > 1:
-            assert along_threads - {threading.get_ident()}
+            assert chunk_threads - {threading.get_ident()}

@@ -21,8 +21,15 @@ from hypothesis import strategies as st
 
 from igakron import banded
 from igakron.adi import ADIPreconditioner
-from igakron.assembly import assemble_pencil_1d, assemble_stiffness
-from igakron.bench import ExperimentConfig, run_experiment
+from igakron.assembly import (
+    BoundScreen,
+    assemble_load,
+    assemble_pencil_1d,
+    assemble_stiffness,
+    condition_bound,
+    quadrature_grid,
+)
+from igakron.bench import ExperimentConfig, poisson_source, run_experiment
 from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
 from igakron.geometry import builtin
@@ -42,7 +49,7 @@ def on_workers(monkeypatch):
     pools = []
 
     def run(k, fn, *args):
-        pool = concurrent.futures.ThreadPoolExecutor(k)
+        pool = concurrent.futures.ThreadPoolExecutor(k, initializer=banded._mark_worker)
         pools.append(pool)
         jobs = []
 
@@ -171,6 +178,77 @@ def test_as_apply_of_other_operators_is_op_at_x_off_the_pool(kind, on_workers):
     got, jobs = on_workers(2, as_apply(op), x)
     want = op @ x
     assert jobs == [] and got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def same_bits_as_one_chunk(monkeypatch, fn, *args):
+    """fn(*args) under the current chunk size is bitwise fn(*args) with every job in one chunk."""
+    got = fn(*args)
+    monkeypatch.setattr(banded, "_CHUNK", 2**40)
+    assert np.array_equal(fn(*args), got)
+
+
+def spaces_of(domain, p, q):
+    geo = builtin(domain)
+    return [SplineSpace1D.uniform(p, q)] * geo.dim, geo
+
+
+def stiffness_and_bound(domain, p, q):
+    spaces, geo = spaces_of(domain, p, q)
+    screen = BoundScreen()
+    A = assemble_stiffness(spaces, geo, screen=screen)
+    return np.concatenate([A.data, A.indices, A.indptr, [screen.result().bound]])
+
+
+# 3D planes deal their point ranges and contractions; a 2D plane deals only
+# under small chunks, and its bound screen batches many planes
+@pytest.mark.parametrize("domain, p, q", [("thick_quarter_ring", 2, 8), ("quarter_annulus", 3, 32)])
+def test_stiffness_and_bound_screen_same_bits_on_any_pool(domain, p, q, small_chunks, on_workers, monkeypatch):
+    # the workers write disjoint parts of shared outputs: switching threads
+    # often makes an overlap or a lost write show in the bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        same_bits_on_any_pool(on_workers, stiffness_and_bound, domain, p, q)
+    finally:
+        sys.setswitchinterval(interval)
+    same_bits_as_one_chunk(monkeypatch, stiffness_and_bound, domain, p, q)
+
+
+def load(domain, p, q):
+    spaces, geo = spaces_of(domain, p, q)
+    return assemble_load(spaces, geo, poisson_source(geo.dim))
+
+
+def test_load_same_bits_on_any_pool(small_chunks, on_workers, monkeypatch):
+    same_bits_on_any_pool(on_workers, load, "thick_quarter_ring", 2, 8)
+    same_bits_as_one_chunk(monkeypatch, load, "thick_quarter_ring", 2, 8)
+
+
+def bound_on_grid(domain, p, q):
+    spaces, geo = spaces_of(domain, p, q)
+    _, zeta, _ = quadrature_grid(spaces, p + 1)
+    return np.array(condition_bound(geo, zeta))
+
+
+def test_condition_bound_same_bits_on_any_pool(small_chunks, on_workers, monkeypatch):
+    same_bits_on_any_pool(on_workers, bound_on_grid, "revolved_quarter_ring", 2, 8)
+    same_bits_as_one_chunk(monkeypatch, bound_on_grid, "revolved_quarter_ring", 2, 8)
+
+
+def test_a_worker_of_the_pool_may_not_deal_to_it():
+    # a worker that waits on chunks of its own pool deadlocks a full pool:
+    # one call per worker fills it, so without the refusal the results time out
+    pool = banded._pool()
+    futures = [pool.submit(banded._each_chunk, lambda task, chunks: list(chunks), 2) for _ in os.sched_getaffinity(0)]
+    try:
+        for f in futures:
+            with pytest.raises(RuntimeError, match="worker of the pool"):
+                f.result(timeout=60)
+    finally:
+        if not all(f.done() for f in futures):
+            # free the stuck workers and give later tests a new pool
+            pool.shutdown(wait=False, cancel_futures=True)
+            banded._pool.cache_clear()
 
 
 @given(a=st.integers(1, 40), n=st.integers(1, 40), b=st.integers(1, 40), chunk=st.sampled_from([1, 7, 64, 2**17]))
