@@ -24,21 +24,19 @@ positive definite operator, so it is a valid CG preconditioner; the
 conditioning penalty is (1+eps)/(1-eps).
 
 The 3D apply allocates its five full-size work arrays once per call and
-runs each Douglas sweep as two stages over chunks of about ``banded._CHUNK``
-doubles, small enough for a core's L2 cache.  Stage A takes column chunks of
-the (n1, n2 n3) view: it gathers one input at a time into contiguous
-per-task buffers and does the direction-1 work (the residual r*, the
-direction-1 solve, the scaling by w and the addition of u), writing s*.
-Stage B takes slabs of whole i1-planes, which are contiguous, and does the
+runs each Douglas sweep as two stages over chunks of about
+``parallel._CHUNK`` doubles, small enough for a core's L2 cache, dealt to
+the package's pool.  Stage A takes column chunks of the (n1, n2 n3) view,
+``_CHUNK // n1`` wide (other widths move the bits, docs/decisions.md): it
+gathers one input at a time into contiguous per-task buffers and does the
+direction-1 work (the residual r*, the direction-1 solve, the scaling by w
+and the addition of u), writing s*.  Stage B takes slabs of whole
+i1-planes, which are contiguous, in ``parallel.ranges``, and does the
 direction-2 and direction-3 work in place in the work arrays: their solves,
-the recurrence for v and the next sweep's u.  Chunks write disjoint parts of
-their outputs, so the chunks of a stage are dealt to the package's thread
-pool by ``banded._each_chunk``, one task per CPU the process may use; a
-stage of one chunk runs inline.  Each chunk's arithmetic does not depend on
-the thread that runs it, so results are bitwise reproducible; an array
-that fits in one chunk is swept in whole-array operations.  The workers call
-only ``banded.along``, on the factors' block lists and on the band block
-lists that the apply takes before its stages, so every function that
+the recurrence for v and the next sweep's u.  An array that fits in one
+chunk is swept inline in whole-array operations.  The workers call only
+``banded.along``, on the factors' block lists and on the band block lists
+that the apply takes before its stages, so every function that
 ``perfbench/tracing.py`` wraps is called from the calling thread.
 
 ``ADIPreconditioner(pencils, plan)`` is the one place that builds the
@@ -56,7 +54,7 @@ import math
 
 import numpy as np
 
-from . import banded
+from . import parallel
 from .banded import BandedCholesky, along
 from .eigen import extreme_eigs, generalized_eig, per_distinct_pencil
 
@@ -455,10 +453,10 @@ def greedy_shifts_3d(eigs, J_max, eps):
 # ---------------------------------------------------------------------------
 # 3D sweep
 
-def _layout(n1, n23):
-    """Stage-A column ranges of the (n1, n23) view and stage-B i1-plane slices, about _CHUNK doubles each."""
-    width, planes = min(n23, max(1, banded._CHUNK // n1)), min(n1, max(1, banded._CHUNK // n23))
-    return [(c, min(c + width, n23)) for c in range(0, n23, width)], [slice(i, i + planes) for i in range(0, n1, planes)]
+def _columns(n1, n23):
+    """Stage-A column ranges of the (n1, n23) view, _CHUNK // n1 wide."""
+    width = min(n23, max(1, parallel._CHUNK // n1))
+    return [(c, min(c + width, n23)) for c in range(0, n23, width)]
 
 
 def adi_work_bytes_3d(dims):
@@ -470,9 +468,9 @@ def adi_work_bytes_3d(dims):
     pool's futures.
     """
     n1, n23 = dims[0], dims[1] * dims[2]
-    cols, slabs = _layout(n1, n23)
-    chunk = max(n1 * (cols[0][1] - cols[0][0]), n23 * (slabs[0].stop - slabs[0].start))
-    return 8 * (5 * n1 * n23 + 4 * banded._tasks(max(len(cols), len(slabs))) * chunk) + 2**15
+    cols, slabs = _columns(n1, n23), parallel.ranges(n1, n1 * n23)
+    chunk = max(n1 * max(hi - lo for lo, hi in cols), n23 * max(hi - lo for lo, hi in slabs))
+    return 8 * (5 * n1 * n23 + 4 * parallel._tasks(max(len(cols), len(slabs))) * chunk) + 2**15
 
 
 def adi_solve_3d(pencils, r, plan, factors):
@@ -482,9 +480,9 @@ def adi_solve_3d(pencils, r, plan, factors):
     products u_j and v_j are formed once, and v is advanced by the recurrence
     v_{j+1} = b_j - w_j s_j instead of a fresh solve.  The apply allocates
     its five full-size work arrays (rt, s, v, u and s*) once and returns s.
-    Each sweep is two stages over chunks of about banded._CHUNK doubles (see the
-    module docstring), the updates made in place in the same order of
-    operations as the formulas.  ``factors`` are the plan's _Factors; the
+    Each sweep is two stages over chunks of about parallel._CHUNK doubles
+    (see the module docstring), the updates made in place in the same order
+    of operations as the formulas.  ``factors`` are the plan's _Factors; the
     block lists of the band products are taken here, on the calling thread.
     """
     (K1, M1), (K2, M2), (K3, M3) = pencils
@@ -496,17 +494,16 @@ def adi_solve_3d(pencils, r, plan, factors):
     rt = mass[2].solve(mass[1].solve(R, 1), 2, overwrite_b=True)
     rt *= 2.0
     s, v, u, sstar = (np.empty_like(rt) for _ in range(4))
-    cols, slabs = _layout(n1, n23)
-    # per task, the three stage-A buffers of one column chunk
-    bufs = [np.empty((3, n1 * (cols[0][1] - cols[0][0]))) for _ in range(banded._tasks(len(cols)))]
+    cols = _columns(n1, n23)
+    # per task, the three stage-A buffers of the widest column chunk
+    bufs = [np.empty((3, n1 * max(hi - lo for lo, hi in cols))) for _ in range(parallel._tasks(len(cols)))]
     rt2, s2, v2, u2, sstar2 = (a.reshape(n1, n23) for a in (rt, s, v, u, sstar))
 
     def stage_a(j, w, task, chunks):
         # r* = rt - (K1 - w M1) s - 2 M1 (u + v), then s* = w (K1 + w M1)^-1 r* + u;
         # g gathers one input at a time, as ufuncs on strided operands
         # would allocate buffers of their own
-        for c in chunks:
-            lo, hi = cols[c]
+        for lo, hi in chunks:
             g, y, t = (b[: n1 * (hi - lo)].reshape(n1, hi - lo) for b in bufs[task])
             if j == 0:
                 # zero initial guess: s = v = u = 0 and r* = rt
@@ -530,27 +527,26 @@ def adi_solve_3d(pencils, r, plan, factors):
                 y += g
             sstar2[:, lo:hi] = y
 
-    def stage_b(j, w, task, chunks):
+    def stage_b(j, w, lo, hi):
         # b_j = w (K2 + w M2)^-1 M2 s* + v (held in u), s = (K3 + w M3)^-1 M3 b_j,
         # v = b_j - w s and the next sweep's u = M2^-1 K2 s
-        for c in chunks:
-            ss, uu, vv, sn = sstar[slabs[c]], u[slabs[c]], v[slabs[c]], s[slabs[c]]
-            along(m2_blocks, ss, 1, uu)
-            along(plus[1][j]._blocks, uu, 1, uu)
-            uu *= w
-            if j:
-                uu += vv
-            along(m3_blocks, uu, 2, sn)
-            along(plus[2][j]._blocks, sn, 2, sn)
-            np.multiply(w, sn, out=ss)
-            np.subtract(uu, ss, out=vv)
-            if j + 1 < plan.J:
-                along(k2_blocks, sn, 1, uu)
-                along(mass[1]._blocks, uu, 1, uu)
+        ss, uu, vv, sn = sstar[lo:hi], u[lo:hi], v[lo:hi], s[lo:hi]
+        along(m2_blocks, ss, 1, uu)
+        along(plus[1][j]._blocks, uu, 1, uu)
+        uu *= w
+        if j:
+            uu += vv
+        along(m3_blocks, uu, 2, sn)
+        along(plus[2][j]._blocks, sn, 2, sn)
+        np.multiply(w, sn, out=ss)
+        np.subtract(uu, ss, out=vv)
+        if j + 1 < plan.J:
+            along(k2_blocks, sn, 1, uu)
+            along(mass[1]._blocks, uu, 1, uu)
 
     for j, w in enumerate(plan.omegas):
-        banded._each_chunk(functools.partial(stage_a, j, w), len(cols))
-        banded._each_chunk(functools.partial(stage_b, j, w), len(slabs))
+        parallel._each_chunk(functools.partial(stage_a, j, w), cols)
+        parallel.each_range(n1, n1 * n23, functools.partial(stage_b, j, w))
     return s.reshape(-1)
 
 

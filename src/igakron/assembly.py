@@ -34,12 +34,13 @@ a time.
 
 What runs where: the point work of a plane (Q and |det J| through the
 geometry's kernels, the load's values, the screen's closed forms) goes to
-the package's pool in ranges of points (``banded.each_range``), and so do
-the trailing contractions of a plane that holds at least ``banded._CHUNK``
-values, one component per chunk (every 2D plane of the benchmark is
-smaller, and runs inline).  The traced calls (eval_Q_masked), the GEMM, the
-ring, the sink and the screen's running min/max/keep step run on the
-calling thread, in plane order.  The GEMM is never split: column blocks of
+the package's pool in ranges of points (``parallel.each_range``), and so
+do the trailing contractions of a plane, in ranges of its components (a
+plane whose contractions read and write fewer than ``parallel._CHUNK``
+doubles, as does every 2D plane of the benchmark, is one range and runs
+inline).  The traced calls (eval_Q_masked), the GEMM, the ring, the sink
+and the screen's running min/max/keep step run on the calling thread, in
+plane order.  The GEMM is never split: column blocks of
 it do not sum bitwise as the whole does.
 
 Degrees of freedom are linearized in C order, last direction fastest.
@@ -51,7 +52,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from . import banded
+from . import parallel
 from .banded import BandedSymMatrix
 from .bspline import basis_tables
 from .geometry import _abs_det_points, abs_det_masked, eval_Q_masked
@@ -322,10 +323,10 @@ def _sum_factorize(rules, tables, values, sink):
     per component.  The trailing directions are contracted one axis at a
     time, d first, as CSR products over the leading axis of a C-contiguous
     array (de Boor's tensor-product scheme, ACM TOMS 5, 1979; Antolin et
-    al., CMAME 285, 2015), one component per chunk on the pool when the
-    plane's values hold at least ``banded._CHUNK`` doubles, inline
-    otherwise.  The leading direction is then one GEMM over all components
-    with element e1's tables, added to e1's rows of the ring.
+    al., CMAME 285, 2015), in ranges of the components on the pool
+    (``parallel.each_range`` over the doubles they read and write).  The
+    leading direction is then one GEMM over all components with element
+    e1's tables, added to e1's rows of the ring.
     """
     d = len(rules)
     lead = tables[0]
@@ -349,8 +350,8 @@ def _sum_factorize(rules, tables, values, sink):
         z[:, k] = grid[d - 1 - k].ravel()
     slot = grid[-1].ravel()
 
-    def contract(V, cs):
-        for c in cs:
+    def contract(V, lo, hi):
+        for c in range(lo, hi):
             Y, rows = V[c], 1
             for k in range(d - 1, 0, -1):
                 Y = csr[k][c] @ Y.reshape(nq[k], -1)
@@ -363,10 +364,7 @@ def _sum_factorize(rules, tables, values, sink):
     for e1 in range(len(rules[0].points)):
         z[:, 0] = rules[0].points[e1][slot]
         V = values(z)
-        if V.size >= banded._CHUNK:
-            banded._each_chunk(lambda task, cs: contract(V, cs), len(V))
-        else:
-            contract(V, range(len(V)))
+        parallel.each_range(len(V), V.size + Y_all.size, lambda lo, hi: contract(V, lo, hi))
         np.matmul(L[e1], Y_all.reshape(-1, R), out=acc)
         for i in range(runs):
             o = (lead.first[e1] * stride + lead.local[i, 0]) % len(ring_rows)
@@ -439,7 +437,10 @@ def assemble_load(spaces, geo, f, dirichlet=True):
     """Load vector b_i = int f(F(z)) B_i(z) |det J| dz by the same quadrature.
 
     ``f`` maps an (N, d) array of physical points to N values, point by
-    point; it is called on ranges of the points on the pool's workers.
+    point.  It is called on ranges of the points from the threads of the
+    package's pool, as are ``geo.evaluate`` and ``geo.jacobian``, so it must
+    be pure: a point's value depends on that point alone, and a call
+    changes no shared state.
     """
     d = _check_dim(spaces, geo)
     rules = [gauss_rule(s, spaces[0].p + 1) for s in spaces]
@@ -447,14 +448,11 @@ def assemble_load(spaces, geo, f, dirichlet=True):
     b = np.empty(ms)
 
     def values(z):
-        out = np.empty((1, len(z)))
-
-        def block(lo, hi):
+        def kernel(lo, hi):
             zr = z[lo:hi]
-            out[0, lo:hi] = np.asarray(f(geo.evaluate(zr)), dtype=float) * _abs_det_points(geo, zr)[0]
+            return (np.asarray(f(geo.evaluate(zr)), dtype=float) * _abs_det_points(geo, zr)[0],)
 
-        banded.each_range(len(z), len(z) * d * d, block)
-        return out
+        return parallel.each_range(len(z), len(z) * d * d, kernel, (np.empty((1, len(z))),))[0]
 
     def store(i, rows):
         b[i] = rows.reshape(ms[1:])
@@ -528,13 +526,8 @@ class BoundScreen:
             self.singular = True
             return
         Qc = Q.transpose(1, 2, 0)
-        N = Qc.shape[-1]
-        lmin, lmax, slack = np.empty(N), np.empty(N), np.empty(N)
-
-        def block(lo, hi):
-            lmin[lo:hi], lmax[lo:hi], slack[lo:hi] = _eig_screen(Qc[..., lo:hi])
-
-        banded.each_range(N, Qc.size, block)
+        out = tuple(np.empty(Qc.shape[-1]) for _ in range(3))
+        lmin, lmax, slack = parallel.each_range(len(out[0]), Qc.size, lambda lo, hi: _eig_screen(Qc[..., lo:hi]), out)
         self.lo = lo = min(self.lo, (lmin + slack).min())
         self.hi = hi = max(self.hi, (lmax - slack).max())
         reach = np.stack((lmin - slack, lmax + slack))

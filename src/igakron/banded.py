@@ -24,131 +24,21 @@ B = 16 was chosen by timing the 2D and 3D ADI applies (p = 3, 2 cores) with
 B = 4, 8, 16 and 32: 16 was the fastest or tied at n = 257 (2D), n = 33 and
 n = 129 (3D); 8 was slower at n = 257 and n = 129, and 32 at n = 33 and n = 129.
 
-The program owns its parallelism.  Importing this module, the lowest of the
-package and imported by every BLAS caller, sets both bundled OpenBLAS
-libraries (numpy's and scipy's, so LAPACK too) to one thread: threaded BLAS
-sums in an order that depends on its thread count, and its threads contend
-with the program's own.  The parallel work runs on one module-level thread
-pool, one worker per CPU the process may use, made on first use:
-``_each_chunk`` deals the chunks of a job to it.  ``pooled_along`` deals one
-``along`` call there (banded products and solves) in chunks over the axes
-the call does not contract (``_grid``); the 3D ADI sweep deals its own
-stages; ``each_range`` deals ranges of one index (CG's product with A, the
-geometry's point kernels, the load's values and the condition bound's
-screen); the assembly deals a large plane's trailing contractions.  Chunk
-bounds depend on array shapes only, never on the number of workers, and
-each chunk's arithmetic is the same on any thread, so results are bitwise
-the same on any number of cores.  Workers call only untraced kernels that
-deal nothing, so the benchmark tracer's lookup points stay on the calling
-thread, and ``_each_chunk`` refuses a call from a worker, which could wait
-forever on a full pool.
+``pooled_along`` deals one ``along`` call to the package's pool in the
+chunks of ``parallel.grid`` (banded products and solves).
 """
 
-import concurrent.futures
-import ctypes
 import functools
 import math
-import os
-import threading
-import warnings
-from pathlib import Path
 
 import numpy as np
-import scipy
 import scipy.linalg
+
+from . import parallel
 
 __all__ = ["BandedSymMatrix", "BandedCholesky", "along", "pooled_along"]
 
 _BLOCK = 16
-
-# (package, its bundled OpenBLAS, the symbol that sets that library's thread count)
-_BLAS_LIBS = (
-    (np, "libscipy_openblas64_-*.so*", "scipy_openblas_set_num_threads64_"),
-    (scipy, "libscipy_openblas-*.so*", "scipy_openblas_set_num_threads"),
-)
-
-
-def _pin_blas_threads(libs=_BLAS_LIBS):
-    """Set each bundled OpenBLAS library of ``libs`` to one thread.
-
-    A library is looked up in the ``<package>.libs`` directory its wheel
-    installs; where the library or its symbol is missing, its threads are
-    left alone and one RuntimeWarning names what was not found.
-    """
-    missing = []
-    for pkg, pattern, symbol in libs:
-        paths = sorted((Path(pkg.__file__).parents[1] / (pkg.__name__ + ".libs")).glob(pattern))
-        try:
-            getattr(ctypes.CDLL(str(paths[0])), symbol)(1)
-        except (IndexError, OSError, AttributeError):
-            missing.append("%s in %s.libs/%s" % (symbol, pkg.__name__, pattern))
-    if missing:
-        warnings.warn("BLAS threads left as they are: not found: %s" % ", ".join(missing), RuntimeWarning)
-
-
-_pin_blas_threads()
-
-# doubles per chunk of the 3D ADI sweep: about 1 MB, so a chunk's slices of
-# the arrays a stage touches stay in a core's L2 cache; also the least a
-# chunk of ``pooled_along`` holds and the work of one range of ``each_range``
-# (docs/decisions.md)
-_CHUNK = 2**17
-
-
-# ``on_pool`` is set on the pool's own worker threads
-_worker = threading.local()
-
-
-def _mark_worker():
-    _worker.on_pool = True
-
-
-@functools.cache
-def _pool():
-    """The thread pool, one worker per CPU this process may use; made on first use."""
-    return concurrent.futures.ThreadPoolExecutor(
-        len(os.sched_getaffinity(0)), thread_name_prefix="igakron", initializer=_mark_worker
-    )
-
-
-def _tasks(nchunks):
-    """Into how many tasks ``_each_chunk`` deals nchunks chunks: at most one per CPU and one per chunk."""
-    return min(len(os.sched_getaffinity(0)), nchunks)
-
-
-def _each_chunk(work, nchunks):
-    """Call ``work(task, chunks)`` so that every chunk in range(nchunks) is done once.
-
-    One chunk runs inline on the calling thread; more go to _tasks(nchunks)
-    tasks on the pool, which take the chunks in turn from one shared
-    iterator as each finishes its last.
-    """
-    if getattr(_worker, "on_pool", False):
-        raise RuntimeError("a worker of the pool may not deal chunks to the pool")
-    tasks = _tasks(nchunks)
-    if tasks == 1:
-        work(0, range(nchunks))
-        return
-    # one iterator for all tasks: next() on it is atomic under the GIL
-    chunks = iter(range(nchunks))
-    for f in [_pool().submit(work, t, chunks) for t in range(tasks)]:
-        f.result()
-
-
-def each_range(n, size, block):
-    """Call ``block(lo, hi)`` over the ranges [n c // k, n (c + 1) // k) of range(n), c < k.
-
-    k = max(1, size // _CHUNK), with size the doubles the job spans, so the
-    bounds depend on the shapes alone; ``_each_chunk`` deals the ranges.
-    Each call of ``block`` writes only its own part of its outputs.
-    """
-    k = max(1, size // _CHUNK)
-
-    def work(task, chunks):
-        for c in chunks:
-            block(n * c // k, n * (c + 1) // k)
-
-    _each_chunk(work, k)
 
 
 def along(blocks, X, axis, out):
@@ -174,28 +64,8 @@ def along(blocks, X, axis, out):
     return out
 
 
-def _grid(a, n, b):
-    """Chunks of an (a, n, b) operand, as slices of its a and b axes.
-
-    There are as many chunks as whole multiples of max(_CHUNK, n * n / 2)
-    doubles fit in the operand, at least one.  The n * n / 2 floor keeps a
-    chunk at least n / 2 columns wide, because BLAS packs a dense factor
-    again for every chunk (docs/decisions.md).  The a axis is split first,
-    into at most a slabs, and b only when there are fewer slabs than
-    chunks.  The bounds depend on the shape alone.
-    """
-    k = max(1, a * n * b // max(_CHUNK, n * n // 2))
-    ka = max(1, min(a, k))
-    kb = max(1, min(b, k // ka))
-    return [
-        (slice(a * i // ka, a * (i + 1) // ka), slice(b * j // kb, b * (j + 1) // kb))
-        for i in range(ka)
-        for j in range(kb)
-    ]
-
-
 def pooled_along(blocks, X, axis, out):
-    """``along(blocks, X, axis, out)`` dealt to the pool in the chunks of ``_grid``.
+    """``along(blocks, X, axis, out)`` dealt to the pool in the chunks of ``parallel.grid``.
 
     The chunks split the axes the call does not contract, and each writes
     its own part of out, so the result is the same on any number of
@@ -205,14 +75,12 @@ def pooled_along(blocks, X, axis, out):
     """
     a, n = math.prod(X.shape[:axis]), X.shape[axis]
     X3, Y3 = X.reshape(a, n, -1), out.reshape(a, n, -1)
-    chunks = _grid(a, n, X3.shape[2])
 
-    def work(task, which):
-        for c in which:
-            i, j = chunks[c]
+    def work(task, chunks):
+        for i, j in chunks:
             along(blocks, X3[i, :, j], 1, Y3[i, :, j])
 
-    _each_chunk(work, len(chunks))
+    parallel._each_chunk(work, parallel.grid(a, n, X3.shape[2]))
     return out
 
 

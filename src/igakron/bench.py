@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import banded
+from . import parallel
 from .adi import ADIPreconditioner, adi_work_bytes_3d
 from .assembly import (
     _BOUND_CHUNK,
@@ -223,8 +223,8 @@ def _estimate_bytes(cfg, n, d, assembled):
             plane = q * (E * q) ** (d - 1)
             batch = min(E * plane, -(-_BOUND_CHUNK // plane) * plane)
             rows = ((n + 2) * w) ** (d - 1)
-            ranges = max(1, d * d * plane // banded._CHUNK)  # as banded.each_range deals a plane
-            running = banded._tasks(ranges) * plane // ranges
+            k = len(parallel.ranges(plane, d * d * plane))  # as a plane's points are dealt
+            running = parallel._tasks(k) * plane // k
             kernel = (
                 16 * d**3 * E * q**3
                 + 8 * d * d * plane

@@ -11,13 +11,13 @@ of length N without a copy.
 
 eval_Q_masked and abs_det_masked run on the calling thread, where the
 benchmark's tracer sees them, and deal their points in ranges
-(``banded.each_range``) to the untraced kernels _Q_block and
+(``parallel.each_range``) to the untraced kernels _Q_block and
 _abs_det_points, so a map's ``jacobian`` runs on the pool's workers.
 """
 
 import numpy as np
 
-from . import banded
+from . import parallel
 
 __all__ = [
     "GeometryMap",
@@ -42,6 +42,10 @@ class GeometryMap:
         jacobian: callable, (N, dim) parametric points -> (dim, dim, N)
             components, ``J[i, k]`` = dx_i/dz_k at every point as one
             contiguous row; any other shape is refused with a ValueError
+
+    The assembly calls ``evaluate`` and ``jacobian`` on ranges of its points
+    from the threads of the package's pool, so both must be pure: a point's
+    value depends on that point alone, and a call changes no shared state.
     """
 
     def __init__(self, dim, evaluate, jacobian, name="custom"):
@@ -267,13 +271,8 @@ def abs_det_masked(geo, zeta):
     """
     zeta = np.asarray(zeta, dtype=float)
     N = len(zeta)
-    absdet, singular = np.empty(N), np.empty(N, dtype=bool)
-
-    def block(lo, hi):
-        absdet[lo:hi], singular[lo:hi] = _abs_det_points(geo, zeta[lo:hi])
-
-    banded.each_range(N, N * geo.dim**2, block)
-    return absdet, singular
+    out = np.empty(N), np.empty(N, dtype=bool)
+    return parallel.each_range(N, N * geo.dim**2, lambda lo, hi: _abs_det_points(geo, zeta[lo:hi]), out)
 
 
 def _Q_block(geo, zeta, Qc, singular):
@@ -315,9 +314,5 @@ def eval_Q_masked(geo, *, zeta):
     zeta = np.asarray(zeta, dtype=float)
     d, N = geo.dim, len(zeta)
     Qc, singular = np.empty((d, d, N)), np.empty(N, dtype=bool)
-
-    def block(lo, hi):
-        _Q_block(geo, zeta[lo:hi], Qc[:, :, lo:hi], singular[lo:hi])
-
-    banded.each_range(N, N * d * d, block)
+    parallel.each_range(N, N * d * d, lambda lo, hi: _Q_block(geo, zeta[lo:hi], Qc[..., lo:hi], singular[lo:hi]))
     return Qc.transpose(2, 0, 1), singular

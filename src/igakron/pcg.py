@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse import _sparsetools
 
-from . import banded
+from . import parallel
 
 __all__ = ["PCGResult", "IndefiniteOperatorError", "pcg", "lanczos_condition_estimate"]
 
@@ -40,7 +40,7 @@ def as_apply(op):
 def _pooled_csr_matvec(A):
     """``x -> A @ x`` for a float64 CSR matrix A, its rows dealt to the pool in chunks.
 
-    The rows go in the ranges of ``banded.each_range`` over the nnz of A,
+    The rows go in the ranges of ``parallel.each_range`` over the nnz of A,
     so the bounds depend on A alone.  Each range runs scipy's
     ``csr_matvec``, the kernel ``A @ x`` runs, on its slice of indptr and
     writes its rows of one zeroed y: every row sums in the same order, so
@@ -59,7 +59,7 @@ def _pooled_csr_matvec(A):
         def rows(lo, hi):
             _sparsetools.csr_matvec(hi - lo, N, A.indptr[lo : hi + 1], A.indices, A.data, x, y[lo:hi])
 
-        banded.each_range(M, A.nnz, rows)
+        parallel.each_range(M, A.nnz, rows)
         return y
 
     return matvec

@@ -26,7 +26,8 @@ Each line starts with its section:
     pooled   at fixed sizes, whatever --h-inv is, where every pooled job
              deals more than one chunk: the A, b and bound of
              thick_quarter_ring p = 3, 1/h = 24, one 2D ADI apply at p = 3,
-             1/h = 512, and one 3D banded solve along axis 0 at p = 3, 1/h = 64
+             1/h = 512, one 3D banded solve along axis 0 at p = 3, 1/h = 64,
+             and one 3D ADI apply at p = 3 on 128, 135 and 120 spans
     lines    line count of each module of the package, and the total
     settable public settable values of each public name, and the total
 
@@ -197,6 +198,11 @@ def pooled_lines():
     K, M = assemble_pencil_1d(SplineSpace1D.uniform(3, 64))
     X = np.random.default_rng(7).standard_normal((K.n,) * 3)
     lines.append("pooled chol3d_p3_h64 axis0 %s" % sha1(BandedCholesky(M).solve(X, axis=0)))
+    # unequal directions: stage A's column chunks are not a whole number of slabs' columns
+    pencils = [assemble_pencil_1d(SplineSpace1D.uniform(3, q)) for q in (128, 135, 120)]
+    prec = ADIPreconditioner.setup(pencils, 0.1)
+    x = prec.apply(np.random.default_rng(7).standard_normal(np.prod([K.n for K, _ in pencils])))
+    lines.append("pooled adi3d_p3_h128_135_120 apply %s" % sha1(x))
     return lines
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _dense import banded_from_dense, m_norm
 from _strategies import random_open_space
-from igakron import adi, banded, bench
+from igakron import adi, bench, parallel
 from igakron.adi import (
     ADIPreconditioner,
     adi_iteration_count,
@@ -459,8 +459,8 @@ def test_chunked_3d_sweep_matches_one_chunk(monkeypatch):
     prec, r = cube_16()
     results = {}
     for chunk in (SMALL_CHUNK, HUGE_CHUNK):
-        monkeypatch.setattr(banded, "_CHUNK", chunk)
-        cols, slabs = adi._layout(17, 17 * 17)
+        monkeypatch.setattr(parallel, "_CHUNK", chunk)
+        cols, slabs = adi._columns(17, 17 * 17), parallel.ranges(17, 17**3)
         assert (len(cols) > 1 and len(slabs) > 1) == (chunk == SMALL_CHUNK)
         runs = [prec.apply(r) for _ in range(3)]
         assert all(np.array_equal(runs[0], x) for x in runs[1:])
@@ -519,7 +519,7 @@ def test_one_chunk_apply_equals_whole_array_sweep(spans):
     r = np.random.default_rng(12).standard_normal(KroneckerSum(pencils).n)
     ref = whole_array_sweep_3d(pencils, r, prec.plan)
     assert np.array_equal(prec.apply(r), ref)
-    with mock.patch.object(banded, "_CHUNK", 2**9):
+    with mock.patch.object(parallel, "_CHUNK", 2**9):
         got = prec.apply(r)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -534,13 +534,13 @@ def test_one_chunk_apply_equals_whole_array_sweep(spans):
     ],
 )
 def test_3d_adi_tests_pass_with_small_chunks(test, monkeypatch):
-    monkeypatch.setattr(banded, "_CHUNK", 2**6)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**6)
     test()
 
 
 @pytest.mark.parametrize("test", [test_adi_operator_symmetric_on_random_spaces, test_adi_operator_spd_on_random_knots])
 def test_3d_adi_properties_hold_with_small_chunks(test, monkeypatch):
-    monkeypatch.setattr(banded, "_CHUNK", 2**6)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**6)
     test(d=3)
 
 
@@ -551,15 +551,15 @@ def test_ring3d_sized_apply_runs_inline(monkeypatch):
     def no_pool():
         raise AssertionError("the pool was used")
 
-    monkeypatch.setattr(banded, "_pool", no_pool)
+    monkeypatch.setattr(parallel, "_pool", no_pool)
     got = prec.apply(np.random.default_rng(10).standard_normal(KroneckerSum(prec.pencils).n))
     assert np.all(np.isfinite(got))
 
 
 def cube_32_in_small_chunks(monkeypatch):
-    # n = 33 in 18 column chunks and 33 slabs: one full-size array (287 KB)
+    # n = 33 in 18 column chunks and 17 slabs: one full-size array (287 KB)
     # is more than the charge for the chunks and the bookkeeping
-    monkeypatch.setattr(banded, "_CHUNK", 2**11)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**11)
     prec = ADIPreconditioner.setup(pencils_for(3, 32, 3), eps=0.1)
     r = np.random.default_rng(11).standard_normal(KroneckerSum(prec.pencils).n)
     prec.apply(r)  # warm: the pool's threads are up
@@ -578,15 +578,15 @@ def test_3d_apply_allocates_only_its_work_arrays_full_size(monkeypatch):
     # chunks, and only the result is held after the apply
     prec, r = cube_32_in_small_chunks(monkeypatch)
     full = 8 * r.size
-    each_chunk, stage_peaks = banded._each_chunk, []
+    each_chunk, stage_peaks = parallel._each_chunk, []
 
-    def measured(work, nchunks):
+    def measured(work, chunks):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        each_chunk(work, nchunks)
+        each_chunk(work, chunks)
         stage_peaks.append(tracemalloc.get_traced_memory()[1] - start)
 
-    monkeypatch.setattr(banded, "_each_chunk", measured)
+    monkeypatch.setattr(parallel, "_each_chunk", measured)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -610,7 +610,7 @@ def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
-    monkeypatch.setattr(banded, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(parallel, "_CHUNK", SMALL_CHUNK)
     prec, r = cube_16()
     ksum = KroneckerSum(prec.pencils)
     fd = fd_setup(ksum)
@@ -622,16 +622,16 @@ def test_traced_lookup_points_stay_on_the_calling_thread(monkeypatch):
         calls.append((name, threading.get_ident()))
         return fn(*args, **(kwargs or {}))
 
-    def each_chunk(work, nchunks):
-        def recorded(task, chunks):
+    def each_chunk(work, chunks):
+        def recorded(task, some):
             chunk_threads.add(threading.get_ident())
-            return work(task, chunks)
+            return work(task, some)
 
-        return deal(recorded, nchunks)
+        return deal(recorded, chunks)
 
-    deal = banded._each_chunk
+    deal = parallel._each_chunk
     monkeypatch.setattr(tracer, "call", call)
-    monkeypatch.setattr(banded, "_each_chunk", each_chunk)
+    monkeypatch.setattr(parallel, "_each_chunk", each_chunk)
     # each call is looked up inside the traced block, where the tracer has wrapped the functions
     for run, spans in [
         (lambda: prec.apply(r), {"adi.apply", "banded.chol_solve"}),

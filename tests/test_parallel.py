@@ -1,12 +1,13 @@
 """The program's own parallelism: one BLAS thread, one pool, the same bits on any number of workers.
 
 The pool-size tests set the pool, not the machine: they replace
-``banded._pool`` and ``banded._tasks`` by a pool of k workers, so they run
+``parallel._pool`` and ``parallel._tasks`` by a pool of k workers, so they run
 the same on a one-core and a many-core host.  The subprocess tests start
 children with different OpenBLAS thread counts in their environment, which
 the program must override.
 """
 
+import ast
 import concurrent.futures
 import functools
 import os
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igakron import banded
+import igakron
+from igakron import banded, parallel
 from igakron.adi import ADIPreconditioner
 from igakron.assembly import (
     BoundScreen,
@@ -32,7 +34,7 @@ from igakron.assembly import (
 from igakron.bench import ExperimentConfig, poisson_source, run_experiment
 from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
-from igakron.geometry import builtin
+from igakron.geometry import GeometryMap, builtin, identity_map
 from igakron.kron import KroneckerSum
 from igakron.pcg import as_apply, pcg
 
@@ -49,20 +51,20 @@ def on_workers(monkeypatch):
     pools = []
 
     def run(k, fn, *args):
-        pool = concurrent.futures.ThreadPoolExecutor(k, initializer=banded._mark_worker)
+        pool = concurrent.futures.ThreadPoolExecutor(k, initializer=parallel._mark_worker)
         pools.append(pool)
         jobs = []
 
-        def each_chunk(work, nchunks):
-            jobs.append(nchunks)
-            return deal(work, nchunks)
+        def each_chunk(work, chunks):
+            jobs.append(len(chunks))
+            return deal(work, chunks)
 
-        monkeypatch.setattr(banded, "_pool", lambda: pool)
-        monkeypatch.setattr(banded, "_tasks", lambda nchunks: min(k, nchunks))
-        monkeypatch.setattr(banded, "_each_chunk", each_chunk)
+        monkeypatch.setattr(parallel, "_pool", lambda: pool)
+        monkeypatch.setattr(parallel, "_tasks", lambda nchunks: min(k, nchunks))
+        monkeypatch.setattr(parallel, "_each_chunk", each_chunk)
         return fn(*args), jobs
 
-    deal = banded._each_chunk
+    deal = parallel._each_chunk
     yield run
     for pool in pools:
         pool.shutdown()
@@ -79,7 +81,7 @@ def same_bits_on_any_pool(on_workers, fn, *args):
 @pytest.fixture
 def small_chunks(monkeypatch):
     # the cases below then span many chunks at sizes a test can afford
-    monkeypatch.setattr(banded, "_CHUNK", 2**9)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**9)
 
 
 @pytest.mark.parametrize("d, q", [(2, 64), (3, 16)])
@@ -128,7 +130,7 @@ def csr_case(case):
     elif case == "uneven":
         # a rectangular block of rows that the chunk count does not divide
         A = A[:-5]
-        assert A.shape[0] % (A.nnz // banded._CHUNK) != 0
+        assert A.shape[0] % (A.nnz // parallel._CHUNK) != 0
     return A
 
 
@@ -137,7 +139,7 @@ def test_csr_product_is_bitwise_A_at_x_on_any_pool(case, small_chunks, on_worker
     A = csr_case(case)
     x = np.random.default_rng(8).standard_normal(A.shape[1])
     got, jobs = on_workers(2, as_apply(A), x)
-    assert jobs == [A.nnz // banded._CHUNK]
+    assert jobs == [A.nnz // parallel._CHUNK]
     assert np.array_equal(got, A @ x)
     same_bits_on_any_pool(on_workers, as_apply(A), x)
 
@@ -183,7 +185,7 @@ def test_as_apply_of_other_operators_is_op_at_x_off_the_pool(kind, on_workers):
 def same_bits_as_one_chunk(monkeypatch, fn, *args):
     """fn(*args) under the current chunk size is bitwise fn(*args) with every job in one chunk."""
     got = fn(*args)
-    monkeypatch.setattr(banded, "_CHUNK", 2**40)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**40)
     assert np.array_equal(fn(*args), got)
 
 
@@ -238,8 +240,9 @@ def test_condition_bound_same_bits_on_any_pool(small_chunks, on_workers, monkeyp
 def test_a_worker_of_the_pool_may_not_deal_to_it():
     # a worker that waits on chunks of its own pool deadlocks a full pool:
     # one call per worker fills it, so without the refusal the results time out
-    pool = banded._pool()
-    futures = [pool.submit(banded._each_chunk, lambda task, chunks: list(chunks), 2) for _ in os.sched_getaffinity(0)]
+    pool = parallel._pool()
+    deal = functools.partial(parallel._each_chunk, lambda task, chunks: list(chunks), [0, 1])
+    futures = [pool.submit(deal) for _ in os.sched_getaffinity(0)]
     try:
         for f in futures:
             with pytest.raises(RuntimeError, match="worker of the pool"):
@@ -248,16 +251,16 @@ def test_a_worker_of_the_pool_may_not_deal_to_it():
         if not all(f.done() for f in futures):
             # free the stuck workers and give later tests a new pool
             pool.shutdown(wait=False, cancel_futures=True)
-            banded._pool.cache_clear()
+            parallel._pool.cache_clear()
 
 
 @given(a=st.integers(1, 40), n=st.integers(1, 40), b=st.integers(1, 40), chunk=st.sampled_from([1, 7, 64, 2**17]))
 def test_grid_tiles_the_free_axes_once(a, n, b, chunk):
-    old, banded._CHUNK = banded._CHUNK, chunk
+    old, parallel._CHUNK = parallel._CHUNK, chunk
     try:
-        grid = banded._grid(a, n, b)
+        grid = parallel.grid(a, n, b)
     finally:
-        banded._CHUNK = old
+        parallel._CHUNK = old
     seen = np.zeros((a, b), dtype=int)
     for i, j in grid:
         assert i.stop > i.start and j.stop > j.start
@@ -265,6 +268,102 @@ def test_grid_tiles_the_free_axes_once(a, n, b, chunk):
     assert np.all(seen == 1)
     # no more chunks than whole chunks of the least size fit
     assert len(grid) <= max(1, a * n * b // max(chunk, n * n // 2))
+
+
+@given(n=st.integers(1, 300), size=st.integers(0, 10**6), chunk=st.sampled_from([1, 7, 64, 2**17]))
+def test_ranges_tile_the_index_once(n, size, chunk):
+    old, parallel._CHUNK = parallel._CHUNK, chunk
+    try:
+        bounds = parallel.ranges(n, size)
+    finally:
+        parallel._CHUNK = old
+    seen = np.zeros(n, dtype=int)
+    for lo, hi in bounds:
+        assert hi > lo
+        seen[lo:hi] += 1
+    assert np.all(seen == 1)
+    assert len(bounds) == min(n, max(1, size // chunk))
+
+
+class CountedStores:
+    """An output of each_range that counts the stores into each of its n slots."""
+
+    def __init__(self, n):
+        self.count = np.zeros(n, dtype=int)
+
+    def __setitem__(self, key, part):
+        self.count[key[-1]] += 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_range_stores_each_slice_once(k, small_chunks, on_workers):
+    n, size = 1000, 9000
+
+    def kernel(lo, hi):
+        return np.arange(lo, hi) * np.array([[1.0], [-1.0]]), None
+
+    out = (np.full((2, n), np.nan), CountedStores(n))
+    # switching threads often makes an overlap or a lost store show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (values, stores), jobs = on_workers(k, parallel.each_range, n, size, kernel, out)
+    finally:
+        sys.setswitchinterval(interval)
+    assert jobs == [len(parallel.ranges(n, size))] and jobs[0] > 1
+    assert np.array_equal(values, np.arange(n) * np.array([[1.0], [-1.0]]))
+    assert np.all(stores.count == 1)
+
+
+def test_callbacks_see_each_gauss_point_once_a_pass(small_chunks, on_workers):
+    # a map's evaluate and jacobian and the load's f run on ranges of the
+    # points from the pool's threads: each point reaches each callback once
+    seen = {"evaluate": [], "jacobian": [], "f": []}
+
+    def recorded(name, fn):
+        def call(z):
+            seen[name].append(np.array(z))
+            return fn(z)
+
+        return call
+
+    base = identity_map(3)
+    geo = GeometryMap(3, recorded("evaluate", base.evaluate), recorded("jacobian", base.jacobian))
+    f = recorded("f", lambda x: np.ones(len(x)))
+    spaces = [SplineSpace1D.uniform(2, q) for q in (6, 5, 4)]
+    _, grid, _ = quadrature_grid(spaces, 3)
+
+    def each_point_once(name):
+        # the identity map's evaluate returns the points, so f sees them too
+        points, seen[name] = np.concatenate(seen[name]), []
+        return np.array_equal(points[np.lexsort(points.T)], grid[np.lexsort(grid.T)])
+
+    _, jobs = on_workers(2, assemble_stiffness, spaces, geo, True, BoundScreen())
+    assert max(jobs) > 1 and len(seen["jacobian"]) > 1 and seen["evaluate"] == seen["f"] == []
+    assert each_point_once("jacobian")
+    _, jobs = on_workers(2, assemble_load, spaces, geo, f)
+    assert max(jobs) > 1 and len(seen["f"]) > 1
+    assert each_point_once("evaluate") and each_point_once("f") and each_point_once("jacobian")
+
+
+def test_only_the_parallel_module_holds_threads_and_cpu_counts():
+    # the pool, its threads and the CPU count live in one module; no other
+    # module of the package may start threads or read the affinity
+    holders = set()
+    for path in sorted(Path(igakron.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + ["%s.%s" % (node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            pooled = ("concurrent", "threading", "multiprocessing")
+            if any(n.split(".")[0] in pooled or n.endswith("sched_getaffinity") for n in names):
+                holders.add(path.name)
+    assert holders == {"parallel.py"}
 
 
 @pytest.mark.parametrize("kind", ["dense", "banded"])
@@ -280,7 +379,7 @@ def test_pooled_along_matches_along(kind, shape, axis, small_chunks):
     else:
         blocks = banded.BandedSymMatrix(rng.standard_normal((4, n)))._blocks
     a, b = int(np.prod(shape[:axis])), int(np.prod(shape[axis + 1 :]))
-    assert len(banded._grid(a, n, b)) > 1
+    assert len(parallel.grid(a, n, b)) > 1
     want = banded.along(blocks, X, axis, np.empty_like(X))
     got = banded.pooled_along(blocks, X, axis, np.empty_like(X))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -290,7 +389,7 @@ def test_pooled_along_matches_along(kind, shape, axis, small_chunks):
 def test_pooled_along_writes_straight_into_out(axis, monkeypatch, tracemalloc_peak):
     # 15 chunks of about 34 KB: a copy of any chunk's slices would show
     # above the bookkeeping of the job, so nothing is left to charge
-    monkeypatch.setattr(banded, "_CHUNK", 2**12)
+    monkeypatch.setattr(parallel, "_CHUNK", 2**12)
     rng = np.random.default_rng(6)
     X, out = rng.standard_normal((40, 40, 40)), np.empty((40, 40, 40))
     dense = [(0, 40, 0, 40, rng.standard_normal((40, 40)).T)]
@@ -305,7 +404,7 @@ def test_missing_blas_library_or_symbol_warns_once():
         (np, "libscipy_openblas64_-*.so*", "no_such_symbol"),
     )
     with pytest.warns(RuntimeWarning, match="libno-such-blas.*no_such_symbol") as record:
-        banded._pin_blas_threads(libs)
+        parallel._pin_blas_threads(libs)
     assert len(record) == 1
 
 
@@ -362,7 +461,7 @@ THREAD_GETTERS = """
 import ctypes
 from pathlib import Path
 
-from igakron.banded import _BLAS_LIBS
+from igakron.parallel import _BLAS_LIBS
 
 
 def _getter(pkg, pattern, setter):
