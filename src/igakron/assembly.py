@@ -11,41 +11,44 @@ l2_error.  Both dimensions go through one sum-factorized kernel
 (_sum_factorize).  Each trailing direction has, per component (c, e) of Q, a
 CSR "pair table" whose row (i, o) holds the weighted product F_c(B_i)
 F_e(B_{i+o-p}) at every quadrature point of that direction, so the element
-overlap-add is part of the product.  Q is evaluated once per plane of
-elements in the leading direction and the trailing tables are applied one
-axis at a time; one GEMM with the plane's leading-direction tables then
-gives the band rows of the plane's p + 1 basis functions.  Those are summed
-in a ring of p + 1 rows, and each leading basis function is written into the
-CSR, allocated up front over the interior (Dirichlet) or full index range,
-as soon as no later element touches it: no full-space intermediate is ever
-held.  The load vector goes through the same kernel with weighted value
+overlap-add is part of the product.  Q is evaluated once per group of
+consecutive elements in the leading direction, whose size _group_size
+reads from the shapes, and the trailing tables are applied to the group's
+points one axis at a time; one GEMM per element with its
+leading-direction tables then gives the band rows of its p + 1 basis
+functions.  Those are summed in a ring of p + 1 rows, and each leading
+basis function is written into the CSR, allocated up front over the
+interior (Dirichlet) or full index range, as soon as no later element
+touches it: no full-space intermediate is ever held.  The load vector goes through the same kernel with weighted value
 tables.  Quadrature points with a singular geometry Jacobian contribute zero
 (see the geometry module).
 
 The condition bound screens Q's extreme eigenvalues with closed forms (the
 hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
 ``eigvalsh`` only on the points that may hold an extreme (BoundScreen).
-The stiffness pass adds the Q it forms for each plane of elements to a
+The stiffness pass adds the Q it forms for each group of elements to a
 BoundScreen, so Q is evaluated once per quadrature point; condition_bound
 then evaluates only the 2^d corners of the parameter domain, which no Gauss
 point reaches, so that a map singular on the boundary gives the +inf
 sentinel.  Given the (N, d) points, condition_bound evaluates Q a chunk at
 a time.
 
-What runs where: the point work of a plane (Q and |det J| through the
+What runs where: the point work of a group (Q and |det J| through the
 geometry's kernels, the load's values, the screen's closed forms) goes to
 the package's pool in ranges of points (``parallel.each_range``), and so
-do the trailing contractions of a plane, in ranges of its components (a
-plane whose contractions read and write fewer than ``parallel._CHUNK``
-doubles, as does every 2D plane of the benchmark, is one range and runs
-inline).  The traced calls (eval_Q_masked), the GEMM, the ring, the sink
+do the trailing contractions of a group, in ranges of its components.  A
+group holds up to _BOUND_CHUNK trailing sums per component, so a 2D group
+of the benchmark, like a 3D plane, spans several ``parallel._CHUNK``
+ranges and is dealt, where one 2D plane alone would be one range run
+inline.  The traced calls (eval_Q_masked), the GEMM, the ring, the sink
 and the screen's running min/max/keep step run on the calling thread, in
-plane order.  The GEMM is never split: column blocks of
-it do not sum bitwise as the whole does.
+element order.  The GEMM is never split: column blocks of it do not sum
+bitwise as the whole does.
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
 
+import functools
 from collections import namedtuple
 
 import numpy as np
@@ -305,6 +308,14 @@ def _point_csr(t, data):
     return scipy.sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(t.nrows, E * q))
 
 
+def _group_size(E, q, n, R):
+    """Leading elements per group of _sum_factorize: as many as keep both
+    the group's points, q n an element (n the trailing points), and one
+    component's trailing sums, q R an element, within _BOUND_CHUNK, at least
+    one and at most all E (docs/decisions.md)."""
+    return min(E, max(1, _BOUND_CHUNK // (q * max(n, R))))
+
+
 def _sum_factorize(rules, tables, values, sink):
     """Sum point values against per-direction tables, one leading row at a time.
 
@@ -317,25 +328,33 @@ def _sum_factorize(rules, tables, values, sink):
     stride]``, go to ``sink(i, rows)`` in increasing i as soon as no later
     element touches them.  They are summed in a ring of the p + 1 basis
     functions of one element, indexed by i mod (p + 1), which is reused: a
-    sink copies what it keeps.  ``values`` is called once per element e1 of
-    the leading direction, on that plane's points ordered with direction d
-    slowest and the leading direction fastest, and returns one row of values
-    per component.  The trailing directions are contracted one axis at a
-    time, d first, as CSR products over the leading axis of a C-contiguous
-    array (de Boor's tensor-product scheme, ACM TOMS 5, 1979; Antolin et
-    al., CMAME 285, 2015), in ranges of the components on the pool
-    (``parallel.each_range`` over the doubles they read and write).  The
-    leading direction is then one GEMM over all components with element
-    e1's tables, added to e1's rows of the ring.
+    sink copies what it keeps.  The leading elements are taken in groups of
+    G = _group_size(E, q, n, R) consecutive ones, the last group holding what
+    is left, so that the small plane of one element's points does not pay
+    the fixed costs of the calls below alone.  ``values`` is called once per
+    group, on its points ordered with direction d slowest and the group's
+    leading points fastest, and returns one row of values per component.
+    The trailing directions are contracted one axis at a time, d first, as
+    CSR products over the leading axis of a C-contiguous array (de Boor's
+    tensor-product scheme, ACM TOMS 5, 1979; Antolin et al., CMAME 285,
+    2015), in ranges of the components on the pool (``parallel.each_range``
+    over the doubles they read and write), into a (G, C, q, R) buffer.  A
+    column of a CSR product sums the same terms in the same order however
+    many columns it has, so the grouping moves no bit.  The leading
+    direction is then, element by element, one GEMM over all components of
+    element e1's tables with its contiguous (C q, R) slice of that buffer,
+    added to e1's rows of the ring.
     """
     d = len(rules)
     lead = tables[0]
     csr = [None] + [[_point_csr(t, D) for D in t.data] for t in tables[1:]]
-    nq = [rules[0].points.shape[1]] + [r.points.size for r in rules[1:]]
+    E, q = rules[0].points.shape
+    nq = [r.points.size for r in rules[1:]]
     R = int(np.prod([t.nrows for t in tables[1:]]))
+    G = _group_size(E, q, int(np.prod(nq)), R)
     # (E, K, C * q): element e's tables of all components side by side
     L = np.concatenate([D.transpose(0, 2, 1) for D in lead.data], axis=2)
-    Y_all = np.empty((len(lead.data), nq[0], R))
+    Y_all = np.empty((G, len(lead.data), q, R))
     acc = np.empty((L.shape[1], R))
     stride = lead.stride
     slots = lead.local.max() // stride + 1
@@ -344,34 +363,42 @@ def _sum_factorize(rules, tables, values, sink):
     runs, run = lead.local.shape
     # basis functions below nxt[e1] are complete once element e1 is added
     nxt = np.append(lead.first[1:], lead.nrows // stride)
-    grid = np.meshgrid(*[r.points.ravel() for r in rules[:0:-1]], np.arange(nq[0]), indexing="ij")
-    z = np.empty((grid[0].size, d))
-    for k in range(1, d):
-        z[:, k] = grid[d - 1 - k].ravel()
-    slot = grid[-1].ravel()
 
-    def contract(V, lo, hi):
+    @functools.cache
+    def grid(g):
+        # the points of a group of g elements, and the leading point of each
+        mesh = np.meshgrid(*[r.points.ravel() for r in rules[:0:-1]], np.arange(g * q), indexing="ij")
+        z = np.empty((mesh[0].size, d))
+        for k in range(1, d):
+            z[:, k] = mesh[d - 1 - k].ravel()
+        return z, mesh[-1].ravel()
+
+    def contract(V, Yg, lo, hi):
+        n = [len(Yg) * q] + nq
         for c in range(lo, hi):
             Y, rows = V[c], 1
             for k in range(d - 1, 0, -1):
-                Y = csr[k][c] @ Y.reshape(nq[k], -1)
+                Y = csr[k][c] @ Y.reshape(n[k], -1)
                 rows *= Y.shape[0]
                 # direction k - 1's points to the front (copied by the next
-                # reshape, or by the store into Y_all)
-                Y = Y.reshape(rows, nq[k - 1], -1).swapaxes(0, 1)
-            Y_all[c] = Y.reshape(nq[0], R)
+                # reshape, or by the store into Yg)
+                Y = Y.reshape(rows, n[k - 1], -1).swapaxes(0, 1)
+            Yg[:, c] = Y.reshape(len(Yg), q, R)
 
-    for e1 in range(len(rules[0].points)):
-        z[:, 0] = rules[0].points[e1][slot]
+    for e0 in range(0, E, G):
+        Yg = Y_all[: E - e0]
+        z, slot = grid(len(Yg))
+        z[:, 0] = rules[0].points[e0 : e0 + len(Yg)].ravel()[slot]
         V = values(z)
-        parallel.each_range(len(V), V.size + Y_all.size, lambda lo, hi: contract(V, lo, hi))
-        np.matmul(L[e1], Y_all.reshape(-1, R), out=acc)
-        for i in range(runs):
-            o = (lead.first[e1] * stride + lead.local[i, 0]) % len(ring_rows)
-            ring_rows[o : o + run] += acc[i * run : (i + 1) * run]
-        for i in range(lead.first[e1], nxt[e1]):
-            sink(i, ring[i % slots])
-            ring[i % slots] = 0.0
+        parallel.each_range(len(V), V.size + Yg.size, lambda lo, hi: contract(V, Yg, lo, hi))
+        for e1 in range(e0, e0 + len(Yg)):
+            np.matmul(L[e1], Yg[e1 - e0].reshape(-1, R), out=acc)
+            for i in range(runs):
+                o = (lead.first[e1] * stride + lead.local[i, 0]) % len(ring_rows)
+                ring_rows[o : o + run] += acc[i * run : (i + 1) * run]
+            for i in range(lead.first[e1], nxt[e1]):
+                sink(i, ring[i % slots])
+                ring[i % slots] = 0.0
 
 
 def _check_dim(spaces, geo):
@@ -392,9 +419,8 @@ def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
         screen: a BoundScreen that the Q of every quadrature point is added
             to, so condition_bound can finish the bound over this grid
-            without evaluating Q there again; consecutive planes are added
-            together once they hold _BOUND_CHUNK points, since a small 2D
-            plane would pay the fixed cost of an add for few points
+            without evaluating Q there again; the Q of each group of
+            elements is added to it as _sum_factorize evaluates that Q
 
     Returns:
         scipy CSR matrix of order n^d (dirichlet) or m^d (full space).
@@ -407,29 +433,14 @@ def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
     tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
     ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
     A = _CSRRows([s.m for s in spaces], ranges, p)
-    planes = []
-
-    def add_planes():
-        Q, singular = planes[0]
-        if len(planes) > 1:
-            # each Q is a view of (d, d, N) components: join those along the points
-            Q = np.concatenate([Q.transpose(1, 2, 0) for Q, _ in planes], axis=-1).transpose(2, 0, 1)
-            singular = np.concatenate([singular for _, singular in planes])
-        # the planes are released before the screen makes its temporaries
-        planes.clear()
-        screen.add(Q, singular)
 
     def values(z):
         Q, singular = eval_Q_masked(geo, zeta=z)
         if screen is not None:
-            planes.append((Q, singular))
-            if sum(len(Q) for Q, _ in planes) >= _BOUND_CHUNK:
-                add_planes()
+            screen.add(Q, singular)
         return Q.reshape(len(z), d * d).T
 
     _sum_factorize(rules, tables, values, A.write)
-    if planes:
-        add_planes()
     return A.matrix()
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from . import parallel
 from .adi import ADIPreconditioner, adi_work_bytes_3d
 from .assembly import (
-    _BOUND_CHUNK,
     BoundScreen,
+    _group_size,
     assemble_load,
     assemble_pencil_1d,
     assemble_stiffness,
@@ -210,28 +210,26 @@ def _estimate_bytes(cfg, n, d, assembled):
             # the CSR is allocated up front and filled one leading basis
             # function at a time from a ring of the p + 1 open ones, so it is
             # held with the ring and either the kernel's work or one row's
-            # copies: the element tables (d^3 of E q^3 entries) and, per plane
-            # of elements, Q's d^2 components, the screen's three ranges over
-            # the batch it screens, the temporaries (about 8 (2 d^2 + 5) B per
-            # point) of the point ranges the pool's workers run at once, and
-            # the d^2 trailing-direction sums of the q leading points plus
-            # their q^2-row GEMM result; the Q of the planes before it that
-            # wait to be screened together, up to _BOUND_CHUNK points, take
-            # about 24 d^2 B per point with the screen's temporaries
+            # copies: the element tables (d^3 of E q^3 entries) and, per
+            # group of G elements (P points), the points of a full and a last
+            # group, Q's d^2 components, the screen's three ranges over them,
+            # the temporaries (about 8 (2 d^2 + 5) B per point) of the point
+            # ranges the pool's workers run at once, and the d^2 trailing sums
+            # of the group's leading points plus an element's q^2-row GEMM
+            # result
             q = cfg.p + 1
             E = n + 2 - cfg.p
-            plane = q * (E * q) ** (d - 1)
-            batch = min(E * plane, -(-_BOUND_CHUNK // plane) * plane)
             rows = ((n + 2) * w) ** (d - 1)
-            k = len(parallel.ranges(plane, d * d * plane))  # as a plane's points are dealt
-            running = parallel._tasks(k) * plane // k
+            G = _group_size(E, q, (E * q) ** (d - 1), rows)
+            P = G * q * (E * q) ** (d - 1)
+            k = len(parallel.ranges(P, d * d * P))  # as a group's points are dealt
+            running = parallel._tasks(k) * P // k
             kernel = (
                 16 * d**3 * E * q**3
-                + 8 * d * d * plane
-                + 24 * batch
+                + 8 * (d * d + 2 * d) * P
+                + 24 * P
                 + 8 * (2 * d * d + 5) * running
-                + 24 * d * d * (batch - plane)
-                + 8 * (d * d + q) * q * rows
+                + 8 * (d * d * G + q) * q * rows
             )
             est += csr + q * w * rows * 8 + max(kernel, 4 * nnz // n * 8)
     return int(est)

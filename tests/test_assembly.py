@@ -285,6 +285,31 @@ def test_condition_bound_visits_grid_then_extra_points(chunk, monkeypatch):
     assert np.array_equal(np.vstack(seen), z)
 
 
+# _sum_factorize evaluates Q once per group of G = _BOUND_CHUNK // (q R)
+# leading elements, R = (2p + 1) m the trailing rows (more than the q E
+# trailing points): 31 of the 72 at p = 3, 1/h = 72 (so the last group
+# holds 10), 9 of the 256 at 1/h = 256 and all 64 at p = 2, 1/h = 64; not
+# once per element
+@pytest.mark.parametrize("p, h_inv, calls", [(3, 72, 3), (3, 256, 29), (2, 64, 1)])
+def test_stiffness_pass_evaluates_Q_once_a_group(p, h_inv, calls, monkeypatch):
+    spaces = [SplineSpace1D.uniform(p, h_inv)] * 2
+    seen = []
+
+    def record(geo, *, zeta):
+        seen.append(np.array(zeta))
+        return eval_Q_masked(geo, zeta=zeta)
+
+    monkeypatch.setattr(assembly, "eval_Q_masked", record)
+    assemble_stiffness(spaces, builtin("quarter_annulus"), screen=BoundScreen())
+    G = assembly._group_size(h_inv, p + 1, (p + 1) * h_inv, (2 * p + 1) * spaces[1].m)
+    assert len(seen) == calls == -(-h_inv // G)
+    plane = (p + 1) ** 2 * h_inv
+    assert [len(z) for z in seen] == [min(G, h_inv - e) * plane for e in range(0, h_inv, G)]
+    # together the calls visit every Gauss point once
+    got, grid = np.vstack(seen), gauss_points(spaces)
+    assert np.array_equal(got[np.lexsort(got.T)], grid[np.lexsort(grid.T)])
+
+
 def _dense_from_band(BB, ms, p):
     """Full-space dense matrix with A[i, i + o] = BB[i_1, o_1 + p, ..., i_d, o_d + p]."""
     d = len(ms)

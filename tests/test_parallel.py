@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import igakron
-from igakron import banded, parallel
+from igakron import assembly, banded, parallel
 from igakron.adi import ADIPreconditioner
 from igakron.assembly import (
     BoundScreen,
@@ -36,6 +36,7 @@ from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
 from igakron.geometry import GeometryMap, builtin, identity_map
 from igakron.kron import KroneckerSum
+from igakron.multipatch import l_shape_domain
 from igakron.pcg import as_apply, pcg
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -214,6 +215,46 @@ def test_stiffness_and_bound_screen_same_bits_on_any_pool(domain, p, q, small_ch
     finally:
         sys.setswitchinterval(interval)
     same_bits_as_one_chunk(monkeypatch, stiffness_and_bound, domain, p, q)
+
+
+def grouped_case(case):
+    """(spaces, geo, dirichlet) of a case for the grouped assembly."""
+    if case == "l_shape_patch":
+        patch = l_shape_domain(2, 24).patches[0]
+        return patch.spaces, patch.geo, False
+    domain, p, q = {"partial": ("quarter_annulus", 3, 72), "3d": ("thick_quarter_ring", 2, 8)}[case]
+    return *spaces_of(domain, p, q), True
+
+
+def stiffness_groups(spaces):
+    """(E, G): the leading elements, and how many of them _sum_factorize groups for the stiffness."""
+    p = spaces[0].p
+    E = [s.m - p for s in spaces]
+    n = (p + 1) ** (len(E) - 1) * int(np.prod(E[1:]))
+    R = int(np.prod([(2 * p + 1) * s.m for s in spaces[1:]]))
+    return E[0], assembly._group_size(E[0], p + 1, n, R)
+
+
+def system_bits(spaces, geo, dirichlet):
+    screen = BoundScreen()
+    A = assemble_stiffness(spaces, geo, dirichlet, screen)
+    b = assemble_load(spaces, geo, poisson_source(geo.dim), dirichlet)
+    return np.concatenate([A.data, A.indices, A.indptr, b, [screen.result().bound]])
+
+
+@pytest.mark.parametrize("case", ["partial", "3d", "l_shape_patch"])
+def test_element_groups_same_bits_as_one_element_a_group(case, small_chunks, on_workers, monkeypatch):
+    # A, b and the bound of groups of G leading elements, on pools of 1, 2
+    # and 3 workers, are bitwise those of one element a group; the quarter
+    # annulus' 72 elements end in a partial group of 72 mod 31 = 10
+    spaces, geo, dirichlet = grouped_case(case)
+    E, G = stiffness_groups(spaces)
+    assert 1 < G and (E % G != 0) == (case == "partial")
+    got = [on_workers(k, system_bits, spaces, geo, dirichlet) for k in (1, 2, 3)]
+    monkeypatch.setattr(assembly, "_BOUND_CHUNK", 1)
+    want = system_bits(spaces, geo, dirichlet)
+    for bits, jobs in got:
+        assert max(jobs) > 1 and np.array_equal(bits, want)
 
 
 def load(domain, p, q):
