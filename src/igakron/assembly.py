@@ -11,10 +11,11 @@ l2_error.  Both dimensions go through one sum-factorized kernel
 (_sum_factorize).  Each trailing direction has, per component (c, e) of Q, a
 CSR "pair table" whose row (i, o) holds the weighted product F_c(B_i)
 F_e(B_{i+o-p}) at every quadrature point of that direction, so the element
-overlap-add is part of the product.  Q is evaluated once per group of
+overlap-add is part of the product.  The points are taken in groups of
 consecutive elements in the leading direction, whose size _group_size
 reads from the shapes, and the trailing tables are applied to the group's
-points one axis at a time; one GEMM per element with its
+values one axis at a time; a component of Q that vanishes on the whole
+group is not contracted, its sums are zero.  One GEMM per element with its
 leading-direction tables then gives the band rows of its p + 1 basis
 functions.  Those are summed in a ring of p + 1 rows, and each leading
 basis function is written into the CSR, allocated up front over the
@@ -26,24 +27,30 @@ tables.  Quadrature points with a singular geometry Jacobian contribute zero
 The condition bound screens Q's extreme eigenvalues with closed forms (the
 hypot formula in 2D, O. K. Smith's trigonometric one in 3D) and runs exact
 ``eigvalsh`` only on the points that may hold an extreme (BoundScreen).
-The stiffness pass adds the Q it forms for each group of elements to a
-BoundScreen, so Q is evaluated once per quadrature point; condition_bound
-then evaluates only the 2^d corners of the parameter domain, which no Gauss
-point reaches, so that a map singular on the boundary gives the +inf
-sentinel.  Given the (N, d) points, condition_bound evaluates Q a chunk at
-a time.
+The stiffness pass evaluates Q once per distinct Jacobian: per group, on
+one slice of every trailing direction along which J is bitwise constant
+there (_constant_axes), broadcast back over the group.  Q is a pointwise
+function of J, so this gives Q's bits at every point.  After a group whose
+J varies along every trailing direction the pass stops checking, so the
+quarter annulus pays one Jacobian evaluation of its first group.  Each
+slab's Q goes to a BoundScreen; the duplicates left out change no exact
+extreme.  condition_bound then evaluates only the 2^d corners of the
+parameter domain, which no Gauss point reaches, so that a map singular on
+the boundary gives the +inf sentinel.  Given the (N, d) points,
+condition_bound evaluates Q a chunk at a time.
 
-What runs where: the point work of a group (Q and |det J| through the
+What runs where: the point work of a group (J, Q and |det J| through the
 geometry's kernels, the load's values, the screen's closed forms) goes to
 the package's pool in ranges of points (``parallel.each_range``), and so
-do the trailing contractions of a group, in ranges of its components.  A
-group holds up to _BOUND_CHUNK trailing sums per component, so a 2D group
-of the benchmark, like a 3D plane, spans several ``parallel._CHUNK``
-ranges and is dealt, where one 2D plane alone would be one range run
-inline.  The traced calls (eval_Q_masked), the GEMM, the ring, the sink
+do the trailing contractions of a group, in ranges of its live
+components.  A group holds up to _BOUND_CHUNK trailing sums per component,
+so a 2D group of the benchmark, like a 3D plane, spans several
+``parallel._CHUNK`` ranges and is dealt, where one 2D plane alone would be
+one range run inline.  The traced calls (eval_Q_masked), the GEMM, the ring, the sink
 and the screen's running min/max/keep step run on the calling thread, in
-element order.  The GEMM is never split: column blocks of it do not sum
-bitwise as the whole does.
+element order.  The GEMM is never split and keeps every component: column
+blocks of it, or a shorter inner dimension, do not sum bitwise as the
+whole does.
 
 Degrees of freedom are linearized in C order, last direction fastest.
 """
@@ -58,7 +65,7 @@ import scipy.sparse
 from . import parallel
 from .banded import BandedSymMatrix
 from .bspline import basis_tables
-from .geometry import _abs_det_points, abs_det_masked, eval_Q_masked
+from .geometry import _abs_det_points, _jacobian, abs_det_masked, eval_Q_masked
 
 __all__ = [
     "QuadratureRule1D",
@@ -331,19 +338,22 @@ def _sum_factorize(rules, tables, values, sink):
     sink copies what it keeps.  The leading elements are taken in groups of
     G = _group_size(E, q, n, R) consecutive ones, the last group holding what
     is left, so that the small plane of one element's points does not pay
-    the fixed costs of the calls below alone.  ``values`` is called once per
-    group, on its points ordered with direction d slowest and the group's
-    leading points fastest, and returns one row of values per component.
+    the fixed costs of the calls below alone.  ``values(z, shape)`` is
+    called once per group, on its points ordered with direction d slowest
+    and the group's leading points fastest, which make the grid ``shape``
+    (n_d, ..., n_2, g q), and returns one row of values per component.
     The trailing directions are contracted one axis at a time, d first, as
     CSR products over the leading axis of a C-contiguous array (de Boor's
     tensor-product scheme, ACM TOMS 5, 1979; Antolin et al., CMAME 285,
     2015), in ranges of the components on the pool (``parallel.each_range``
     over the doubles they read and write), into a (G, C, q, R) buffer.  A
-    column of a CSR product sums the same terms in the same order however
-    many columns it has, so the grouping moves no bit.  The leading
-    direction is then, element by element, one GEMM over all components of
-    element e1's tables with its contiguous (C q, R) slice of that buffer,
-    added to e1's rows of the ring.
+    component whose values all vanish is not contracted: its sums are
+    zero-filled, the +0.0 a CSR product of zeros gives.  A column of a CSR
+    product sums the same terms in the same order however many columns it
+    has, so the grouping moves no bit.  The leading direction is then,
+    element by element, one GEMM over all components of element e1's
+    tables with its contiguous (C q, R) slice of that buffer, added to e1's
+    rows of the ring.
     """
     d = len(rules)
     lead = tables[0]
@@ -373,9 +383,9 @@ def _sum_factorize(rules, tables, values, sink):
             z[:, k] = mesh[d - 1 - k].ravel()
         return z, mesh[-1].ravel()
 
-    def contract(V, Yg, lo, hi):
+    def contract(V, Yg, live):
         n = [len(Yg) * q] + nq
-        for c in range(lo, hi):
+        for c in live:
             Y, rows = V[c], 1
             for k in range(d - 1, 0, -1):
                 Y = csr[k][c] @ Y.reshape(n[k], -1)
@@ -389,8 +399,12 @@ def _sum_factorize(rules, tables, values, sink):
         Yg = Y_all[: E - e0]
         z, slot = grid(len(Yg))
         z[:, 0] = rules[0].points[e0 : e0 + len(Yg)].ravel()[slot]
-        V = values(z)
-        parallel.each_range(len(V), V.size + Yg.size, lambda lo, hi: contract(V, Yg, lo, hi))
+        V = values(z, (*nq[::-1], len(Yg) * q))
+        live = V.any(axis=1)
+        Yg[:, ~live] = 0.0
+        live = np.flatnonzero(live)
+        size = len(live) * (V.shape[1] + Yg[:, 0].size)
+        parallel.each_range(len(live), size, lambda lo, hi: contract(V, Yg, live[lo:hi]))
         for e1 in range(e0, e0 + len(Yg)):
             np.matmul(L[e1], Yg[e1 - e0].reshape(-1, R), out=acc)
             for i in range(runs):
@@ -410,6 +424,23 @@ def _check_dim(spaces, geo):
     return d
 
 
+def _constant_axes(geo, z, shape):
+    """The trailing axes of the grid ``shape`` along which geo's Jacobian is bitwise constant.
+
+    ``z`` holds the grid's points, shape[-1] (the leading direction's) the
+    fastest; the other axes are the trailing ones.  The Jacobian is
+    evaluated on the pool, in ranges of the points.
+    """
+    d, N = geo.dim, len(z)
+    J = parallel.each_range(N, N * d * d, lambda lo, hi: (_jacobian(geo, z[lo:hi]),), (np.empty((d, d, N)),))[0]
+    J = J.reshape(d * d, *shape)
+    first = [J.take([0], axis=a) for a in range(1, len(shape))]
+    # the second slice is compared first: along a direction J varies on, it
+    # mostly differs there already, and the full comparison is skipped
+    second = [J.take([1], axis=a, mode="clip") for a in range(1, len(shape))]
+    return tuple(a for a, (f, s) in enumerate(zip(first, second)) if (s == f).all() and (J == f).all())
+
+
 def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
     """Galerkin stiffness matrix on a tensor-product spline space, by the p + 1 point Gauss rule.
 
@@ -417,10 +448,11 @@ def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
         spaces: per-direction SplineSpace1D (all with the same degree)
         geo: GeometryMap of matching dimension
         dirichlet: drop the boundary basis functions (homogeneous Dirichlet)
-        screen: a BoundScreen that the Q of every quadrature point is added
-            to, so condition_bound can finish the bound over this grid
-            without evaluating Q there again; the Q of each group of
-            elements is added to it as _sum_factorize evaluates that Q
+        screen: a BoundScreen that Q over this grid is added to, so
+            condition_bound can finish the bound over it without
+            evaluating Q there again; each group adds the Q of its slab,
+            one slice of every trailing direction along which J is
+            constant, which holds every distinct Q of the group
 
     Returns:
         scipy CSR matrix of order n^d (dirichlet) or m^d (full space).
@@ -433,12 +465,20 @@ def assemble_stiffness(spaces, geo, dirichlet=True, screen=None):
     tables = [_pair_tables(s, r, k, d) for k, (s, r) in enumerate(zip(spaces, rules))]
     ranges = [(1, s.m - 1) if dirichlet else (0, s.m) for s in spaces]
     A = _CSRRows([s.m for s in spaces], ranges, p)
+    check = True
 
-    def values(z):
-        Q, singular = eval_Q_masked(geo, zeta=z)
+    def values(z, shape):
+        # Q on one slice of each trailing axis along which J is constant,
+        # broadcast back; a group constant along none ends the checks
+        nonlocal check
+        keep = _constant_axes(geo, z, shape) if check else ()
+        check = bool(keep)
+        slab = z.reshape(*shape, d)[tuple(slice(0, 1) if a in keep else slice(None) for a in range(len(shape)))]
+        Q, singular = eval_Q_masked(geo, zeta=slab.reshape(-1, d))
         if screen is not None:
             screen.add(Q, singular)
-        return Q.reshape(len(z), d * d).T
+        Qc = Q.reshape(-1, d * d).T.reshape(d * d, *slab.shape[:-1])
+        return np.broadcast_to(Qc, (d * d, *shape)).reshape(d * d, len(z))
 
     _sum_factorize(rules, tables, values, A.write)
     return A.matrix()
@@ -458,7 +498,7 @@ def assemble_load(spaces, geo, f, dirichlet=True):
     ms = tuple(s.m for s in spaces)
     b = np.empty(ms)
 
-    def values(z):
+    def values(z, shape):
         def kernel(lo, hi):
             zr = z[lo:hi]
             return (np.asarray(f(geo.evaluate(zr)), dtype=float) * _abs_det_points(geo, zr)[0],)

@@ -212,11 +212,12 @@ def _estimate_bytes(cfg, n, d, assembled):
             # held with the ring and either the kernel's work or one row's
             # copies: the element tables (d^3 of E q^3 entries) and, per
             # group of G elements (P points), the points of a full and a last
-            # group, Q's d^2 components, the screen's three ranges over them,
-            # the temporaries (about 8 (2 d^2 + 5) B per point) of the point
-            # ranges the pool's workers run at once, and the d^2 trailing sums
-            # of the group's leading points plus an element's q^2-row GEMM
-            # result
+            # group, the d^2 Jacobian components of the check for constant
+            # directions, Q's d^2 components, the screen's three ranges over
+            # them, the temporaries (about 8 (2 d^2 + 5) B per point) of the
+            # point ranges the pool's workers run at once, and the d^2
+            # trailing sums of the group's leading points plus an element's
+            # q^2-row GEMM result
             q = cfg.p + 1
             E = n + 2 - cfg.p
             rows = ((n + 2) * w) ** (d - 1)
@@ -226,7 +227,7 @@ def _estimate_bytes(cfg, n, d, assembled):
             running = parallel._tasks(k) * P // k
             kernel = (
                 16 * d**3 * E * q**3
-                + 8 * (d * d + 2 * d) * P
+                + 8 * (2 * d * d + 2 * d) * P
                 + 24 * P
                 + 8 * (2 * d * d + 5) * running
                 + 8 * (d * d * G + q) * q * rows

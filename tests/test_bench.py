@@ -297,10 +297,16 @@ def test_condition_bound_memory_does_not_grow(tracemalloc_peak):
     assert peaks[1] <= 1.25 * peaks[0]
 
 
-@pytest.mark.parametrize("domain, d, h_inv", [("quarter_annulus", 2, 8), ("thick_quarter_ring", 3, 4)])
+@pytest.mark.parametrize(
+    "domain, d, h_inv", [("quarter_annulus", 2, 8), ("thick_quarter_ring", 3, 4), ("revolved_quarter_ring", 3, 4)]
+)
 def test_precond_row_evaluates_Q_once_per_point(domain, d, h_inv, monkeypatch):
-    # Q at every Gauss point once, in the stiffness pass, and then at the
-    # 2^d corners for the bound: (E q)^d + 2^d points
+    # Q once at every Gauss point of one slice of each trailing direction
+    # along which J is constant, in the stiffness pass, and then at the 2^d
+    # corners for the bound: (E q)^(d - 1) + 2^d points on the thick ring,
+    # whose J does not depend on z_3, and (E q)^d + 2^d where J varies along
+    # every trailing direction
+    slab = {"thick_quarter_ring": d - 1}.get(domain, d)
     points = []
 
     def counting(geo, *, zeta):
@@ -311,7 +317,7 @@ def test_precond_row_evaluates_Q_once_per_point(domain, d, h_inv, monkeypatch):
     p = 2
     row = run_experiment(ExperimentConfig(domain=domain, p=p, h_invs=(h_inv,), solver="fd")).rows[0]
     monkeypatch.undo()
-    assert sum(points) == (h_inv * (p + 1)) ** d + 2**d
+    assert sum(points) == (h_inv * (p + 1)) ** slab + 2**d
     assert points[-1] == 2**d
     _, z, _ = quadrature_grid([SplineSpace1D.uniform(p, h_inv)] * d, p + 1)
     corners = np.array(np.meshgrid(*([[0.0, 1.0]] * d), indexing="ij")).reshape(d, -1).T

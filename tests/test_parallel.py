@@ -34,7 +34,7 @@ from igakron.assembly import (
 from igakron.bench import ExperimentConfig, poisson_source, run_experiment
 from igakron.bspline import SplineSpace1D
 from igakron.fd import fd_setup
-from igakron.geometry import GeometryMap, builtin, identity_map
+from igakron.geometry import GeometryMap, builtin, eval_Q_masked, identity_map
 from igakron.kron import KroneckerSum
 from igakron.multipatch import l_shape_domain
 from igakron.pcg import as_apply, pcg
@@ -217,12 +217,50 @@ def test_stiffness_and_bound_screen_same_bits_on_any_pool(domain, p, q, small_ch
     same_bits_as_one_chunk(monkeypatch, stiffness_and_bound, domain, p, q)
 
 
+def bent_corner():
+    """A 3D map whose Jacobian is exactly I except in the corner z_1, z_2, z_3 > 1/2.
+
+    x_3 = z_3 + g(z_1) g(z_2) g(z_3) with g(t) = max(t - 1/2, 0)^2.  Along
+    z_2 and z_3 the first Gauss points lie outside the corner, so the
+    Jacobian's first two slices are equal even where it varies.
+    """
+
+    def g(t):
+        return np.maximum(t - 0.5, 0.0) ** 2
+
+    def dg(t):
+        return 2.0 * np.maximum(t - 0.5, 0.0)
+
+    def evaluate(z):
+        z = np.asarray(z)
+        return np.column_stack((z[:, 0], z[:, 1], z[:, 2] + g(z[:, 0]) * g(z[:, 1]) * g(z[:, 2])))
+
+    def jacobian(z):
+        z = np.asarray(z)
+        J = np.zeros((3, 3, len(z)))
+        J[0, 0] = J[1, 1] = 1.0
+        J[2, 0] = dg(z[:, 0]) * g(z[:, 1]) * g(z[:, 2])
+        J[2, 1] = g(z[:, 0]) * dg(z[:, 1]) * g(z[:, 2])
+        J[2, 2] = 1.0 + g(z[:, 0]) * g(z[:, 1]) * dg(z[:, 2])
+        return J
+
+    return GeometryMap(3, evaluate, jacobian, name="bent_corner")
+
+
 def grouped_case(case):
     """(spaces, geo, dirichlet) of a case for the grouped assembly."""
     if case == "l_shape_patch":
         patch = l_shape_domain(2, 24).patches[0]
         return patch.spaces, patch.geo, False
-    domain, p, q = {"partial": ("quarter_annulus", 3, 72), "3d": ("thick_quarter_ring", 2, 8)}[case]
+    if case == "bent_corner":
+        # p = 3, 1/h = 8 gives 4 groups of 2 leading elements: two in
+        # z_1 < 1/2, two past it
+        return [SplineSpace1D.uniform(3, 8)] * 3, bent_corner(), True
+    domain, p, q = {
+        "partial": ("quarter_annulus", 3, 72),
+        "3d": ("thick_quarter_ring", 2, 8),
+        "thick_quarter_ring": ("thick_quarter_ring", 3, 8),
+    }[case]
     return *spaces_of(domain, p, q), True
 
 
@@ -255,6 +293,35 @@ def test_element_groups_same_bits_as_one_element_a_group(case, small_chunks, on_
     want = system_bits(spaces, geo, dirichlet)
     for bits, jobs in got:
         assert max(jobs) > 1 and np.array_equal(bits, want)
+
+
+# the points Q is evaluated at: the thick ring's 32^3 Gauss points keep one
+# z_3 slice, the patch's 72^2 one z_2 slice, and of the bent corner's four
+# groups of 2 x 4 leading points the first two keep one point of each
+# trailing direction and the others all 32^2
+@pytest.mark.parametrize(
+    "case, slabs", [("thick_quarter_ring", 32**2), ("l_shape_patch", 72), ("bent_corner", 2 * 8 + 2 * 8 * 32**2)]
+)
+def test_jacobian_slabs_same_bits_as_every_point(case, slabs, small_chunks, on_workers, monkeypatch):
+    # Q evaluated on one slice of each trailing direction along which a
+    # group's Jacobian is constant, and broadcast, gives A, b and the bound
+    # bitwise as Q at every point does, on pools of 1, 2 and 3 workers
+    spaces, geo, dirichlet = grouped_case(case)
+    points = []
+
+    def counting(geo, *, zeta):
+        points.append(len(zeta))
+        return eval_Q_masked(geo, zeta=zeta)
+
+    monkeypatch.setattr(assembly, "eval_Q_masked", counting)
+    got = [on_workers(k, system_bits, spaces, geo, dirichlet) for k in (1, 2, 3)]
+    on, points[:] = sum(points), []
+    monkeypatch.setattr(assembly, "_constant_axes", lambda geo, z, shape: ())
+    want = system_bits(spaces, geo, dirichlet)
+    for bits, jobs in got:
+        assert max(jobs) > 1 and np.array_equal(bits, want)
+    assert on == 3 * slabs
+    assert sum(points) == int(np.prod([s.m - s.p for s in spaces])) * (spaces[0].p + 1) ** len(spaces)
 
 
 def load(domain, p, q):
@@ -356,10 +423,12 @@ def test_each_range_stores_each_slice_once(k, small_chunks, on_workers):
     assert np.all(stores.count == 1)
 
 
-def test_callbacks_see_each_gauss_point_once_a_pass(small_chunks, on_workers):
+def test_callbacks_see_each_gauss_point_once_a_pass(small_chunks, on_workers, monkeypatch):
     # a map's evaluate and jacobian and the load's f run on ranges of the
-    # points from the pool's threads: each point reaches each callback once
-    seen = {"evaluate": [], "jacobian": [], "f": []}
+    # points from the pool's threads: each point reaches each callback once,
+    # and the stiffness pass's jacobian once more at the points Q is
+    # evaluated at
+    seen = {"evaluate": [], "jacobian": [], "f": [], "Q": []}
 
     def recorded(name, fn):
         def call(z):
@@ -374,14 +443,23 @@ def test_callbacks_see_each_gauss_point_once_a_pass(small_chunks, on_workers):
     spaces = [SplineSpace1D.uniform(2, q) for q in (6, 5, 4)]
     _, grid, _ = quadrature_grid(spaces, 3)
 
-    def each_point_once(name):
+    def each_point_once(name, want=grid):
         # the identity map's evaluate returns the points, so f sees them too
         points, seen[name] = np.concatenate(seen[name]), []
-        return np.array_equal(points[np.lexsort(points.T)], grid[np.lexsort(grid.T)])
+        return np.array_equal(points[np.lexsort(points.T)], want[np.lexsort(want.T)])
 
+    def record_Q(geo, *, zeta):
+        seen["Q"].append(np.array(zeta))
+        return eval_Q_masked(geo, zeta=zeta)
+
+    monkeypatch.setattr(assembly, "eval_Q_masked", record_Q)
     _, jobs = on_workers(2, assemble_stiffness, spaces, geo, True, BoundScreen())
     assert max(jobs) > 1 and len(seen["jacobian"]) > 1 and seen["evaluate"] == seen["f"] == []
-    assert each_point_once("jacobian")
+    # the check for constant directions sees every point, and J = I is
+    # constant along both trailing directions, so Q is evaluated at the
+    # points of their first Gauss point alone
+    slab = grid[(grid[:, 1] == grid[0, 1]) & (grid[:, 2] == grid[0, 2])]
+    assert each_point_once("Q", slab) and each_point_once("jacobian", np.vstack([grid, slab]))
     _, jobs = on_workers(2, assemble_load, spaces, geo, f)
     assert max(jobs) > 1 and len(seen["f"]) > 1
     assert each_point_once("evaluate") and each_point_once("f") and each_point_once("jacobian")
